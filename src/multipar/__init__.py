@@ -47,7 +47,6 @@ from .metrics import (
     ScorePair,
     bleu,
     chrf,
-    ingest_external_scores,
     sentence_chrf,
     tokenize_13a,
 )

@@ -1,12 +1,12 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Every subcommand is a pure function of its inputs and the seed: reruns are
-byte-identical, including under different ``--threads`` settings.  Each
-output directory receives a ``run.json`` manifest with the seed, tool
-version, and SHA-256 digests of all inputs.
+byte-identical.  ``--threads`` is accepted and never changes the output:
+scoring runs on one thread.  Each output directory receives a ``run.json``
+manifest with the seed, tool version, and SHA-256 digests of all inputs.
 
 A config file (``key = value`` lines, ``#`` comments) can pre-set any long
-flag; command-line flags override it.
+flag; command-line flags override it, in any spelling.
 """
 
 from __future__ import annotations
@@ -44,14 +44,7 @@ from .datagen import (
     FtDataset,
 )
 from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
-from .metrics import (
-    MetricConfig,
-    MetricError,
-    ScorePair,
-    bleu,
-    chrf,
-    ingest_external_scores,
-)
+from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
 from .probes import (
     ProbeConfig,
     ProbeError,
@@ -66,9 +59,10 @@ from .report import (
     GroupingScheme,
     ReportError,
     ScoreMatrix,
+    delta,
     emit_report,
 )
-from .sampling import SamplingError, sample_schedule, save_weights, temperature_weights
+from .sampling import SamplingError, load_table, sample_schedule, save_weights, temperature_weights
 
 _ERRORS = (
     CorpusError,
@@ -104,6 +98,12 @@ def _digest_inputs(paths) -> dict[str, str]:
     return digests
 
 
+def _write_json(path: Path, obj, default=None) -> None:
+    """Write ``obj`` as indented, key-sorted JSON with a trailing newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _write_run_manifest(out_dir: Path, args, inputs) -> None:
     manifest = {
         "tool": "multipar",
@@ -119,10 +119,7 @@ def _write_run_manifest(out_dir: Path, args, inputs) -> None:
         },
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "run.json", manifest, default=str)
 
 
 def _registry(args) -> LanguageRegistry:
@@ -144,18 +141,13 @@ def cmd_mine(args) -> int:
     corpus, stats = mine_pivot_aligned(bitexts, english_code=registry.english_code)
     out = Path(args.out)
     save_corpus(corpus, out)
-    (out / "mining_stats.json").write_text(
-        json.dumps(
-            {
-                "input_pairs": dict(stats.input_pairs),
-                "duplicate_pivots_dropped": dict(stats.duplicate_pivots_dropped),
-                "yield_rows": stats.yield_rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "mining_stats.json",
+        {
+            "input_pairs": dict(stats.input_pairs),
+            "duplicate_pivots_dropped": dict(stats.duplicate_pivots_dropped),
+            "yield_rows": stats.yield_rows,
+        },
     )
     _write_run_manifest(out, args, [bitext_dir])
     return 0
@@ -249,17 +241,12 @@ def cmd_buckets(args) -> int:
     assignment = partition_buckets(list(corpus.row_ids), args.num_buckets, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "buckets.json").write_text(
-        json.dumps(
-            {
-                "num_buckets": assignment.num_buckets,
-                "mapping": {str(k): v for k, v in sorted(assignment.mapping.items())},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        out / "buckets.json",
+        {
+            "num_buckets": assignment.num_buckets,
+            "mapping": {str(k): v for k, v in sorted(assignment.mapping.items())},
+        },
     )
     if args.setting == "multi_parallel":
         dataset = build_multiparallel_setting(
@@ -299,16 +286,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    sizes = {}
-    with open(args.sizes, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise SamplingError(f"{args.sizes}:{lineno}: expected key<TAB>count")
-            sizes[parts[0]] = float(parts[1])
-    weights = temperature_weights(sizes, args.temperature)
+    weights = temperature_weights(load_table(args.sizes), args.temperature)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(weights, out / "weights.tsv")
@@ -339,10 +317,10 @@ def cmd_score(args) -> int:
         )
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
     if args.metric == "bleu":
-        value = bleu(pairs, MetricConfig(), threads=args.threads)
+        value = bleu(pairs, MetricConfig())
     else:
         word_order = 2 if args.metric == "chrfpp" else 0
-        value = chrf(pairs, MetricConfig(word_order=word_order), threads=args.threads)
+        value = chrf(pairs, MetricConfig(word_order=word_order))
     matrix = ScoreMatrix()
     matrix.set(Direction(args.src_lang, args.tgt_lang), args.metric, value, len(pairs))
     out = Path(args.out)
@@ -385,23 +363,16 @@ def cmd_lid_eval(args) -> int:
     report = off_target_rate(hyps, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "off_target.json").write_text(
-        json.dumps(
-            {
-                "per_direction": {
-                    k: report.per_direction[k] for k in sorted(report.per_direction)
-                },
-                "overall": {
-                    "total": report.overall_total,
-                    "off_target": report.overall_off_target,
-                    "rate": report.overall_rate,
-                },
+    _write_json(
+        out / "off_target.json",
+        {
+            "per_direction": report.per_direction,
+            "overall": {
+                "total": report.overall_total,
+                "off_target": report.overall_off_target,
+                "rate": report.overall_rate,
             },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+        },
     )
     _write_run_manifest(out, args, [args.model, args.hypotheses])
     return 0
@@ -420,24 +391,16 @@ def cmd_ontarget(args) -> int:
     subsets = on_target_subset(per_direction, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "on_target.json").write_text(
-        json.dumps(
-            {k: sorted(v) for k, v in sorted(subsets.items())}, indent=2
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "on_target.json", {k: sorted(v) for k, v in subsets.items()})
     _write_run_manifest(out, args, [args.model, args.hypotheses])
     return 0
 
 
 def cmd_report(args) -> int:
     registry = _registry(args)
-    matrix = ingest_external_scores(args.scores)
+    matrix = ScoreMatrix.load_tsv(args.scores)
     if args.baseline:
-        from .report import delta as matrix_delta
-
-        matrix = matrix_delta(matrix, ingest_external_scores(args.baseline))
+        matrix = delta(matrix, ScoreMatrix.load_tsv(args.baseline))
     schemes = []
     for name in args.scheme:
         if name.startswith("family:"):
@@ -470,7 +433,7 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
+    p.add_argument("--threads", type=int, default=1, help="ignored; scoring is single-threaded")
     p.add_argument("--json-errors", action="store_true", help="JSON error envelope on stderr")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -601,22 +564,21 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        # config entries become flags appended after the explicit ones, but
-        # only for flags the user did not pass: flags override config
+        # config entries become flags right after the subcommand (argv[0]; the
+        # top-level parser takes no other argument), ahead of the explicit
+        # ones: argparse keeps the last value it reads, so a flag in any
+        # spelling overrides the config, and config values get the checks flags get
         extra: list[str] = []
         for key, raw in _load_config(args.config).items():
             if not hasattr(args, key) or key == "config":
                 continue
             flag = "--" + key.replace("_", "-")
-            if flag in argv:
-                continue
             if isinstance(getattr(args, key), bool):
                 if raw.lower() in ("1", "true", "yes"):
                     extra.append(flag)
             else:
                 extra += [flag, raw]
-        if extra:
-            args = parser.parse_args(argv + extra)
+        args = parser.parse_args(argv[:1] + extra + argv[1:])
     try:
         return args.func(args)
     except _ERRORS as exc:

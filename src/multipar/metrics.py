@@ -2,8 +2,9 @@
 
 Scores live on a 0-100 scale.  Statistics are pooled over the whole pair
 list before the F/precision computation (micro aggregation); per-sentence
-ChrF is available separately for subset analyses.  Externally computed
-scores (e.g. COMET) are ingested from TSV, never recomputed here.
+ChrF is available separately for subset analyses.  Scoring is pure Python
+on one thread.  Externally computed scores (e.g. COMET) are never recomputed
+here; ``report.ScoreMatrix.load_tsv`` reads them from TSV.
 
 13a tokenization rules, applied in order:
   1. drop the literal token ``<skipped>``; join hyphenated line breaks;
@@ -21,13 +22,8 @@ import math
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
-
-from .datagen import Direction
-from .report import ScoreMatrix
+from typing import Sequence
 
 
 class MetricError(ValueError):
@@ -123,11 +119,11 @@ def _bleu_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
     return stats
 
 
-def bleu(pairs: Sequence[ScorePair], config: MetricConfig = BLEU, threads: int = 1) -> float:
+def bleu(pairs: Sequence[ScorePair], config: MetricConfig = BLEU) -> float:
     """Corpus BLEU: orders 1..4, exponential smoothing, brevity penalty."""
     if not pairs:
         raise MetricError("empty pair list")
-    stats = _pooled_stats(pairs, config, _bleu_pair_stats, threads)
+    stats = _pooled_stats(pairs, config, _bleu_pair_stats)
     orders = config.bleu_max_order
     sys_len, ref_len = stats[-2], stats[-1]
     log_precisions = []
@@ -220,11 +216,11 @@ def _f_score_from_stats(stats: Sequence[int], config: MetricConfig) -> float:
     return 100.0 * f
 
 
-def chrf(pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP, threads: int = 1) -> float:
+def chrf(pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP) -> float:
     """Corpus ChrF (word_order 0) or ChrF++ (word_order 2) on a 0-100 scale."""
     if not pairs:
         raise MetricError("empty pair list")
-    stats = _pooled_stats(pairs, config, _chrf_pair_stats, threads)
+    stats = _pooled_stats(pairs, config, _chrf_pair_stats)
     return _f_score_from_stats(stats, config)
 
 
@@ -232,59 +228,6 @@ def sentence_chrf(pair: ScorePair, config: MetricConfig = CHRF_PP) -> float:
     return _f_score_from_stats(_chrf_pair_stats(pair, config), config)
 
 
-def _pooled_stats(pairs, config, pair_stats, threads: int) -> list[int]:
-    """Sum per-pair integer statistics; reduction order is fixed regardless
-    of thread count, so totals are bit-identical."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_stats = list(pool.map(lambda p: pair_stats(p, config), pairs))
-    else:
-        all_stats = [pair_stats(p, config) for p in pairs]
-    totals = [0] * len(all_stats[0])
-    for row in all_stats:
-        for i, v in enumerate(row):
-            totals[i] += v
-    return totals
-
-
-# --- external score ingestion -------------------------------------------------
-
-_SCORE_HEADER = ["src_lang", "tgt_lang", "metric", "value", "count"]
-
-
-def ingest_external_scores(path: str | Path) -> ScoreMatrix:
-    """Parse a ``src_lang tgt_lang metric value count`` TSV into a ScoreMatrix."""
-    matrix = ScoreMatrix()
-    seen: dict[tuple, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0].split("\t") != _SCORE_HEADER:
-        raise MetricError(f"{path}: missing or malformed header")
-    errors = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            errors.append(f"{path}:{lineno}: expected 5 fields")
-            continue
-        src, tgt, metric, value, count = parts
-        try:
-            direction = Direction(src, tgt)
-            cell_value = float(value)
-            cell_count = int(count)
-        except ValueError as exc:
-            errors.append(f"{path}:{lineno}: {exc}")
-            continue
-        key = (direction, metric)
-        if key in seen:
-            errors.append(
-                f"{path}:{lineno}: duplicate cell {src}-{tgt}/{metric}"
-                f" (first at line {seen[key]})"
-            )
-            continue
-        seen[key] = lineno
-        matrix.set(direction, metric, cell_value, cell_count)
-    if errors:
-        raise MetricError("; ".join(errors))
-    return matrix
+def _pooled_stats(pairs, config, pair_stats) -> list[int]:
+    """Sum the per-pair integer statistics, column by column."""
+    return [sum(column) for column in zip(*(pair_stats(p, config) for p in pairs))]

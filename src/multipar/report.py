@@ -9,6 +9,7 @@ because the two generally differ.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -22,6 +23,7 @@ TIER_LETTER = {"High": "H", "Medium": "M", "Low": "L", "ExtraLow": "E"}
 RESOURCE_GRID_GROUPS = (
     "H-H", "H-M", "H-L", "M-H", "M-M", "M-L", "L-H", "L-M", "L-L",
 )
+SCORE_TSV_HEADER = ("src_lang", "tgt_lang", "metric", "value", "count")
 
 
 class ReportError(ValueError):
@@ -83,12 +85,52 @@ class ScoreMatrix:
     # --- TSV round trip: src_lang tgt_lang metric value count ---
 
     def save_tsv(self, path: str | Path) -> None:
-        lines = ["src_lang\ttgt_lang\tmetric\tvalue\tcount\n"]
+        lines = ["\t".join(SCORE_TSV_HEADER) + "\n"]
         for (d, m), cell in sorted(
             self._cells.items(), key=lambda kv: (kv[0][0], kv[0][1])
         ):
             lines.append(f"{d.src}\t{d.tgt}\t{m}\t{cell.value:.17g}\t{cell.count}\n")
         Path(path).write_text("".join(lines), encoding="utf-8")
+
+    @classmethod
+    def load_tsv(cls, path: str | Path) -> "ScoreMatrix":
+        """Parse a score TSV, as ``save_tsv`` writes it or as an external
+        scorer (e.g. COMET) does; every bad line is named by ``file:line``."""
+        matrix = cls()
+        seen: dict[tuple, int] = {}
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        if lines and lines[-1] == "":
+            lines.pop()
+        if not lines or tuple(lines[0].split("\t")) != SCORE_TSV_HEADER:
+            raise ReportError(f"{path}: missing or malformed header")
+        errors = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            parts = line.split("\t")
+            if len(parts) != len(SCORE_TSV_HEADER):
+                errors.append(f"{path}:{lineno}: expected 5 fields")
+                continue
+            src, tgt, metric, value, count = parts
+            try:
+                direction = Direction(src, tgt)
+                cell_value = float(value)
+                cell_count = int(count)
+                if not math.isfinite(cell_value):
+                    raise ReportError(f"non-finite value {value!r}")
+            except ValueError as exc:
+                errors.append(f"{path}:{lineno}: {exc}")
+                continue
+            key = (direction, metric)
+            if key in seen:
+                errors.append(
+                    f"{path}:{lineno}: duplicate cell {src}-{tgt}/{metric}"
+                    f" (first at line {seen[key]})"
+                )
+                continue
+            seen[key] = lineno
+            matrix.set(direction, metric, cell_value, cell_count)
+        if errors:
+            raise ReportError("; ".join(errors))
+        return matrix
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,12 +203,7 @@ def aggregate(
     ``allow_partial=False`` errors if a resource-grid group has no member in
     the matrix.
     """
-    groups: dict[str, list[float]] = {}
-    for direction in matrix.directions(metric):
-        label = classify(direction, scheme, registry)
-        if label is None:
-            continue
-        groups.setdefault(label, []).append(matrix.get(direction, metric).value)
+    groups = _group(matrix, scheme, registry, metric)
     if scheme.kind == "resource_grid" and not allow_partial:
         missing = [g for g in RESOURCE_GRID_GROUPS if g not in groups]
         if missing:
@@ -177,6 +214,19 @@ def aggregate(
     result["AVG"] = _mean(result.values())
     result["GRAND_MEAN"] = _mean(v for vals in groups.values() for v in vals)
     return result
+
+
+def _group(
+    matrix: ScoreMatrix, scheme: GroupingScheme, registry: LanguageRegistry, metric: str
+) -> dict[str, list[float]]:
+    """Values of the matrix's directions under each label the scheme gives;
+    directions the scheme excludes are left out."""
+    groups: dict[str, list[float]] = {}
+    for direction in matrix.directions(metric):
+        label = classify(direction, scheme, registry)
+        if label is not None:
+            groups.setdefault(label, []).append(matrix.get(direction, metric).value)
+    return groups
 
 
 def classify(
@@ -214,13 +264,7 @@ def english_centric_summary(
     matrix: ScoreMatrix, registry: LanguageRegistry, metric: str
 ) -> dict:
     """Per-tier EN-X / X-EN means plus the overall mean of the tier cells."""
-    scheme = GroupingScheme("english_centric")
-    groups: dict[str, list[float]] = {}
-    for direction in matrix.directions(metric):
-        label = classify(direction, scheme, registry)
-        if label is None:
-            continue
-        groups.setdefault(label, []).append(matrix.get(direction, metric).value)
+    groups = _group(matrix, GroupingScheme("english_centric"), registry, metric)
     if not groups:
         raise ReportError("no english-centric directions in the matrix")
     tiers: dict[str, dict[str, float]] = {}
@@ -240,12 +284,7 @@ def family_summary(
     matrix: ScoreMatrix, family: str, registry: LanguageRegistry, metric: str
 ) -> dict[str, float | None]:
     """Within / out-of / into family means over zero-shot directions."""
-    scheme = GroupingScheme("family", family=family)
-    groups: dict[str, list[float]] = {}
-    for direction in matrix.directions(metric):
-        label = classify(direction, scheme, registry)
-        if label is not None:
-            groups.setdefault(label, []).append(matrix.get(direction, metric).value)
+    groups = _group(matrix, GroupingScheme("family", family=family), registry, metric)
     return {
         key: (_mean(groups[key]) if key in groups else None)
         for key in ("within", "out_of", "into")
@@ -344,17 +383,14 @@ def emit_report(
         per_metric: dict[str, object] = {}
         for scheme in schemes:
             key = scheme.kind if scheme.kind != "family" else f"family:{scheme.family}"
-            try:
-                if scheme.kind == "english_centric":
-                    per_metric[key] = english_centric_summary(matrix, registry, metric)
-                elif scheme.kind == "family":
-                    per_metric[key] = family_summary(
-                        matrix, scheme.family, registry, metric
-                    )
-                else:
-                    per_metric[key] = aggregate(matrix, scheme, registry, metric)
-            except ReportError:
+            if scheme.kind == "family":
+                per_metric[key] = family_summary(matrix, scheme.family, registry, metric)
+            elif not any(classify(d, scheme, registry) for d in matrix.directions(metric)):
                 per_metric[key] = None  # scheme has no members for this metric
+            elif scheme.kind == "english_centric":
+                per_metric[key] = english_centric_summary(matrix, registry, metric)
+            else:
+                per_metric[key] = aggregate(matrix, scheme, registry, metric)
         summaries[metric] = per_metric
 
     if fmt == "tsv":
@@ -372,9 +408,8 @@ def emit_report(
             "matrix": matrix.to_json_dict(),
             "summaries": summaries,
         }
-        (out / "report.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        (out / "report.json").write_text(text + "\n", encoding="utf-8")
     else:
         parts = []
         for metric, per_metric in sorted(summaries.items()):

@@ -74,7 +74,9 @@ def save_weights(weights: MixtureWeights, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def load_weights(path: str | Path, temperature: float = 1.0) -> MixtureWeights:
+def load_table(path: str | Path) -> dict[str, float]:
+    """Read ``key<TAB>number`` lines, skipping blank ones; each number must be
+    finite."""
     table = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -82,6 +84,13 @@ def load_weights(path: str | Path, temperature: float = 1.0) -> MixtureWeights:
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
-                raise SamplingError(f"{path}:{lineno}: expected key<TAB>weight")
-            table[parts[0]] = float(parts[1])
-    return MixtureWeights(weights=table, temperature=temperature)
+                raise SamplingError(f"{path}:{lineno}: expected key<TAB>number")
+            value = float(parts[1])
+            if not math.isfinite(value):
+                raise SamplingError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+            table[parts[0]] = value
+    return table
+
+
+def load_weights(path: str | Path, temperature: float = 1.0) -> MixtureWeights:
+    return MixtureWeights(weights=load_table(path), temperature=temperature)

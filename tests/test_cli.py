@@ -272,3 +272,70 @@ def test_rerun_is_byte_identical(corpus_dir, tmp_path):
     snapshot = {p.name: p.read_bytes() for p in out.iterdir()}
     assert main(args) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
+
+
+@pytest.mark.parametrize("seed_flag", [["--seed=5"], ["--se", "5"]])
+def test_config_loses_to_flag_in_any_spelling(tmp_path, seed_flag):
+    sizes = tmp_path / "sizes.tsv"
+    sizes.write_text("a\t1\nb\t1\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 3\n", encoding="utf-8")
+    out = tmp_path / "mix"
+    rc = main(
+        ["mix", "--sizes", str(sizes), "--temperature", "1",
+         "--config", str(config), *seed_flag, "--out", str(out)]
+    )
+    assert rc == 0
+    assert json.loads((out / "run.json").read_text())["seed"] == 5
+
+
+def test_config_values_parse_like_flags(corpus_dir, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("exclude = de\nno-english-centric = no\n", encoding="utf-8")
+    out = tmp_path / "ft"
+    rc = main(
+        ["build-ft", "--corpus", str(corpus_dir), "--config", str(config),
+         "--out", str(out)]
+    )
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["counts"]["per_direction"]) == ["en-nl", "nl-en"]
+
+
+SCORE_HEADER = "src_lang\ttgt_lang\tmetric\tvalue\tcount\n"
+
+
+def test_report_rejects_languages_outside_registry(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + "de\tnl\tchrf\t40\t10\nxx\tyy\tchrf\t42\t10\n")
+    out = tmp_path / "report"
+    rc = main(["report", "--scores", str(scores), "--format", "json", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "xx-yy" in err and "outside the registry" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_report_rejects_non_finite_score(tmp_path, capsys, value):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + f"de\tnl\tchrf\t{value}\t10\n")
+    out = tmp_path / "report"
+    rc = main(["report", "--scores", str(scores), "--format", "json", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{scores}:2" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_mix_rejects_non_finite_size(tmp_path, capsys, value):
+    sizes = tmp_path / "sizes.tsv"
+    sizes.write_text(f"a\t{value}\nb\t1\n", encoding="utf-8")
+    out = tmp_path / "mix"
+    rc = main(["mix", "--sizes", str(sizes), "--temperature", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{sizes}:1" in err and "Traceback" not in err
+    assert not (out / "weights.tsv").exists()

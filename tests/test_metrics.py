@@ -10,11 +10,11 @@ from multipar import (
     ScorePair,
     bleu,
     chrf,
-    ingest_external_scores,
     sentence_chrf,
     tokenize_13a,
 )
 from multipar.metrics import MetricError
+from multipar.report import ReportError, ScoreMatrix
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "metric_fixture.json").read_text(encoding="utf-8")
@@ -52,12 +52,6 @@ def test_chrf_matches_reference_within_tolerance():
 
 def test_chrfpp_matches_reference_within_tolerance():
     assert chrf(PAIRS, CHRF_PP) == pytest.approx(FIXTURE["expected"]["chrfpp"], abs=0.05)
-
-
-def test_thread_count_does_not_change_scores():
-    for threads in (2, 4):
-        assert bleu(PAIRS, threads=threads) == bleu(PAIRS)
-        assert chrf(PAIRS, CHRF_PP, threads=threads) == chrf(PAIRS, CHRF_PP)
 
 
 # --- metric properties ----------------------------------------------------------------
@@ -146,7 +140,7 @@ def test_ingest_round_trip(tmp_path):
         HEADER + "de\tnl\tcomet\t0.82\t100\nnl\tde\tcomet\t0.79\t100\n",
         encoding="utf-8",
     )
-    matrix = ingest_external_scores(path)
+    matrix = ScoreMatrix.load_tsv(path)
     assert len(matrix) == 2
     from multipar.datagen import Direction
 
@@ -157,8 +151,8 @@ def test_ingest_round_trip(tmp_path):
 def test_ingest_rejects_missing_header(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("de\tnl\tcomet\t0.8\t1\n", encoding="utf-8")
-    with pytest.raises(MetricError):
-        ingest_external_scores(path)
+    with pytest.raises(ReportError):
+        ScoreMatrix.load_tsv(path)
 
 
 def test_ingest_reports_line_numbers_for_all_errors(tmp_path):
@@ -171,8 +165,8 @@ def test_ingest_reports_line_numbers_for_all_errors(tmp_path):
         + "de\tnl\tchrf\t1.0\n",  # missing field
         encoding="utf-8",
     )
-    with pytest.raises(MetricError) as err:
-        ingest_external_scores(path)
+    with pytest.raises(ReportError) as err:
+        ScoreMatrix.load_tsv(path)
     message = str(err.value)
     assert ":3" in message and ":4" in message and ":5" in message
     assert "duplicate" in message

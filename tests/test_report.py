@@ -13,7 +13,6 @@ from multipar import (
     family_summary,
 )
 from multipar.datagen import Direction, enumerate_directions
-from multipar.metrics import ingest_external_scores
 from multipar.registry import ec30
 from multipar.report import (
     RESOURCE_GRID_GROUPS,
@@ -76,7 +75,7 @@ def test_matrix_tsv_and_json_round_trips(tmp_path):
     matrix.set(Direction("de", "nl"), "bleu", 12.125, count=5)
     path = tmp_path / "scores.tsv"
     matrix.save_tsv(path)
-    loaded = ingest_external_scores(path)
+    loaded = ScoreMatrix.load_tsv(path)
     assert loaded.cells() == matrix.cells()
     again = ScoreMatrix.from_json_dict(matrix.to_json_dict())
     assert again.cells() == matrix.cells()
