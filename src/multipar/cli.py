@@ -24,7 +24,6 @@ from .corpus import (
     load_corpus_dir,
     mine_pivot_aligned,
     save_corpus,
-    subset_rows,
 )
 from .datagen import (
     DatagenError,
@@ -171,13 +170,9 @@ def _direction_set(args, codes, registry):
 
 def cmd_build_ft(args) -> int:
     registry = _registry(args)
-    corpus = load_corpus_dir(args.corpus, None)
+    corpus = load_corpus_dir(args.corpus)
     dirs = _direction_set(args, corpus.languages, registry)
-    row_ids = (
-        sample_rows(corpus, args.rows, args.seed)
-        if args.rows is not None
-        else list(corpus.row_ids)
-    )
+    row_ids = None if args.rows is None else sample_rows(corpus, args.rows, args.seed)
     dataset = build_pairwise(corpus, dirs, row_ids, origin="build-ft")
     if args.tag != "none":
         dataset = apply_tags(dataset, TagStrategy(kind=args.tag))
@@ -233,7 +228,7 @@ def cmd_probe_words(args) -> int:
 
 def cmd_buckets(args) -> int:
     registry = _registry(args)
-    corpus = load_corpus_dir(args.corpus, None)
+    corpus = load_corpus_dir(args.corpus)
     if args.languages:
         corpus_codes = args.languages
     else:
@@ -331,11 +326,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_lid_train(args) -> int:
-    corpus = load_corpus_dir(args.corpus, None)
-    samples = {
-        code: [row[code] for row in corpus.rows if row.get(code)]
-        for code in corpus.languages
-    }
+    corpus = load_corpus_dir(args.corpus)
+    samples = {code: [s for s in column if s] for code, column in corpus.columns.items()}
     model = lid_train(
         samples, LidConfig(max_order=args.max_order, alpha=args.alpha)
     )
@@ -346,20 +338,20 @@ def cmd_lid_train(args) -> int:
     return 0
 
 
-def _read_hyps_tsv(path) -> list[tuple[str, str]]:
-    """``expected_code<TAB>text`` lines."""
+def _read_tsv(path, fields: tuple[str, ...]) -> list[list[str]]:
+    """Lines of ``path`` split on tabs, each into exactly the named fields."""
     rows = []
     for lineno, line in enumerate(_read_lines(path), 1):
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected code<TAB>text")
-        rows.append((parts[1], parts[0]))
+        if len(parts) != len(fields):
+            raise ValueError(f"{path}:{lineno}: expected {'<TAB>'.join(fields)}")
+        rows.append(parts)
     return rows
 
 
 def cmd_lid_eval(args) -> int:
     model = LidModel.load(args.model)
-    hyps = _read_hyps_tsv(args.hypotheses)
+    hyps = [(text, code) for code, text in _read_tsv(args.hypotheses, ("code", "text"))]
     report = off_target_rate(hyps, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -381,13 +373,14 @@ def cmd_lid_eval(args) -> int:
 def cmd_ontarget(args) -> int:
     model = LidModel.load(args.model)
     per_direction: dict[str, list[tuple[int, str]]] = {}
-    for lineno, line in enumerate(_read_lines(args.hypotheses), 1):
-        parts = line.split("\t")
-        if len(parts) != 3:
+    rows = _read_tsv(args.hypotheses, ("direction", "row_id", "text"))
+    for lineno, (direction, row_id, text) in enumerate(rows, 1):
+        try:
+            per_direction.setdefault(direction, []).append((int(row_id), text))
+        except ValueError:
             raise ValueError(
-                f"{args.hypotheses}:{lineno}: expected direction<TAB>row_id<TAB>text"
-            )
-        per_direction.setdefault(parts[0], []).append((int(parts[1]), parts[2]))
+                f"{args.hypotheses}:{lineno}: row id {row_id!r} is not an integer"
+            ) from None
     subsets = on_target_subset(per_direction, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

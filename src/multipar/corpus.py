@@ -1,10 +1,15 @@
 """Multi-parallel corpus representation, disk I/O, and pivot-alignment mining.
 
+In memory a corpus is one column per language: ``columns`` maps each
+language code to a tuple of K sentences, where position i of every column
+is row i, and ``row_ids`` names the rows.  An empty sentence ``""`` is a
+missing cell, so rows may be partial.
+
 On disk a corpus is a directory with one ``<code>.txt`` file per language
-(UTF-8, LF line endings, one sentence per line) plus an optional
-``manifest.json`` recording the language list, row count, and provenance.
-Bitext inputs for mining are per-language TSV files with one
-``english<TAB>foreign`` pair per line.
+(UTF-8, LF line endings, one sentence per line, an empty line for a missing
+cell) plus an optional ``manifest.json`` recording the language list, row
+count, row ids, and provenance.  Bitext inputs for mining are per-language
+TSV files with one ``english<TAB>foreign`` pair per line.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .registry import LanguageRegistry
-
 _ASCII_WS = " \t\n\r\f\v"
 
 
@@ -23,68 +26,74 @@ class CorpusError(ValueError):
     pass
 
 
-def _check_sentence(code: str, row_id, text: str) -> None:
-    if "\n" in text or "\r" in text:
-        raise CorpusError(f"embedded newline in {code!r} sentence (row {row_id})")
-
-
 @dataclass(frozen=True)
 class MultiParallelCorpus:
-    """K aligned rows over N languages; rows may be partial (missing columns)."""
+    """K aligned rows over N languages, stored as one tuple of K sentences
+    per language; ``""`` marks a missing cell."""
 
-    languages: tuple[str, ...]
-    rows: tuple[Mapping[str, str], ...]
+    columns: Mapping[str, tuple[str, ...]]
     row_ids: tuple[int, ...]
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.languages) < 2:
+        if len(self.columns) < 2:
             raise CorpusError("a corpus needs at least 2 languages")
-        if len(set(self.languages)) != len(self.languages):
-            raise CorpusError("duplicate language codes")
-        if len(self.rows) != len(self.row_ids):
-            raise CorpusError("rows and row_ids length mismatch")
         if len(set(self.row_ids)) != len(self.row_ids):
             raise CorpusError("duplicate row ids")
-        known = set(self.languages)
-        for rid, row in zip(self.row_ids, self.rows):
-            for code, text in row.items():
-                if code not in known:
-                    raise CorpusError(f"row {rid} references unknown language {code!r}")
-                _check_sentence(code, rid, text)
+        for code, column in self.columns.items():
+            if len(column) != len(self.row_ids):
+                raise CorpusError(
+                    f"column {code!r} has {len(column)} cells for {len(self.row_ids)} rows"
+                )
+            for rid, text in zip(self.row_ids, column):
+                if "\n" in text or "\r" in text:
+                    raise CorpusError(f"embedded newline in {code!r} sentence (row {rid})")
+
+    @property
+    def languages(self) -> tuple[str, ...]:
+        return tuple(self.columns)
 
     @property
     def n_languages(self) -> int:
-        return len(self.languages)
+        return len(self.columns)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_ids)
 
     def is_fully_parallel(self) -> bool:
-        return all(len(row) == self.n_languages for row in self.rows)
+        return all(all(column) for column in self.columns.values())
 
-    def row_by_id(self, row_id: int) -> Mapping[str, str]:
+    @property
+    def rows(self) -> tuple[dict[str, str], ...]:
+        """Row view, built on request: each row maps only its non-empty cells."""
+        return tuple(self._row(i) for i in range(self.n_rows))
+
+    def row_by_id(self, row_id: int) -> dict[str, str]:
         try:
-            return self.rows[self.row_ids.index(row_id)]
+            return self._row(self.row_ids.index(row_id))
         except ValueError:
             raise CorpusError(f"no row with id {row_id}") from None
 
+    def _row(self, position: int) -> dict[str, str]:
+        return {c: col[position] for c, col in self.columns.items() if col[position]}
 
-def load_corpus(
-    paths: Mapping[str, str | Path], registry: LanguageRegistry | None = None
-) -> MultiParallelCorpus:
-    """Read one one-sentence-per-line file per language into a full corpus.
+
+def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
+    """Read one one-sentence-per-line file per language into a corpus.
 
     All files must be UTF-8 and have equal line counts; row i of every
-    language comes from line i.
+    language comes from line i, and an empty line is a missing cell.
     """
-    if registry is not None:
-        for code in paths:
-            if code not in registry:
-                raise CorpusError(f"unknown language code {code!r}")
-    columns: dict[str, list[str]] = {}
-    counts: dict[str, int] = {}
+    return _load(paths, None)
+
+
+def _load(
+    paths: Mapping[str, str | Path], row_ids: Sequence[int] | None
+) -> MultiParallelCorpus:
+    """:func:`load_corpus`, naming the rows ``row_ids`` when there is one
+    per line and ``0..K-1`` otherwise."""
+    columns: dict[str, tuple[str, ...]] = {}
     for code, path in paths.items():
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -95,36 +104,31 @@ def load_corpus(
         lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        columns[code] = lines
-        counts[code] = len(lines)
-    if len(set(counts.values())) > 1:
-        detail = ", ".join(f"{paths[c]}: {n}" for c, n in sorted(counts.items()))
+        columns[code] = tuple(lines)
+    k = len(next(iter(columns.values()), ()))
+    if any(len(column) != k for column in columns.values()):
+        detail = ", ".join(f"{paths[c]}: {len(col)}" for c, col in sorted(columns.items()))
         raise CorpusError(f"line-count mismatch across files ({detail})")
-    k = next(iter(counts.values())) if counts else 0
-    codes = tuple(paths)
-    rows = tuple(
-        {code: columns[code][i] for code in codes} for i in range(k)
-    )
+    if row_ids is None or len(row_ids) != k:
+        row_ids = range(k)
     return MultiParallelCorpus(
-        languages=codes,
-        rows=rows,
-        row_ids=tuple(range(k)),
-        provenance={"source": "load_corpus", "files": {c: str(paths[c]) for c in codes}},
+        columns=columns,
+        row_ids=tuple(row_ids),
+        provenance={"source": "load_corpus", "files": {c: str(paths[c]) for c in paths}},
     )
 
 
 def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     """Write ``<code>.txt`` per language plus ``manifest.json``.
 
-    Partial rows are written as empty lines so that line numbers stay
-    aligned with row positions across all files.
+    A missing cell is an empty line, so line numbers stay aligned with row
+    positions across all files.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for code in corpus.languages:
-        lines = [row.get(code, "") for row in corpus.rows]
+    for code, column in corpus.columns.items():
         (directory / f"{code}.txt").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
+            "".join(line + "\n" for line in column), encoding="utf-8"
         )
     manifest = {
         "languages": list(corpus.languages),
@@ -137,25 +141,18 @@ def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     )
 
 
-def load_corpus_dir(
-    directory: str | Path, registry: LanguageRegistry | None = None
-) -> MultiParallelCorpus:
+def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
     """Load a corpus from the directory layout written by :func:`save_corpus`."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
+    row_ids = None
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         codes = manifest["languages"]
+        row_ids = manifest.get("row_ids")
     else:
         codes = sorted(p.stem for p in directory.glob("*.txt"))
-    corpus = load_corpus({c: directory / f"{c}.txt" for c in codes}, registry)
-    if manifest_path.exists() and manifest.get("row_ids") is not None:
-        ids = tuple(manifest["row_ids"])
-        if len(ids) == corpus.n_rows:
-            corpus = MultiParallelCorpus(
-                corpus.languages, corpus.rows, ids, corpus.provenance
-            )
-    return corpus
+    return _load({c: directory / f"{c}.txt" for c in codes}, row_ids)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,8 @@ def mine_pivot_aligned(
     ambiguous in that bitext and is dropped from it before joining, so each
     output row is a function of the pivot string.  Output rows follow the
     first-seen order of the pivot in the first bitext; the result is fully
-    multi-parallel over {english} + the bitext languages.
+    multi-parallel over {english} + the bitext languages, except where a
+    bitext's foreign side is empty: that cell is missing.
     """
     if len(bitexts) < 2:
         raise CorpusError("pivot mining needs at least two bitexts")
@@ -222,28 +220,24 @@ def mine_pivot_aligned(
     codes = list(bitexts)
     first = codes[0]
     order: list[str] = []
-    emitted: set[str] = set()
     for en, _ in bitexts[first]:
+        # a pivot left in a bitext's index occurs in it exactly once
         key = normalize_pivot(en)
-        if key in emitted or key not in indexes[first]:
-            continue
-        if all(key in indexes[c] for c in codes[1:]):
+        if key in indexes[first] and all(key in indexes[c] for c in codes[1:]):
             order.append(key)
-            emitted.add(key)
 
-    rows = tuple(
-        {english_code: key, **{c: indexes[c][key] for c in codes}} for key in order
-    )
+    columns = {english_code: tuple(order)}
+    for c in codes:
+        columns[c] = tuple(indexes[c][key] for key in order)
     corpus = MultiParallelCorpus(
-        languages=(english_code, *codes),
-        rows=rows,
-        row_ids=tuple(range(len(rows))),
+        columns=columns,
+        row_ids=tuple(range(len(order))),
         provenance={"source": "mine_pivot_aligned", "bitexts": codes},
     )
     stats = MiningStats(
         input_pairs={c: len(bitexts[c]) for c in codes},
         duplicate_pivots_dropped=dup_counts,
-        yield_rows=len(rows),
+        yield_rows=len(order),
     )
     return corpus, stats
 
@@ -252,16 +246,13 @@ def subset_rows(
     corpus: MultiParallelCorpus, row_ids: Sequence[int]
 ) -> MultiParallelCorpus:
     """Keep the given rows, in the given order, retaining their original ids."""
-    if len(set(row_ids)) != len(row_ids):
-        raise CorpusError("duplicate row ids in subset")
     index = {rid: i for i, rid in enumerate(corpus.row_ids)}
     try:
         positions = [index[rid] for rid in row_ids]
     except KeyError as exc:
         raise CorpusError(f"row id {exc.args[0]} out of range") from None
     return MultiParallelCorpus(
-        languages=corpus.languages,
-        rows=tuple(corpus.rows[p] for p in positions),
+        columns={c: tuple(col[p] for p in positions) for c, col in corpus.columns.items()},
         row_ids=tuple(row_ids),
         provenance={
             **dict(corpus.provenance),
@@ -275,18 +266,11 @@ def restrict_languages(
 ) -> MultiParallelCorpus:
     """Project the corpus onto a subset of its languages; K is unchanged."""
     keep = set(codes)
-    unknown = keep - set(corpus.languages)
+    unknown = keep - set(corpus.columns)
     if unknown:
         raise CorpusError(f"unknown language codes: {sorted(unknown)}")
-    if len(keep) < 2:
-        raise CorpusError("need at least 2 languages after restriction")
-    kept = tuple(c for c in corpus.languages if c in keep)
-    rows = tuple(
-        {c: row[c] for c in kept if c in row} for row in corpus.rows
-    )
     return MultiParallelCorpus(
-        languages=kept,
-        rows=rows,
+        columns={c: col for c, col in corpus.columns.items() if c in keep},
         row_ids=corpus.row_ids,
         provenance={**dict(corpus.provenance), "restricted_to": sorted(keep)},
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import CorpusError, MultiParallelCorpus
+from .corpus import MultiParallelCorpus
 from .registry import LanguageRegistry
 from .rng import stream
 
@@ -152,19 +152,21 @@ def sample_rows(corpus: MultiParallelCorpus, count: int, seed: int) -> list[int]
     return perm[:count]
 
 
+TARGET_TAG = "<2{code}>"
+SOURCE_TAG = "<src:{code}>"
+TWO_TAG_TARGET = "<tgt:{code}>"
+
+
 @dataclass(frozen=True)
 class TagStrategy:
     """Language-tag serialization applied to finished datasets.
 
-    ``one_tag`` prepends the target-language tag to the source side only;
-    ``two_tag`` prepends the source tag to the source side and the target
-    tag to the target side.
+    ``one_tag`` prepends the target-language tag (``TARGET_TAG``) to the
+    source side only; ``two_tag`` prepends the source tag (``SOURCE_TAG``) to
+    the source side and the target tag (``TWO_TAG_TARGET``) to the target side.
     """
 
     kind: str  # "none" | "one_tag" | "two_tag"
-    target_tag: str = "<2{code}>"
-    source_tag: str = "<src:{code}>"
-    two_tag_target: str = "<tgt:{code}>"
 
     KINDS = ("none", "one_tag", "two_tag")
 
@@ -200,20 +202,20 @@ def build_pairwise(
     row_ids: Sequence[int] | None = None,
     origin: str = "",
 ) -> FtDataset:
-    """One record per (direction, row) where both sides exist and are nonempty.
+    """One record per (direction, row) where both cells are non-empty.
 
-    Order is direction-major with rows in the given order; rows with an
-    empty or missing side are skipped and counted in the manifest.
+    Order is direction-major with rows in the given order; rows with a
+    missing (empty) side are skipped and counted in the manifest.
     """
-    languages = set(corpus.languages)
+    columns = corpus.columns
     for d in dirs:
-        if d.src not in languages or d.tgt not in languages:
+        if d.src not in columns or d.tgt not in columns:
             raise DatagenError(f"direction {d} references a language absent from corpus")
     if row_ids is None:
         row_ids = list(corpus.row_ids)
     index = {rid: i for i, rid in enumerate(corpus.row_ids)}
     try:
-        selected = [(rid, corpus.rows[index[rid]]) for rid in row_ids]
+        selected = [(rid, index[rid]) for rid in row_ids]
     except KeyError as exc:
         raise DatagenError(f"row id {exc.args[0]} not in corpus") from None
 
@@ -221,11 +223,11 @@ def build_pairwise(
     skipped: dict[str, int] = {}
     append = records.append
     for d in dirs:
-        src, tgt = d.src, d.tgt
+        src, tgt = columns[d.src], columns[d.tgt]
         n_skipped = 0
-        for rid, row in selected:
-            s = row.get(src)
-            t = row.get(tgt)
+        for rid, i in selected:
+            s = src[i]
+            t = tgt[i]
             if s and t:
                 append(BitextRecord(d, s, t, rid, origin))
             else:
@@ -350,15 +352,15 @@ def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
         return dataset
     if strategy.kind == "one_tag":
         records = tuple(
-            replace(r, src_text=f"{strategy.target_tag.format(code=r.direction.tgt)} {r.src_text}")
+            replace(r, src_text=f"{TARGET_TAG.format(code=r.direction.tgt)} {r.src_text}")
             for r in dataset.records
         )
     else:
         records = tuple(
             replace(
                 r,
-                src_text=f"{strategy.source_tag.format(code=r.direction.src)} {r.src_text}",
-                tgt_text=f"{strategy.two_tag_target.format(code=r.direction.tgt)} {r.tgt_text}",
+                src_text=f"{SOURCE_TAG.format(code=r.direction.src)} {r.src_text}",
+                tgt_text=f"{TWO_TAG_TARGET.format(code=r.direction.tgt)} {r.tgt_text}",
             )
             for r in dataset.records
         )
@@ -370,18 +372,14 @@ def horizontal_expand(
     corpus: MultiParallelCorpus, new_code: str, sentences: Sequence[str]
 ) -> tuple[MultiParallelCorpus, int]:
     """Add one language column; returns the count of newly covered directions (2N)."""
-    if new_code in corpus.languages:
+    if new_code in corpus.columns:
         raise DatagenError(f"language {new_code!r} already present")
     if len(sentences) != corpus.n_rows:
         raise DatagenError(
             f"need {corpus.n_rows} sentences for {new_code!r}, got {len(sentences)}"
         )
-    rows = tuple(
-        {**row, new_code: sent} for row, sent in zip(corpus.rows, sentences)
-    )
     expanded = MultiParallelCorpus(
-        languages=(*corpus.languages, new_code),
-        rows=rows,
+        columns={**corpus.columns, new_code: tuple(sentences)},
         row_ids=corpus.row_ids,
         provenance={**dict(corpus.provenance), "expanded_with": new_code},
     )

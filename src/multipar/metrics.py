@@ -36,21 +36,15 @@ class MetricConfig:
     word_order: int = 0  # 0 for ChrF, 2 for ChrF++
     beta: float = 2.0
     bleu_max_order: int = 4
-    bleu_smoothing: str = "exp"
     tokenizer: str = "13a"
-    case: str = "mixed"
 
     def __post_init__(self):
         if self.char_order < 0 or self.word_order < 0:
             raise MetricError("n-gram orders must be >= 0")
         if self.beta <= 0:
             raise MetricError("beta must be positive")
-        if self.bleu_smoothing not in ("exp",):
-            raise MetricError(f"unsupported smoothing {self.bleu_smoothing!r}")
         if self.tokenizer not in ("13a", "whitespace"):
             raise MetricError(f"unsupported tokenizer {self.tokenizer!r}")
-        if self.case != "mixed":
-            raise MetricError(f"unsupported casing {self.case!r}")
 
 
 CHRF = MetricConfig(word_order=0)

@@ -76,9 +76,9 @@ class ScoreMatrix:
 
     def merge(self, other: "ScoreMatrix") -> "ScoreMatrix":
         merged = ScoreMatrix()
-        for (d, m), cell in sorted(self._cells.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        for (d, m), cell in sorted(self._cells.items()):
             merged.set(d, m, cell.value, cell.count)
-        for (d, m), cell in sorted(other._cells.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        for (d, m), cell in sorted(other._cells.items()):
             merged.set(d, m, cell.value, cell.count)
         return merged
 
@@ -86,9 +86,7 @@ class ScoreMatrix:
 
     def save_tsv(self, path: str | Path) -> None:
         lines = ["\t".join(SCORE_TSV_HEADER) + "\n"]
-        for (d, m), cell in sorted(
-            self._cells.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
+        for (d, m), cell in sorted(self._cells.items()):
             lines.append(f"{d.src}\t{d.tgt}\t{m}\t{cell.value:.17g}\t{cell.count}\n")
         Path(path).write_text("".join(lines), encoding="utf-8")
 
@@ -111,23 +109,20 @@ class ScoreMatrix:
                 continue
             src, tgt, metric, value, count = parts
             try:
-                direction = Direction(src, tgt)
+                key = (Direction(src, tgt), metric)
                 cell_value = float(value)
                 cell_count = int(count)
                 if not math.isfinite(cell_value):
                     raise ReportError(f"non-finite value {value!r}")
+                if key in seen:
+                    raise ReportError(
+                        f"duplicate cell {src}-{tgt}/{metric} (first at line {seen[key]})"
+                    )
+                matrix.set(*key, cell_value, cell_count)
             except ValueError as exc:
                 errors.append(f"{path}:{lineno}: {exc}")
                 continue
-            key = (direction, metric)
-            if key in seen:
-                errors.append(
-                    f"{path}:{lineno}: duplicate cell {src}-{tgt}/{metric}"
-                    f" (first at line {seen[key]})"
-                )
-                continue
             seen[key] = lineno
-            matrix.set(direction, metric, cell_value, cell_count)
         if errors:
             raise ReportError("; ".join(errors))
         return matrix
@@ -143,9 +138,7 @@ class ScoreMatrix:
                     "value": cell.value,
                     "count": cell.count,
                 }
-                for (d, m), cell in sorted(
-                    self._cells.items(), key=lambda kv: (kv[0][0], kv[0][1])
-                )
+                for (d, m), cell in sorted(self._cells.items())
             ],
         }
 
@@ -185,9 +178,10 @@ def resource_grid_group(direction: Direction, registry: LanguageRegistry) -> str
     return f"{src_tier}-{tgt_tier}"
 
 
-def _mean(values: Iterable[float]) -> float:
+def _mean(values: Iterable[float]) -> float | None:
+    """Arithmetic mean, or None when there are no values."""
     values = list(values)
-    return sum(values) / len(values)
+    return sum(values) / len(values) if values else None
 
 
 def aggregate(
@@ -210,6 +204,10 @@ def aggregate(
             raise ReportError(f"resource grid groups without data: {missing}")
     if not groups:
         raise ReportError(f"no direction in the matrix fits scheme {scheme.kind!r}")
+    return _label_means(groups)
+
+
+def _label_means(groups: Mapping[str, list[float]]) -> dict[str, float]:
     result = {label: _mean(vals) for label, vals in sorted(groups.items())}
     result["AVG"] = _mean(result.values())
     result["GRAND_MEAN"] = _mean(v for vals in groups.values() for v in vals)
@@ -220,7 +218,10 @@ def _group(
     matrix: ScoreMatrix, scheme: GroupingScheme, registry: LanguageRegistry, metric: str
 ) -> dict[str, list[float]]:
     """Values of the matrix's directions under each label the scheme gives;
-    directions the scheme excludes are left out."""
+    directions the scheme excludes are left out.  An unknown family is an
+    error even when no direction would be classified by it."""
+    if scheme.kind == "family":
+        registry.members_of_family(scheme.family)
     groups: dict[str, list[float]] = {}
     for direction in matrix.directions(metric):
         label = classify(direction, scheme, registry)
@@ -263,10 +264,32 @@ def classify(
 def english_centric_summary(
     matrix: ScoreMatrix, registry: LanguageRegistry, metric: str
 ) -> dict:
-    """Per-tier EN-X / X-EN means plus the overall mean of the tier cells."""
-    groups = _group(matrix, GroupingScheme("english_centric"), registry, metric)
+    """Per-tier EN-X / X-EN means plus the overall mean of the tier cells; an
+    orientation with no direction in the matrix has an overall mean of None."""
+    scheme = GroupingScheme("english_centric")
+    groups = _group(matrix, scheme, registry, metric)
     if not groups:
         raise ReportError("no english-centric directions in the matrix")
+    return _summarize(scheme, groups)
+
+
+def family_summary(
+    matrix: ScoreMatrix, family: str, registry: LanguageRegistry, metric: str
+) -> dict[str, float | None]:
+    """Within / out-of / into family means over zero-shot directions."""
+    scheme = GroupingScheme("family", family=family)
+    return _summarize(scheme, _group(matrix, scheme, registry, metric))
+
+
+def _summarize(scheme: GroupingScheme, groups: Mapping[str, list[float]]) -> dict | None:
+    """The summary of one scheme's groups; None when a resource-grid or
+    english-centric scheme has no group, while a family keeps its keys."""
+    if scheme.kind == "family":
+        return {key: _mean(groups.get(key, ())) for key in ("within", "out_of", "into")}
+    if not groups:
+        return None
+    if scheme.kind == "resource_grid":
+        return _label_means(groups)
     tiers: dict[str, dict[str, float]] = {}
     for label, values in groups.items():
         orientation, tier = label.split("/")
@@ -280,17 +303,6 @@ def english_centric_summary(
     return {"tiers": tiers, "overall": overall}
 
 
-def family_summary(
-    matrix: ScoreMatrix, family: str, registry: LanguageRegistry, metric: str
-) -> dict[str, float | None]:
-    """Within / out-of / into family means over zero-shot directions."""
-    groups = _group(matrix, GroupingScheme("family", family=family), registry, metric)
-    return {
-        key: (_mean(groups[key]) if key in groups else None)
-        for key in ("within", "out_of", "into")
-    }
-
-
 def delta(matrix_a: ScoreMatrix, matrix_b: ScoreMatrix) -> ScoreMatrix:
     """Cellwise a - b over identical keys."""
     keys_a = set(matrix_a.cells())
@@ -302,7 +314,7 @@ def delta(matrix_a: ScoreMatrix, matrix_b: ScoreMatrix) -> ScoreMatrix:
             f"cell key mismatch; only in first: {only_a}; only in second: {only_b}"
         )
     out = ScoreMatrix()
-    for (d, m), cell in sorted(matrix_a.cells().items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (d, m), cell in sorted(matrix_a.cells().items()):
         other = matrix_b.get(d, m)
         out.set(d, m, cell.value - other.value, min(cell.count, other.count))
     return out
@@ -326,11 +338,13 @@ def count_boosted(
     )
 
 
+def _fmt(value: float | None) -> str:
+    return "null" if value is None else f"{value:.1f}"
+
+
 def _markdown_resource_grid(values: Mapping[str, float], metric: str) -> str:
     header = " | ".join(RESOURCE_GRID_GROUPS) + " | AVG"
-    row = " | ".join(
-        f"{values[g]:.1f}" if g in values else "null" for g in RESOURCE_GRID_GROUPS
-    )
+    row = " | ".join(_fmt(values.get(g)) for g in RESOURCE_GRID_GROUPS)
     row += f" | {values['AVG']:.1f}"
     return (
         f"### Zero-shot {metric} by resource group\n\n"
@@ -346,18 +360,17 @@ def _markdown_english_centric(summary: dict, metric: str) -> str:
         t for t in sorted(summary["tiers"]) if t not in tiers
     ]
     header = " | ".join(f"{t} EN-X | {t} X-EN" for t in present)
-    cells = []
-    for t in present:
-        for orientation in ("EN-X", "X-EN"):
-            v = summary["tiers"][t].get(orientation)
-            cells.append("null" if v is None else f"{v:.1f}")
-    row = " | ".join(cells)
+    row = " | ".join(
+        _fmt(summary["tiers"][t].get(orientation))
+        for t in present
+        for orientation in ("EN-X", "X-EN")
+    )
     overall = summary["overall"]
     return (
         f"### English-centric {metric} by resource group\n\n"
         f"| {header} | AVG |\n|{'---|' * (2 * len(present) + 1)}\n"
         f"| {row} | {overall['AVG']:.1f} |\n\n"
-        f"Overall EN-X {overall['EN-X']:.1f}, X-EN {overall['X-EN']:.1f} "
+        f"Overall EN-X {_fmt(overall['EN-X'])}, X-EN {_fmt(overall['X-EN'])} "
         f"(means of tier cells)\n"
     )
 
@@ -383,14 +396,7 @@ def emit_report(
         per_metric: dict[str, object] = {}
         for scheme in schemes:
             key = scheme.kind if scheme.kind != "family" else f"family:{scheme.family}"
-            if scheme.kind == "family":
-                per_metric[key] = family_summary(matrix, scheme.family, registry, metric)
-            elif not any(classify(d, scheme, registry) for d in matrix.directions(metric)):
-                per_metric[key] = None  # scheme has no members for this metric
-            elif scheme.kind == "english_centric":
-                per_metric[key] = english_centric_summary(matrix, registry, metric)
-            else:
-                per_metric[key] = aggregate(matrix, scheme, registry, metric)
+            per_metric[key] = _summarize(scheme, _group(matrix, scheme, registry, metric))
         summaries[metric] = per_metric
 
     if fmt == "tsv":
@@ -422,8 +428,7 @@ def emit_report(
                     parts.append(_markdown_english_centric(summary, metric))
                 else:
                     rows = "\n".join(
-                        f"- {group}: " + ("null" if v is None else f"{v:.1f}")
-                        for group, v in sorted(_flatten(summary))
+                        f"- {group}: {_fmt(v)}" for group, v in sorted(_flatten(summary))
                     )
                     parts.append(f"### {key} {metric}\n\n{rows}\n")
         (out / "report.md").write_text("\n".join(parts), encoding="utf-8")

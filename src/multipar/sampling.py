@@ -85,9 +85,12 @@ def load_table(path: str | Path) -> dict[str, float]:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise SamplingError(f"{path}:{lineno}: expected key<TAB>number")
-            value = float(parts[1])
-            if not math.isfinite(value):
-                raise SamplingError(f"{path}:{lineno}: non-finite value {parts[1]!r}")
+            try:
+                value = float(parts[1])
+                if not math.isfinite(value):
+                    raise SamplingError(f"non-finite value {parts[1]!r}")
+            except ValueError as exc:
+                raise SamplingError(f"{path}:{lineno}: {exc}") from None
             table[parts[0]] = value
     return table
 

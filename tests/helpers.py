@@ -91,13 +91,11 @@ def brute_force_join(entries_a, entries_b):
 
 def full_corpus(codes, n_rows, stamp="r"):
     """Fully multi-parallel corpus of distinct synthetic sentences."""
-    rows = tuple(
-        {code: f"{code} {stamp} {i} alpha beta" for code in codes}
-        for i in range(n_rows)
-    )
-    return MultiParallelCorpus(
-        languages=tuple(codes), rows=rows, row_ids=tuple(range(n_rows))
-    )
+    columns = {
+        code: tuple(f"{code} {stamp} {i} alpha beta" for i in range(n_rows))
+        for code in codes
+    }
+    return MultiParallelCorpus(columns=columns, row_ids=tuple(range(n_rows)))
 
 
 def synthetic_sentences(alphabet, n_sentences, seed, words=6, min_len=3, max_len=8):

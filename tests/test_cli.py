@@ -339,3 +339,66 @@ def test_mix_rejects_non_finite_size(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert f"{sizes}:1" in err and "Traceback" not in err
     assert not (out / "weights.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, name, rendered",
+    [
+        ("json", "report.json", '"X-EN": null'),
+        ("tsv", "summary.tsv", "chrf\tenglish_centric\toverall/X-EN\tnull"),
+        ("markdown", "report.md", "Overall EN-X 40.0, X-EN null"),
+    ],
+)
+def test_report_with_one_english_centric_orientation(tmp_path, capsys, fmt, name, rendered):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + "en\tde\tchrf\t40\t10\n")
+    out = tmp_path / "report"
+    rc = main(["report", "--scores", str(scores), "--format", fmt, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert rendered in (out / name).read_text()
+
+
+def test_report_rejects_unknown_family_without_zero_shot_directions(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + "en\tde\tchrf\t40\t10\nde\ten\tchrf\t42\t10\n")
+    out = tmp_path / "report"
+    rc = main(
+        ["report", "--scores", str(scores), "--scheme", "family:Nope", "--format", "json",
+         "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "unknown family" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_report_rejects_negative_count_with_file_line(tmp_path, capsys):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + "de\tnl\tchrf\t1\t-1\n")
+    rc = main(["report", "--scores", str(scores), "--out", str(tmp_path / "report")])
+    assert rc == 1
+    assert f"{scores}:2: cell count must be >= 0" in capsys.readouterr().err
+
+
+def test_mix_rejects_non_numeric_size_with_file_line(tmp_path, capsys):
+    sizes = tmp_path / "sizes.tsv"
+    sizes.write_text("b\t1\na\tx\n", encoding="utf-8")
+    rc = main(["mix", "--sizes", str(sizes), "--temperature", "1", "--out", str(tmp_path / "mix")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{sizes}:2" in err and "Traceback" not in err
+
+
+def test_ontarget_rejects_non_integer_row_id_with_file_line(tmp_path, capsys):
+    corpus, a, _ = lid_fixture(tmp_path)
+    model_dir = tmp_path / "model"
+    assert main(["lid-train", "--corpus", str(corpus), "--out", str(model_dir)]) == 0
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_text(f"aa-bb\t0\t{a[0]}\naa-bb\tone\t{a[1]}\n", encoding="utf-8")
+    rc = main(
+        ["ontarget", "--model", str(model_dir / "lid_model.json"), "--hypotheses", str(hyps),
+         "--out", str(tmp_path / "ontarget")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{hyps}:2" in err and "Traceback" not in err

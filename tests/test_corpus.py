@@ -1,4 +1,7 @@
+import tempfile
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multipar import (
     MultiParallelCorpus,
@@ -19,32 +22,32 @@ from helpers import brute_force_mine, full_corpus, make_mining_fixture
 
 def test_requires_two_languages():
     with pytest.raises(CorpusError):
-        MultiParallelCorpus(("en",), ({"en": "x"},), (0,))
+        MultiParallelCorpus({"en": ("x",)}, (0,))
 
 
 def test_rejects_duplicate_row_ids():
     with pytest.raises(CorpusError):
-        MultiParallelCorpus(("en", "de"), ({"en": "a"}, {"en": "b"}), (0, 0))
+        MultiParallelCorpus({"en": ("a", "b"), "de": ("", "")}, (0, 0))
 
 
 def test_rejects_embedded_newline():
     with pytest.raises(CorpusError):
-        MultiParallelCorpus(("en", "de"), ({"en": "a\nb", "de": "c"},), (0,))
+        MultiParallelCorpus({"en": ("a\nb",), "de": ("c",)}, (0,))
 
 
-def test_rejects_unknown_column():
+def test_rejects_ragged_columns():
     with pytest.raises(CorpusError):
-        MultiParallelCorpus(("en", "de"), ({"fr": "x"},), (0,))
+        MultiParallelCorpus({"en": ("a", "b"), "de": ("c",)}, (0, 1))
 
 
 def test_partial_rows_allowed():
     corpus = MultiParallelCorpus(
-        ("en", "de", "nl"),
-        ({"en": "a", "de": "b"}, {"en": "c", "de": "d", "nl": "e"}),
+        {"en": ("a", "c"), "de": ("b", "d"), "nl": ("", "e")},
         (0, 1),
     )
     assert not corpus.is_fully_parallel()
     assert corpus.row_by_id(1)["nl"] == "e"
+    assert corpus.row_by_id(0) == {"en": "a", "de": "b"}
 
 
 # --- file loading ----------------------------------------------------------------
@@ -88,6 +91,33 @@ def test_save_load_preserves_nonconsecutive_row_ids(tmp_path):
     loaded = load_corpus_dir(tmp_path / "c")
     assert loaded.row_ids == (8, 3, 5)
     assert loaded.rows == corpus.rows
+
+
+_CELL = st.one_of(st.just(""), st.text(st.characters(exclude_characters="\n\r"), max_size=6))
+
+
+@st.composite
+def corpora(draw):
+    codes = draw(
+        st.lists(st.sampled_from(["en", "de", "nl", "fr", "zh"]), min_size=2, max_size=4, unique=True)
+    )
+    k = draw(st.integers(0, 6))
+    columns = {c: tuple(draw(st.lists(_CELL, min_size=k, max_size=k))) for c in codes}
+    row_ids = draw(st.lists(st.integers(), min_size=k, max_size=k, unique=True))
+    return MultiParallelCorpus(columns, tuple(row_ids))
+
+
+@settings(deadline=None)  # disk I/O per example
+@given(corpora())
+@example(MultiParallelCorpus({"en": ("c",), "de": ("",)}, (0,)))
+def test_save_load_round_trip_keeps_missing_cells(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(corpus, tmp)
+        loaded = load_corpus_dir(tmp)
+    assert loaded.languages == corpus.languages
+    assert loaded.columns == corpus.columns
+    assert loaded.row_ids == corpus.row_ids
+    assert loaded.is_fully_parallel() == corpus.is_fully_parallel()
 
 
 def test_load_bitext_tsv(tmp_path):
@@ -144,6 +174,12 @@ def test_mine_joins_on_trimmed_pivot():
     }
     corpus, _ = mine_pivot_aligned(bitexts)
     assert corpus.rows[0] == {"en": "Hello", "de": "Hallo", "nl": "Hoi"}
+
+
+def test_mine_empty_foreign_side_is_a_missing_cell():
+    corpus, _ = mine_pivot_aligned({"de": [("Hi", "")], "nl": [("Hi", "Hoi")]})
+    assert corpus.rows[0] == {"en": "Hi", "nl": "Hoi"}
+    assert not corpus.is_fully_parallel()
 
 
 def test_mine_requires_two_bitexts():

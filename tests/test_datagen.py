@@ -161,14 +161,10 @@ def test_build_pairwise_count_and_order():
 
 
 def test_build_pairwise_skips_empty_sides_and_counts_them():
-    corpus_rows = (
-        {"en": "hello", "de": "hallo"},
-        {"en": "bye", "de": ""},
-        {"en": "again"},
-    )
+    columns = {"en": ("hello", "bye", "again"), "de": ("hallo", "", "")}
     from multipar import MultiParallelCorpus
 
-    corpus = MultiParallelCorpus(("en", "de"), corpus_rows, (0, 1, 2))
+    corpus = MultiParallelCorpus(columns, (0, 1, 2))
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
     assert len(ds) == 2
     assert ds.manifest["skipped"] == {"de-en": 2, "en-de": 2}

@@ -122,10 +122,6 @@ def test_config_validation():
         MetricConfig(beta=0)
     with pytest.raises(MetricError):
         MetricConfig(tokenizer="mecab")
-    with pytest.raises(MetricError):
-        MetricConfig(bleu_smoothing="add-k")
-    with pytest.raises(MetricError):
-        MetricConfig(case="lower")
 
 
 # --- external score ingestion ---------------------------------------------------------
