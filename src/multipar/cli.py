@@ -40,7 +40,6 @@ from .datagen import (
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
-    FtDataset,
 )
 from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
 from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
@@ -173,7 +172,7 @@ def cmd_build_ft(args) -> int:
     corpus = load_corpus_dir(args.corpus)
     dirs = _direction_set(args, corpus.languages, registry)
     row_ids = None if args.rows is None else sample_rows(corpus, args.rows, args.seed)
-    dataset = build_pairwise(corpus, dirs, row_ids, origin="build-ft")
+    dataset = build_pairwise(corpus, dirs, row_ids)
     if args.tag != "none":
         dataset = apply_tags(dataset, TagStrategy(kind=args.tag))
     out = Path(args.out)
@@ -227,12 +226,8 @@ def cmd_probe_words(args) -> int:
 
 
 def cmd_buckets(args) -> int:
-    registry = _registry(args)
     corpus = load_corpus_dir(args.corpus)
-    if args.languages:
-        corpus_codes = args.languages
-    else:
-        corpus_codes = list(corpus.languages)
+    corpus_codes = args.languages or list(corpus.languages)
     assignment = partition_buckets(list(corpus.row_ids), args.num_buckets, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,15 +260,7 @@ def cmd_buckets(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    records = read_bitext_tsv(Path(args.dataset) / "records.tsv")
-    manifest_path = Path(args.dataset) / "manifest.json"
-    manifest = (
-        json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest_path.exists()
-        else {"tag_strategy": "none"}
-    )
-    dataset = FtDataset(tuple(records), manifest)
-    tagged = apply_tags(dataset, TagStrategy(kind=args.tag))
+    tagged = apply_tags(read_bitext_tsv(args.dataset), TagStrategy(kind=args.tag))
     out = Path(args.out)
     emit_bitext(tagged, "tsv", out)
     _write_run_manifest(out, args, [args.dataset])

@@ -85,14 +85,16 @@ def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
     All files must be UTF-8 and have equal line counts; row i of every
     language comes from line i, and an empty line is a missing cell.
     """
-    return _load(paths, None)
+    return _load(paths)
 
 
 def _load(
-    paths: Mapping[str, str | Path], row_ids: Sequence[int] | None
+    paths: Mapping[str, str | Path],
+    row_ids: Sequence[int] | None = None,
+    manifest_path: Path | None = None,
 ) -> MultiParallelCorpus:
-    """:func:`load_corpus`, naming the rows ``row_ids`` when there is one
-    per line and ``0..K-1`` otherwise."""
+    """:func:`load_corpus`, naming the rows ``row_ids`` (read from
+    ``manifest_path``), which must number one per line, or ``0..K-1``."""
     columns: dict[str, tuple[str, ...]] = {}
     for code, path in paths.items():
         try:
@@ -109,8 +111,10 @@ def _load(
     if any(len(column) != k for column in columns.values()):
         detail = ", ".join(f"{paths[c]}: {len(col)}" for c, col in sorted(columns.items()))
         raise CorpusError(f"line-count mismatch across files ({detail})")
-    if row_ids is None or len(row_ids) != k:
+    if row_ids is None:
         row_ids = range(k)
+    elif len(row_ids) != k:
+        raise CorpusError(f"{manifest_path}: {len(row_ids)} row ids for {k} lines")
     return MultiParallelCorpus(
         columns=columns,
         row_ids=tuple(row_ids),
@@ -122,14 +126,24 @@ def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     """Write ``<code>.txt`` per language plus ``manifest.json``.
 
     A missing cell is an empty line, so line numbers stay aligned with row
-    positions across all files.
+    positions across all files.  Nothing is written when a cell cannot be
+    encoded as UTF-8 (a lone surrogate).
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    encoded = {}
     for code, column in corpus.columns.items():
-        (directory / f"{code}.txt").write_text(
-            "".join(line + "\n" for line in column), encoding="utf-8"
-        )
+        text = "".join(line + "\n" for line in column)
+        try:
+            encoded[code] = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            path = directory / f"{code}.txt"
+            row = corpus.row_ids[text.count("\n", 0, exc.start)]
+            raise CorpusError(
+                f"{path}: row {row} cannot be encoded as UTF-8: {exc.reason}"
+            ) from None
+    directory.mkdir(parents=True, exist_ok=True)
+    for code, data in encoded.items():
+        (directory / f"{code}.txt").write_bytes(data)
     manifest = {
         "languages": list(corpus.languages),
         "rows": corpus.n_rows,
@@ -152,7 +166,7 @@ def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
         row_ids = manifest.get("row_ids")
     else:
         codes = sorted(p.stem for p in directory.glob("*.txt"))
-    return _load({c: directory / f"{c}.txt" for c in codes}, row_ids)
+    return _load({c: directory / f"{c}.txt" for c in codes}, row_ids, manifest_path)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Covers direction enumeration and nested sampling, family restriction,
 row subsetting, bucketed multi-parallel vs. multi-directional settings,
 language-tag serialization, horizontal expansion, and bitext emission.
 
+A dataset's ``blocks`` are runs ``(direction, sources, targets)`` of aligned
+sentence tuples; records follow block order, and a direction may recur in
+later blocks.  Counts are computed from the blocks, and ``records`` is a
+per-record view built on request.  ``emit_bitext`` writes the on-disk formats
+and ``read_bitext_tsv`` reads the ``tsv`` one back.
+
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
 seed, and likewise for row counts.
@@ -12,7 +18,7 @@ seed, and likewise for row counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -180,32 +186,47 @@ class BitextRecord:
     direction: Direction
     src_text: str
     tgt_text: str
-    row_id: int
-    origin: str = ""
+
+
+# (direction, sources, targets): aligned, non-empty tuples of sentences
+Block = tuple[Direction, tuple[str, ...], tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class FtDataset:
-    records: tuple[BitextRecord, ...]
+    blocks: tuple[Block, ...]
     manifest: Mapping[str, object] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.records)
+    def __post_init__(self):
+        for d, sources, targets in self.blocks:
+            if not sources or len(sources) != len(targets):
+                raise DatagenError(
+                    f"block for {d} has {len(sources)} sources and {len(targets)} targets"
+                )
 
-    def directions(self) -> tuple[Direction, ...]:
-        return tuple(dict.fromkeys(r.direction for r in self.records))
+    def __len__(self) -> int:
+        return sum(len(sources) for _d, sources, _t in self.blocks)
+
+    @property
+    def records(self) -> tuple[BitextRecord, ...]:
+        """Record view, built on request: one record per aligned sentence pair."""
+        return tuple(
+            BitextRecord(d, s, t)
+            for d, sources, targets in self.blocks
+            for s, t in zip(sources, targets)
+        )
 
 
 def build_pairwise(
     corpus: MultiParallelCorpus,
     dirs: DirectionSet,
     row_ids: Sequence[int] | None = None,
-    origin: str = "",
 ) -> FtDataset:
     """One record per (direction, row) where both cells are non-empty.
 
     Order is direction-major with rows in the given order; rows with a
-    missing (empty) side are skipped and counted in the manifest.
+    missing (empty) side are skipped and counted in the manifest, and a
+    direction whose rows are all skipped gets no block.
     """
     columns = corpus.columns
     for d in dirs:
@@ -215,25 +236,19 @@ def build_pairwise(
         row_ids = list(corpus.row_ids)
     index = {rid: i for i, rid in enumerate(corpus.row_ids)}
     try:
-        selected = [(rid, index[rid]) for rid in row_ids]
+        positions = [index[rid] for rid in row_ids]
     except KeyError as exc:
         raise DatagenError(f"row id {exc.args[0]} not in corpus") from None
 
-    records: list[BitextRecord] = []
+    blocks: list[Block] = []
     skipped: dict[str, int] = {}
-    append = records.append
     for d in dirs:
         src, tgt = columns[d.src], columns[d.tgt]
-        n_skipped = 0
-        for rid, i in selected:
-            s = src[i]
-            t = tgt[i]
-            if s and t:
-                append(BitextRecord(d, s, t, rid, origin))
-            else:
-                n_skipped += 1
-        if n_skipped:
-            skipped[str(d)] = n_skipped
+        kept = [i for i in positions if src[i] and tgt[i]]
+        if len(kept) < len(positions):
+            skipped[str(d)] = len(positions) - len(kept)
+        if kept:
+            blocks.append((d, tuple(src[i] for i in kept), tuple(tgt[i] for i in kept)))
     manifest = {
         "corpus_id": corpus.provenance.get("source", "unknown"),
         "directions": [str(d) for d in dirs],
@@ -241,9 +256,8 @@ def build_pairwise(
         "rows": list(row_ids),
         "tag_strategy": "none",
         "skipped": skipped,
-        "counts": {"records": len(records)},
     }
-    return FtDataset(tuple(records), manifest)
+    return FtDataset(tuple(blocks), manifest)
 
 
 @dataclass(frozen=True)
@@ -296,14 +310,14 @@ def build_multiparallel_setting(
     codes = sorted(set(codes))
     dirs = enumerate_directions(codes, include_english_centric=True)
     rows = sorted(assignment.bucket_rows(chosen_bucket))
-    dataset = build_pairwise(corpus, dirs, rows, origin=f"bucket:{chosen_bucket}")
+    dataset = build_pairwise(corpus, dirs, rows)
     manifest = {
         **dataset.manifest,
         "setting": "multi_parallel",
         "bucket": chosen_bucket,
         "seed": seed,
     }
-    return FtDataset(dataset.records, manifest)
+    return FtDataset(dataset.blocks, manifest)
 
 
 def build_multidirectional_setting(
@@ -316,7 +330,7 @@ def build_multidirectional_setting(
     if set(pair_for_bucket) != set(range(assignment.num_buckets)):
         missing = set(range(assignment.num_buckets)) - set(pair_for_bucket)
         raise DatagenError(f"buckets without a pair: {sorted(missing)}")
-    records: list[BitextRecord] = []
+    blocks: list[Block] = []
     skipped: dict[str, int] = {}
     for bucket in range(assignment.num_buckets):
         a, b = pair_for_bucket[bucket]
@@ -324,8 +338,8 @@ def build_multidirectional_setting(
             raise DatagenError(f"bucket {bucket} maps to identical languages {a!r}")
         dirs = DirectionSet((Direction(*sorted((a, b))), Direction(*sorted((a, b), reverse=True))))
         rows = sorted(assignment.bucket_rows(bucket))
-        part = build_pairwise(corpus, dirs, rows, origin=f"bucket:{bucket}")
-        records.extend(part.records)
+        part = build_pairwise(corpus, dirs, rows)
+        blocks.extend(part.blocks)
         for key, n in part.manifest["skipped"].items():
             skipped[key] = skipped.get(key, 0) + n
     manifest = {
@@ -334,10 +348,9 @@ def build_multidirectional_setting(
         "pair_for_bucket": {str(k): list(v) for k, v in pair_for_bucket.items()},
         "tag_strategy": "none",
         "skipped": skipped,
-        "counts": {"records": len(records)},
         "seed": seed,
     }
-    return FtDataset(tuple(records), manifest)
+    return FtDataset(tuple(blocks), manifest)
 
 
 def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
@@ -350,22 +363,20 @@ def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
         raise DatagenError("dataset is already tagged")
     if strategy.kind == "none":
         return dataset
-    if strategy.kind == "one_tag":
-        records = tuple(
-            replace(r, src_text=f"{TARGET_TAG.format(code=r.direction.tgt)} {r.src_text}")
-            for r in dataset.records
-        )
-    else:
-        records = tuple(
-            replace(
-                r,
-                src_text=f"{SOURCE_TAG.format(code=r.direction.src)} {r.src_text}",
-                tgt_text=f"{TWO_TAG_TARGET.format(code=r.direction.tgt)} {r.tgt_text}",
-            )
-            for r in dataset.records
-        )
+    blocks = []
+    for d, sources, targets in dataset.blocks:
+        if strategy.kind == "one_tag":
+            sources = _prefixed(TARGET_TAG.format(code=d.tgt), sources)
+        else:
+            sources = _prefixed(SOURCE_TAG.format(code=d.src), sources)
+            targets = _prefixed(TWO_TAG_TARGET.format(code=d.tgt), targets)
+        blocks.append((d, sources, targets))
     manifest = {**dataset.manifest, "tag_strategy": strategy.kind}
-    return FtDataset(records, manifest)
+    return FtDataset(tuple(blocks), manifest)
+
+
+def _prefixed(tag: str, texts: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f"{tag} {text}" for text in texts)
 
 
 def horizontal_expand(
@@ -399,48 +410,35 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
     ``records.tsv``.  ``split_files``: aligned ``<src>-<tgt>.src`` /
     ``<src>-<tgt>.tgt`` pairs per direction.
     """
-    if not dataset.records:
+    if not dataset.blocks:
         raise DatagenError("refusing to emit an empty dataset")
     if mode not in ("tsv", "split_files"):
         raise DatagenError(f"unknown emit mode {mode!r}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    per_direction: dict[str, int] = {}
+    runs: dict[Direction, list[Block]] = {}
+    for block in dataset.blocks:
+        runs.setdefault(block[0], []).append(block)
     if mode == "tsv":
         with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            for r in dataset.records:
-                d = r.direction
-                fh.write(
-                    f"{d.src}\t{d.tgt}\t{_check_emittable(r.src_text)}\t"
-                    f"{_check_emittable(r.tgt_text)}\n"
+            for d, sources, targets in dataset.blocks:
+                fh.writelines(
+                    f"{d.src}\t{d.tgt}\t{_check_emittable(s)}\t{_check_emittable(t)}\n"
+                    for s, t in zip(sources, targets)
                 )
-                per_direction[str(d)] = per_direction.get(str(d), 0) + 1
     else:
-        handles: dict[Direction, tuple] = {}
-        try:
-            for r in dataset.records:
-                if r.direction not in handles:
-                    base = out / str(r.direction)
-                    handles[r.direction] = (
-                        open(f"{base}.src", "w", encoding="utf-8", newline="\n"),
-                        open(f"{base}.tgt", "w", encoding="utf-8", newline="\n"),
-                    )
-                sfh, tfh = handles[r.direction]
-                sfh.write(_check_emittable(r.src_text) + "\n")
-                tfh.write(_check_emittable(r.tgt_text) + "\n")
-                key = str(r.direction)
-                per_direction[key] = per_direction.get(key, 0) + 1
-        finally:
-            for sfh, tfh in handles.values():
-                sfh.close()
-                tfh.close()
+        for d, blocks in runs.items():
+            base = out / str(d)
+            with open(f"{base}.src", "w", encoding="utf-8", newline="\n") as sfh, \
+                    open(f"{base}.tgt", "w", encoding="utf-8", newline="\n") as tfh:
+                for _d, sources, targets in blocks:
+                    sfh.writelines(_check_emittable(s) + "\n" for s in sources)
+                    tfh.writelines(_check_emittable(t) + "\n" for t in targets)
+    per_direction = {str(d): sum(len(b[1]) for b in blocks) for d, blocks in runs.items()}
     manifest = {
-        **{k: v for k, v in dataset.manifest.items()},
+        **dataset.manifest,
         "format": mode,
-        "counts": {
-            "records": len(dataset.records),
-            "per_direction": per_direction,
-        },
+        "counts": {"records": len(dataset), "per_direction": per_direction},
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
@@ -448,14 +446,30 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
     )
 
 
-def read_bitext_tsv(path: str | Path) -> list[BitextRecord]:
-    """Read records back from the ``tsv`` emit format (row ids not preserved)."""
-    records = []
+def read_bitext_tsv(directory: str | Path) -> FtDataset:
+    """Read a dataset back from the ``tsv`` emit format.
+
+    ``records.tsv`` gives the records, consecutive lines of one direction
+    forming one block; ``manifest.json`` gives the manifest, which is
+    ``{"tag_strategy": "none"}`` when the file is absent.
+    """
+    directory = Path(directory)
+    path = directory / "records.tsv"
+    runs: list[tuple[Direction, list[str], list[str]]] = []
+    key = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
-                raise DatagenError(f"{path}:{lineno + 1}: expected 4 fields")
+                raise DatagenError(f"{path}:{lineno}: expected 4 fields")
             src_lang, tgt_lang, src, tgt = parts
-            records.append(BitextRecord(Direction(src_lang, tgt_lang), src, tgt, lineno))
-    return records
+            if (src_lang, tgt_lang) != key:
+                key = (src_lang, tgt_lang)
+                runs.append((Direction(src_lang, tgt_lang), [], []))
+            runs[-1][1].append(src)
+            runs[-1][2].append(tgt)
+    manifest_path = directory / "manifest.json"
+    manifest = {"tag_strategy": "none"}
+    if manifest_path.exists():
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    return FtDataset(tuple((d, tuple(s), tuple(t)) for d, s, t in runs), manifest)

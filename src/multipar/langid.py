@@ -32,8 +32,8 @@ class LidConfig:
     def __post_init__(self):
         if self.max_order < 1:
             raise LidError("max_order must be >= 1")
-        if self.alpha <= 0:
-            raise LidError("smoothing alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise LidError(f"smoothing alpha must be positive and finite, got {self.alpha}")
 
 
 def _ngrams(text: str, n: int) -> Iterable[str]:
@@ -103,7 +103,8 @@ class LidModel:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False) + "\n",
+            encoding="utf-8",
         )
 
     @classmethod

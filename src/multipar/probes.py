@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .datagen import BitextRecord, Direction, DirectionSet, FtDataset
+from .datagen import Direction, DirectionSet, FtDataset
 from .rng import stream
 
 
@@ -69,21 +69,23 @@ def gen_number_pairs(
     """
     if lines_per_direction < 1:
         raise ProbeError("lines_per_direction must be >= 1")
-    records = []
+
+    def line(d: Direction, i: int) -> str:
+        rng = stream(config.seed, f"numbers/{d}/{i}")
+        return " ".join(
+            str(rng.randint(config.digit_min, config.digit_max))
+            for _ in range(config.tokens_per_line)
+        )
+
+    blocks = []
     for d in dirs:
-        for i in range(lines_per_direction):
-            rng = stream(config.seed, f"numbers/{d}/{i}")
-            line = " ".join(
-                str(rng.randint(config.digit_min, config.digit_max))
-                for _ in range(config.tokens_per_line)
-            )
-            records.append(BitextRecord(d, line, line, i, origin="number_pairs"))
+        lines = tuple(line(d, i) for i in range(lines_per_direction))
+        blocks.append((d, lines, lines))
     manifest = {
         "corpus_id": "number_pairs",
         "directions": [str(d) for d in dirs],
         "tag_strategy": "none",
         "seed": config.seed,
-        "counts": {"records": len(records)},
         "config": {
             "digit_min": config.digit_min,
             "digit_max": config.digit_max,
@@ -91,7 +93,7 @@ def gen_number_pairs(
             "lines_per_direction": lines_per_direction,
         },
     }
-    return FtDataset(tuple(records), manifest)
+    return FtDataset(tuple(blocks), manifest)
 
 
 def load_muse_dictionary(path: str | Path) -> set[tuple[str, str]]:
@@ -170,25 +172,22 @@ def build_word_pair_dataset(
     Both orientations of a pair draw from the same entry set, so (a, b) and
     (b, a) produce mirrored records.
     """
-    by_pair = {}
-    for d in dicts:
-        by_pair[tuple(sorted(d.pair))] = d
-    records = []
+    by_pair = {tuple(sorted(d.pair)): d for d in dicts}
+    blocks = []
     for direction in dirs:
         key = tuple(sorted((direction.src, direction.tgt)))
         if key not in by_pair:
             raise ProbeError(f"no dictionary for direction {direction}")
-        for i, (src_word, tgt_word) in enumerate(by_pair[key].oriented(direction)):
-            records.append(
-                BitextRecord(direction, src_word, tgt_word, i, origin="word_pairs")
-            )
+        entries = by_pair[key].oriented(direction)
+        if entries:
+            sources, targets = zip(*entries)
+            blocks.append((direction, sources, targets))
     manifest = {
         "corpus_id": "word_pairs",
         "directions": [str(d) for d in dirs],
         "tag_strategy": "none",
-        "counts": {"records": len(records)},
     }
-    return FtDataset(tuple(records), manifest)
+    return FtDataset(tuple(blocks), manifest)
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,5 @@ def count_whitespace_tokens(dataset: FtDataset, side: str = "src") -> int:
     """Whitespace-tokenized token count over one side of a dataset."""
     if side not in ("src", "tgt"):
         raise ProbeError(f"unknown side {side!r}")
-    total = 0
-    for r in dataset.records:
-        text = r.src_text if side == "src" else r.tgt_text
-        total += len(text.split())
-    return total
+    side_index = 1 if side == "src" else 2
+    return sum(len(text.split()) for block in dataset.blocks for text in block[side_index])

@@ -20,14 +20,18 @@ class SamplingError(ValueError):
     pass
 
 
+def _check_temperature(temperature: float) -> None:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise SamplingError(f"temperature must be positive and finite, got {temperature}")
+
+
 @dataclass(frozen=True)
 class MixtureWeights:
     weights: Mapping[str, float]
     temperature: float
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise SamplingError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if any(w < 0 for w in self.weights.values()):
             raise SamplingError("negative weight")
         total = sum(self.weights.values())
@@ -37,8 +41,7 @@ class MixtureWeights:
 
 def temperature_weights(sizes: Mapping[str, int | float], temperature: float) -> MixtureWeights:
     """Normalized sampling weights p_k proportional to (n_k / sum n)^(1/T)."""
-    if temperature <= 0:
-        raise SamplingError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     if not sizes:
         raise SamplingError("empty size table")
     if any(n <= 0 for n in sizes.values()):

@@ -118,6 +118,55 @@ def test_tag_subcommand_and_double_tag_error(corpus_dir, tmp_path):
     assert main(["tag", "--dataset", str(tagged), "--tag", "one_tag", "--out", str(again)]) == 1
 
 
+def test_tag_keeps_interleaved_direction_order(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    (plain / "records.tsv").write_text(
+        "de\ten\ta\tb\nen\tde\tc\td\nde\ten\te\tf\n", encoding="utf-8"
+    )
+    tagged = tmp_path / "tagged"
+    assert main(["tag", "--dataset", str(plain), "--tag", "one_tag", "--out", str(tagged)]) == 0
+    assert (tagged / "records.tsv").read_text().splitlines() == [
+        "de\ten\t<2en> a\tb", "en\tde\t<2de> c\td", "de\ten\t<2en> e\tf"
+    ]
+    manifest = json.loads((tagged / "manifest.json").read_text())
+    assert manifest["counts"] == {"records": 3, "per_direction": {"de-en": 2, "en-de": 1}}
+
+
+def test_buckets_ignores_registry_flag(tmp_path):
+    path = tmp_path / "corpus"
+    save_corpus(full_corpus(["de", "en", "nl"], 30), path)
+    out = tmp_path / "buckets"
+    rc = main(
+        ["buckets", "--corpus", str(path), "--num-buckets", "3",
+         "--registry", str(tmp_path / "missing.json"), "--out", str(out)]
+    )
+    assert rc == 0
+    assert json.loads((out / "buckets.json").read_text())["num_buckets"] == 3
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_lid_train_rejects_non_finite_alpha(corpus_dir, tmp_path, capsys, value):
+    out = tmp_path / "lid"
+    rc = main(["lid-train", "--corpus", str(corpus_dir), "--alpha", value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert value in err and "Traceback" not in err
+    assert not (out / "lid_model.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_mix_rejects_non_finite_temperature(tmp_path, capsys, value):
+    sizes = tmp_path / "sizes.tsv"
+    sizes.write_text("a\t10\nb\t1\n", encoding="utf-8")
+    out = tmp_path / "mix"
+    rc = main(["mix", "--sizes", str(sizes), "--temperature", value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert value in err and "Traceback" not in err
+    assert not (out / "weights.tsv").exists()
+
+
 def test_mix_subcommand(tmp_path):
     sizes = tmp_path / "sizes.tsv"
     sizes.write_text("high\t5000000\nmed\t1000000\nlow\t100000\n", encoding="utf-8")

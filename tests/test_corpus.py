@@ -1,3 +1,4 @@
+import json
 import tempfile
 
 import pytest
@@ -107,17 +108,50 @@ def corpora(draw):
     return MultiParallelCorpus(columns, tuple(row_ids))
 
 
+def _encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @settings(deadline=None)  # disk I/O per example
 @given(corpora())
 @example(MultiParallelCorpus({"en": ("c",), "de": ("",)}, (0,)))
+@example(MultiParallelCorpus({"en": ("c", "d"), "de": ("", "x\ud800")}, (4, 9)))
 def test_save_load_round_trip_keeps_missing_cells(corpus):
+    bad = [
+        (code, rid)
+        for code, column in corpus.columns.items()
+        for rid, text in zip(corpus.row_ids, column)
+        if not _encodable(text)
+    ]
     with tempfile.TemporaryDirectory() as tmp:
+        if bad:
+            with pytest.raises(CorpusError) as err:
+                save_corpus(corpus, tmp)
+            code, rid = bad[0]
+            assert f"{code}.txt" in str(err.value) and f"row {rid}" in str(err.value)
+            return
         save_corpus(corpus, tmp)
         loaded = load_corpus_dir(tmp)
     assert loaded.languages == corpus.languages
     assert loaded.columns == corpus.columns
     assert loaded.row_ids == corpus.row_ids
     assert loaded.is_fully_parallel() == corpus.is_fully_parallel()
+
+
+def test_load_corpus_dir_rejects_manifest_row_id_count_mismatch(tmp_path):
+    save_corpus(full_corpus(["en", "de"], 2), tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["row_ids"] = [7, 8, 9]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus_dir(tmp_path)
+    message = str(err.value)
+    assert "manifest.json" in message and "3 row ids" in message and "2 lines" in message
 
 
 def test_load_bitext_tsv(tmp_path):

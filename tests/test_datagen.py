@@ -173,7 +173,10 @@ def test_build_pairwise_skips_empty_sides_and_counts_them():
 def test_build_pairwise_respects_row_subset_order():
     corpus = full_corpus(["en", "de"], 5)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]), row_ids=[3, 1])
-    assert [r.row_id for r in ds.records] == [3, 1, 3, 1]
+    assert [(str(d), sources) for d, sources, _t in ds.blocks] == [
+        ("de-en", ("de r 3 alpha beta", "de r 1 alpha beta")),
+        ("en-de", ("en r 3 alpha beta", "en r 1 alpha beta")),
+    ]
 
 
 def test_build_pairwise_validates_inputs():
@@ -228,9 +231,16 @@ def test_settings_have_equal_record_counts_with_equal_buckets():
     pairs = dict(enumerate(itertools.combinations(codes, 2)))
     multi_dir = build_multidirectional_setting(corpus, assignment, pairs, seed=4)
     assert len(multi_par) == len(multi_dir) == 4000
-    # each bucket contributes exactly its two directions
-    origins = {r.origin for r in multi_dir.records}
-    assert origins == {f"bucket:{i}" for i in range(10)}
+    # each bucket contributes exactly its two directions, one block each,
+    # over that bucket's rows
+    assert [str(d) for d, _s, _t in multi_dir.blocks] == [
+        str(d) for a, b in pairs.values() for d in (Direction(a, b), Direction(b, a))
+    ]
+    for bucket, (a, b) in pairs.items():
+        rows = sorted(assignment.bucket_rows(bucket))
+        _d, sources, targets = multi_dir.blocks[2 * bucket]
+        assert sources == tuple(corpus.columns[a][r] for r in rows)
+        assert targets == tuple(corpus.columns[b][r] for r in rows)
 
 
 def test_multidirectional_requires_total_pair_map():
@@ -299,11 +309,10 @@ def test_emit_tsv_round_trip(tmp_path):
     corpus = full_corpus(["en", "de", "nl"], 3)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de", "nl"]))
     emit_bitext(ds, "tsv", tmp_path)
-    back = read_bitext_tsv(tmp_path / "records.tsv")
-    assert [(str(r.direction), r.src_text, r.tgt_text) for r in back] == [
-        (str(r.direction), r.src_text, r.tgt_text) for r in ds.records
-    ]
+    back = read_bitext_tsv(tmp_path)
+    assert back.blocks == ds.blocks
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert back.manifest == manifest
     assert manifest["counts"]["records"] == len(ds)
     assert manifest["counts"]["per_direction"]["de-en"] == 3
 
@@ -323,12 +332,65 @@ def test_emit_rejects_empty_and_tabs(tmp_path):
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
     with pytest.raises(DatagenError):
         emit_bitext(ds, "parquet", tmp_path)
-    from multipar import BitextRecord, FtDataset
+    from multipar import FtDataset
 
-    bad = FtDataset(
-        (BitextRecord(Direction("de", "en"), "has\ttab", "x", 0),), {}
-    )
+    bad = FtDataset(((Direction("de", "en"), ("has\ttab",), ("x",)),), {})
     with pytest.raises(DatagenError):
         emit_bitext(bad, "tsv", tmp_path)
     with pytest.raises(DatagenError):
         emit_bitext(FtDataset((), {}), "tsv", tmp_path)
+
+
+def test_emit_split_files_skips_fully_skipped_direction(tmp_path):
+    columns = {"en": ("hello", "bye"), "de": ("hallo", "tschüss"), "nl": ("", "")}
+    from multipar import MultiParallelCorpus
+
+    corpus = MultiParallelCorpus(columns, (0, 1))
+    ds = build_pairwise(corpus, enumerate_directions(["en", "de", "nl"]))
+    assert [str(d) for d, _s, _t in ds.blocks] == ["de-en", "en-de"]
+    emit_bitext(ds, "split_files", tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "de-en.src", "de-en.tgt", "en-de.src", "en-de.tgt", "manifest.json"
+    ]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["counts"] == {"records": 4, "per_direction": {"de-en": 2, "en-de": 2}}
+
+
+def test_emit_split_files_joins_a_recurring_direction(tmp_path):
+    from multipar import FtDataset
+
+    de_en, en_de = Direction("de", "en"), Direction("en", "de")
+    ds = FtDataset(((de_en, ("a",), ("b",)), (en_de, ("c",), ("d",)), (de_en, ("e",), ("f",))))
+    emit_bitext(ds, "split_files", tmp_path)
+    assert (tmp_path / "de-en.src").read_text() == "a\ne\n"
+    assert (tmp_path / "de-en.tgt").read_text() == "b\nf\n"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["counts"]["per_direction"] == {"de-en": 2, "en-de": 1}
+
+
+def test_dataset_rejects_empty_and_ragged_blocks():
+    from multipar import FtDataset
+
+    d = Direction("de", "en")
+    with pytest.raises(DatagenError, match="0 sources"):
+        FtDataset(((d, (), ()),))
+    with pytest.raises(DatagenError, match="2 sources and 1 targets"):
+        FtDataset(((d, ("a", "b"), ("x",)),))
+    ds = FtDataset(((d, ("a", "b"), ("x", "y")),))
+    assert len(ds) == 2
+    assert [(r.src_text, r.tgt_text) for r in ds.records] == [("a", "x"), ("b", "y")]
+
+
+def test_read_bitext_tsv_groups_consecutive_lines_without_manifest(tmp_path):
+    (tmp_path / "records.tsv").write_text(
+        "de\ten\ta\tb\nde\ten\tc\td\nen\tde\te\tf\nde\ten\tg\th\n", encoding="utf-8"
+    )
+    ds = read_bitext_tsv(tmp_path)
+    de_en, en_de = Direction("de", "en"), Direction("en", "de")
+    assert ds.blocks == (
+        (de_en, ("a", "c"), ("b", "d")), (en_de, ("e",), ("f",)), (de_en, ("g",), ("h",))
+    )
+    assert ds.manifest == {"tag_strategy": "none"}
+    (tmp_path / "records.tsv").write_text("de\ten\ta\n", encoding="utf-8")
+    with pytest.raises(DatagenError, match="records.tsv:1"):
+        read_bitext_tsv(tmp_path)

@@ -41,9 +41,9 @@ def test_number_pairs_deterministic_per_direction_and_line():
     # must not change existing lines
     wider = enumerate_directions(["en", "de", "nl"])
     c = gen_number_pairs(wider, 3, config)
-    by_key = {(str(r.direction), r.row_id): r.src_text for r in c.records}
-    for r in a.records:
-        assert by_key[(str(r.direction), r.row_id)] == r.src_text
+    by_direction = {d: sources for d, sources, _t in c.blocks}
+    for d, sources, targets in a.blocks:
+        assert by_direction[d] == sources == targets
 
 
 def test_number_pairs_seed_sensitivity_and_validation():
