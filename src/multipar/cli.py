@@ -6,7 +6,9 @@ scoring runs on one thread.  Each output directory receives a ``run.json``
 manifest with the seed, tool version, and SHA-256 digests of all inputs.
 
 A config file (``key = value`` lines, ``#`` comments) can pre-set any long
-flag; command-line flags override it, in any spelling.
+flag; command-line flags override it, in any spelling.  Every text input is
+read through :mod:`multipar.textio`, so a bad input, config file included,
+exits 1 with a message naming ``<file>:<line>``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .report import (
     emit_report,
 )
 from .sampling import SamplingError, load_table, sample_schedule, save_weights, temperature_weights
+from .textio import read_lines, read_records
 
 _ERRORS = (
     CorpusError,
@@ -281,17 +284,9 @@ def cmd_mix(args) -> int:
     return 0
 
 
-def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def cmd_score(args) -> int:
-    hyps = _read_lines(args.hypotheses)
-    refs = _read_lines(args.references)
+    hyps = list(read_lines(args.hypotheses, MetricError))
+    refs = list(read_lines(args.references, MetricError))
     if len(hyps) != len(refs):
         raise MetricError(
             f"line-count mismatch: {args.hypotheses}: {len(hyps)}, "
@@ -325,20 +320,9 @@ def cmd_lid_train(args) -> int:
     return 0
 
 
-def _read_tsv(path, fields: tuple[str, ...]) -> list[list[str]]:
-    """Lines of ``path`` split on tabs, each into exactly the named fields."""
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), 1):
-        parts = line.split("\t")
-        if len(parts) != len(fields):
-            raise ValueError(f"{path}:{lineno}: expected {'<TAB>'.join(fields)}")
-        rows.append(parts)
-    return rows
-
-
 def cmd_lid_eval(args) -> int:
     model = LidModel.load(args.model)
-    hyps = [(text, code) for code, text in _read_tsv(args.hypotheses, ("code", "text"))]
+    hyps = [(text, code) for _, (code, text) in read_records(args.hypotheses, 2, ValueError)]
     report = off_target_rate(hyps, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -360,8 +344,7 @@ def cmd_lid_eval(args) -> int:
 def cmd_ontarget(args) -> int:
     model = LidModel.load(args.model)
     per_direction: dict[str, list[tuple[int, str]]] = {}
-    rows = _read_tsv(args.hypotheses, ("direction", "row_id", "text"))
-    for lineno, (direction, row_id, text) in enumerate(rows, 1):
+    for lineno, (direction, row_id, text) in read_records(args.hypotheses, 3, ValueError):
         try:
             per_direction.setdefault(direction, []).append((int(row_id), text))
         except ValueError:
@@ -396,9 +379,11 @@ def cmd_report(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _load_config(path) -> dict[str, str]:
+def _config_flags(path, args) -> list[str]:
+    """The ``key = value`` entries of a config file as flags for ``args``'s
+    subcommand; unknown keys are ignored."""
     values = {}
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path, ValueError), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -406,7 +391,17 @@ def _load_config(path) -> dict[str, str]:
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
+    flags: list[str] = []
+    for key, raw in values.items():
+        if not hasattr(args, key) or key == "config":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if raw.lower() in ("1", "true", "yes"):
+                flags.append(flag)
+        else:
+            flags += [flag, raw]
+    return flags
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -543,23 +538,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # config entries become flags right after the subcommand (argv[0]; the
-        # top-level parser takes no other argument), ahead of the explicit
-        # ones: argparse keeps the last value it reads, so a flag in any
-        # spelling overrides the config, and config values get the checks flags get
-        extra: list[str] = []
-        for key, raw in _load_config(args.config).items():
-            if not hasattr(args, key) or key == "config":
-                continue
-            flag = "--" + key.replace("_", "-")
-            if isinstance(getattr(args, key), bool):
-                if raw.lower() in ("1", "true", "yes"):
-                    extra.append(flag)
-            else:
-                extra += [flag, raw]
-        args = parser.parse_args(argv[:1] + extra + argv[1:])
     try:
+        if getattr(args, "config", None):
+            # config entries become flags right after the subcommand (argv[0];
+            # the top-level parser takes no other argument), ahead of the
+            # explicit ones: argparse keeps the last value it reads, so a flag
+            # in any spelling overrides the config, and config values get the
+            # checks flags get
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
         return args.func(args)
     except _ERRORS as exc:
         if getattr(args, "json_errors", False):

@@ -6,10 +6,12 @@ is row i, and ``row_ids`` names the rows.  An empty sentence ``""`` is a
 missing cell, so rows may be partial.
 
 On disk a corpus is a directory with one ``<code>.txt`` file per language
-(UTF-8, LF line endings, one sentence per line, an empty line for a missing
-cell) plus an optional ``manifest.json`` recording the language list, row
-count, row ids, and provenance.  Bitext inputs for mining are per-language
-TSV files with one ``english<TAB>foreign`` pair per line.
+(one sentence per line, an empty line for a missing cell; written with LF
+line endings) plus an optional ``manifest.json`` recording the language list,
+row count, row ids, and provenance.  Bitext inputs for mining are
+per-language TSV files with one ``english<TAB>foreign`` pair per line.  Both
+are read through :mod:`multipar.textio`: a column keeps every line, and a
+bitext skips blank lines.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from .textio import read_json, read_lines, read_records
 
 _ASCII_WS = " \t\n\r\f\v"
 
@@ -97,16 +101,7 @@ def _load(
     ``manifest_path``), which must number one per line, or ``0..K-1``."""
     columns: dict[str, tuple[str, ...]] = {}
     for code, path in paths.items():
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"invalid UTF-8 in {path}: {exc}") from exc
-        except OSError as exc:
-            raise CorpusError(f"cannot read {path}: {exc}") from exc
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        columns[code] = tuple(lines)
+        columns[code] = tuple(read_lines(path, CorpusError))
     k = len(next(iter(columns.values()), ()))
     if any(len(column) != k for column in columns.values()):
         detail = ", ".join(f"{paths[c]}: {len(col)}" for c, col in sorted(columns.items()))
@@ -161,9 +156,15 @@ def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
     manifest_path = directory / "manifest.json"
     row_ids = None
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        codes = manifest["languages"]
+        manifest = read_json(manifest_path, CorpusError)
+        codes = manifest.get("languages")
+        if not (isinstance(codes, list) and all(isinstance(c, str) for c in codes)):
+            raise CorpusError(f'{manifest_path}: "languages" must be a list of codes')
         row_ids = manifest.get("row_ids")
+        if row_ids is not None and not (
+            isinstance(row_ids, list) and all(type(r) is int for r in row_ids)
+        ):
+            raise CorpusError(f'{manifest_path}: "row_ids" must be a list of integers')
     else:
         codes = sorted(p.stem for p in directory.glob("*.txt"))
     return _load({c: directory / f"{c}.txt" for c in codes}, row_ids, manifest_path)
@@ -183,17 +184,7 @@ def normalize_pivot(sentence: str) -> str:
 
 def load_bitext_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read ``english<TAB>foreign`` pairs, one per line."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            pairs.append((parts[0], parts[1]))
-    return pairs
+    return [(en, foreign) for _, (en, foreign) in read_records(path, 2, CorpusError)]
 
 
 def mine_pivot_aligned(

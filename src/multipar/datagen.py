@@ -8,7 +8,9 @@ A dataset's ``blocks`` are runs ``(direction, sources, targets)`` of aligned
 sentence tuples; records follow block order, and a direction may recur in
 later blocks.  Counts are computed from the blocks, and ``records`` is a
 per-record view built on request.  ``emit_bitext`` writes the on-disk formats
-and ``read_bitext_tsv`` reads the ``tsv`` one back.
+and ``read_bitext_tsv`` reads the ``tsv`` one back through
+:mod:`multipar.textio`, naming ``records.tsv:<line>`` for a bad record or
+direction.
 
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
@@ -25,6 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import MultiParallelCorpus
 from .registry import LanguageRegistry
 from .rng import stream
+from .textio import read_json, read_records
 
 
 class DatagenError(ValueError):
@@ -37,6 +40,8 @@ class Direction:
     tgt: str
 
     def __post_init__(self):
+        if not self.src or not self.tgt:
+            raise DatagenError(f"direction with an empty language code {self.src!r}-{self.tgt!r}")
         if self.src == self.tgt:
             raise DatagenError(f"direction with identical endpoints {self.src!r}")
 
@@ -46,7 +51,7 @@ class Direction:
     @classmethod
     def parse(cls, text: str) -> "Direction":
         src, sep, tgt = text.partition("-")
-        if not sep or not src or not tgt:
+        if not sep:
             raise DatagenError(f"cannot parse direction {text!r}")
         return cls(src, tgt)
 
@@ -457,19 +462,18 @@ def read_bitext_tsv(directory: str | Path) -> FtDataset:
     path = directory / "records.tsv"
     runs: list[tuple[Direction, list[str], list[str]]] = []
     key = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DatagenError(f"{path}:{lineno}: expected 4 fields")
-            src_lang, tgt_lang, src, tgt = parts
-            if (src_lang, tgt_lang) != key:
-                key = (src_lang, tgt_lang)
-                runs.append((Direction(src_lang, tgt_lang), [], []))
-            runs[-1][1].append(src)
-            runs[-1][2].append(tgt)
+    for lineno, (src_lang, tgt_lang, src, tgt) in read_records(path, 4, DatagenError):
+        if (src_lang, tgt_lang) != key:
+            key = (src_lang, tgt_lang)
+            try:
+                direction = Direction(src_lang, tgt_lang)
+            except DatagenError as exc:
+                raise DatagenError(f"{path}:{lineno}: {exc}") from None
+            runs.append((direction, [], []))
+        runs[-1][1].append(src)
+        runs[-1][2].append(tgt)
     manifest_path = directory / "manifest.json"
     manifest = {"tag_strategy": "none"}
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_json(manifest_path, DatagenError)
     return FtDataset(tuple((d, tuple(s), tuple(t)) for d, s, t in runs), manifest)

@@ -3,7 +3,9 @@
 A lightweight, trainable replacement for an external LID model: per-language
 add-alpha-smoothed character n-gram profiles (orders 1..n_max), classified by
 summed log-probabilities plus a prior.  Used to measure off-target rates and
-to carve out per-direction on-target subsets.
+to carve out per-direction on-target subsets.  A saved model is checked field
+by field when loaded, so a malformed ``lid_model.json`` is a ``LidError``
+naming the file.
 """
 
 from __future__ import annotations
@@ -15,8 +17,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .textio import read_json
+
 LID_SCHEMA_VERSION = 1
 UNKNOWN = "unknown"
+# the JSON types each model field may take
+_MODEL_FIELDS = {
+    "languages": (list,),
+    "max_order": (int,),
+    "alpha": (float, int),
+    "empty_is_off_target": (bool,),
+    "priors": (dict,),
+    "vocab_sizes": (list,),
+    "counts": (dict,),
+}
 
 
 class LidError(ValueError):
@@ -34,6 +48,31 @@ class LidConfig:
             raise LidError("max_order must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise LidError(f"smoothing alpha must be positive and finite, got {self.alpha}")
+
+
+def _check_model_json(data) -> None:
+    """Raise LidError unless ``data`` has the fields and shapes that
+    ``LidModel.to_json_dict`` writes."""
+    if data.get("schema_version") != LID_SCHEMA_VERSION:
+        raise LidError(f"unsupported model schema {data.get('schema_version')!r}")
+    for key, kinds in _MODEL_FIELDS.items():
+        if type(data.get(key)) not in kinds:
+            raise LidError(f"{key!r} is missing or not a JSON {kinds[0].__name__}")
+    languages, n = data["languages"], data["max_order"]
+    if not all(type(code) is str for code in languages) or not (
+        set(languages) == set(data["priors"]) == set(data["counts"])
+    ):
+        raise LidError("languages, priors and counts name different languages")
+    if any(type(p) not in (float, int) or not p > 0 for p in data["priors"].values()):
+        raise LidError("priors must be positive numbers")
+    if len(data["vocab_sizes"]) != n or any(type(v) is not int for v in data["vocab_sizes"]):
+        raise LidError(f"vocab_sizes must be {n} integers")
+    for tables in data["counts"].values():
+        if type(tables) is not list or len(tables) != n or any(
+            type(table) is not dict or any(type(c) is not int for c in table.values())
+            for table in tables
+        ):
+            raise LidError(f"counts must hold {n} tables of integer counts per language")
 
 
 def _ngrams(text: str, n: int) -> Iterable[str]:
@@ -86,8 +125,7 @@ class LidModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LidModel":
-        if data.get("schema_version") != LID_SCHEMA_VERSION:
-            raise LidError(f"unsupported model schema {data.get('schema_version')!r}")
+        _check_model_json(data)
         config = LidConfig(
             max_order=data["max_order"],
             alpha=data["alpha"],
@@ -109,7 +147,11 @@ class LidModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LidModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        data = read_json(path, LidError)
+        try:
+            return cls.from_json_dict(data)
+        except LidError as exc:
+            raise LidError(f"{path}: {exc}") from None
 
 
 def lid_train(

@@ -26,21 +26,23 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+CHAR_ORDER = 6
+BLEU_MAX_ORDER = 4
+
+
 class MetricError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class MetricConfig:
-    char_order: int = 6
     word_order: int = 0  # 0 for ChrF, 2 for ChrF++
     beta: float = 2.0
-    bleu_max_order: int = 4
     tokenizer: str = "13a"
 
     def __post_init__(self):
-        if self.char_order < 0 or self.word_order < 0:
-            raise MetricError("n-gram orders must be >= 0")
+        if self.word_order < 0:
+            raise MetricError("word_order must be >= 0")
         if self.beta <= 0:
             raise MetricError("beta must be positive")
         if self.tokenizer not in ("13a", "whitespace"):
@@ -103,9 +105,8 @@ def _char_ngrams(text: str, n: int) -> Counter:
 def _bleu_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
     hyp = _tokenize(pair.hypothesis, config)
     ref = _tokenize(pair.reference, config)
-    orders = config.bleu_max_order
-    stats = [0] * (2 * orders) + [len(hyp), len(ref)]
-    for n in range(1, orders + 1):
+    stats = [0] * (2 * BLEU_MAX_ORDER) + [len(hyp), len(ref)]
+    for n in range(1, BLEU_MAX_ORDER + 1):
         hyp_ngrams = _word_ngrams(hyp, n)
         ref_ngrams = _word_ngrams(ref, n)
         stats[2 * (n - 1)] = sum((hyp_ngrams & ref_ngrams).values())
@@ -118,11 +119,10 @@ def bleu(pairs: Sequence[ScorePair], config: MetricConfig = BLEU) -> float:
     if not pairs:
         raise MetricError("empty pair list")
     stats = _pooled_stats(pairs, config, _bleu_pair_stats)
-    orders = config.bleu_max_order
     sys_len, ref_len = stats[-2], stats[-1]
     log_precisions = []
     smooth = 1.0
-    for n in range(1, orders + 1):
+    for n in range(1, BLEU_MAX_ORDER + 1):
         correct, total = stats[2 * (n - 1)], stats[2 * (n - 1) + 1]
         if total == 0:
             break
@@ -132,13 +132,13 @@ def bleu(pairs: Sequence[ScorePair], config: MetricConfig = BLEU) -> float:
         else:
             precision = 100.0 * correct / total
         log_precisions.append(math.log(precision))
-    if len(log_precisions) < orders:
+    if len(log_precisions) < BLEU_MAX_ORDER:
         # no hypothesis n-grams at some order anywhere in the corpus
         return 0.0
     brevity_penalty = 1.0
     if sys_len < ref_len:
         brevity_penalty = math.exp(1 - ref_len / sys_len) if sys_len > 0 else 0.0
-    return brevity_penalty * math.exp(sum(log_precisions) / orders)
+    return brevity_penalty * math.exp(sum(log_precisions) / BLEU_MAX_ORDER)
 
 
 # --- ChrF / ChrF++ ----------------------------------------------------------
@@ -167,7 +167,7 @@ def _chrf_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
     hyp_chars = _WS.sub("", pair.hypothesis)
     ref_chars = _WS.sub("", pair.reference)
     stats = []
-    for n in range(1, config.char_order + 1):
+    for n in range(1, CHAR_ORDER + 1):
         hyp_ngrams = _char_ngrams(hyp_chars, n)
         ref_ngrams = _char_ngrams(ref_chars, n)
         stats += [

@@ -5,7 +5,8 @@ sequence of integers replicated on both sides.  Word pairs come from
 English-centric dictionaries joined on shared English headwords, so a
 DE entry and an NL entry for the same English word yield a DE-NL pair.
 Token budgets can be matched against a reference dataset so the probe
-corpora carry comparable surface mass.
+corpora carry comparable surface mass.  MUSE dictionaries are read through
+:mod:`multipar.textio` as two whitespace-separated words per line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterable, Mapping
 
 from .datagen import Direction, DirectionSet, FtDataset
 from .rng import stream
+from .textio import read_records
 
 
 class ProbeError(ValueError):
@@ -98,16 +100,7 @@ def gen_number_pairs(
 
 def load_muse_dictionary(path: str | Path) -> set[tuple[str, str]]:
     """MUSE-style input: one ``english<TAB or space>foreign`` entry per line."""
-    entries = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ProbeError(f"{path}:{lineno}: expected 2 fields")
-            entries.add((parts[0], parts[1]))
-    return entries
+    return {(en, foreign) for _, (en, foreign) in read_records(path, 2, ProbeError, sep=None)}
 
 
 def pivot_dictionaries(

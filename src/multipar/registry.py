@@ -3,7 +3,8 @@
 A registry pins down the closed set of languages an experiment runs over,
 which language is the English pivot, and the grouping metadata (family,
 resource tier) that the report layer aggregates by.  The EC30/EC40
-registries used throughout the bundled experiments ship as package data.
+registries used throughout the bundled experiments ship as package data;
+a registry JSON given by path is read through :mod:`multipar.textio`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from .textio import read_json
+
 TIERS = ("High", "Medium", "Low", "ExtraLow")
+_SPEC_FIELDS = ("code", "family", "tier", "script")
 
 
 class RegistryError(ValueError):
@@ -100,13 +104,23 @@ class LanguageRegistry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LanguageRegistry":
-        entries = [LanguageSpec(**row) for row in data["languages"]]
-        return cls(entries, data.get("english_code", "en"))
+        rows, english_code = data.get("languages"), data.get("english_code", "en")
+        if type(rows) is not list or type(english_code) is not str:
+            raise RegistryError('"languages" must be a list and "english_code" a string')
+        entries = []
+        for i, row in enumerate(rows):
+            if type(row) is not dict or any(type(row.get(f)) is not str for f in _SPEC_FIELDS):
+                raise RegistryError(f"language {i} lacks one of the string fields {_SPEC_FIELDS}")
+            entries.append(LanguageSpec(*(row[f] for f in _SPEC_FIELDS)))
+        return cls(entries, english_code)
 
     @classmethod
     def load(cls, path: str | Path) -> "LanguageRegistry":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        data = read_json(path, RegistryError)
+        try:
+            return cls.from_dict(data)
+        except RegistryError as exc:
+            raise RegistryError(f"{path}: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(

@@ -3,7 +3,8 @@
 Group values are unweighted arithmetic means over member directions.  Any
 "AVG" column produced here is the mean of group means; the direction-weighted
 grand mean is emitted alongside under a separate, clearly labeled key,
-because the two generally differ.
+because the two generally differ.  Score TSVs are read through
+:mod:`multipar.textio`; every cell value and group mean is finite.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Iterable, Mapping
 
 from .datagen import Direction
 from .registry import LanguageRegistry
+from .textio import read_lines
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -36,6 +38,8 @@ class Cell:
     count: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ReportError(f"non-finite value {self.value!r}")
         if self.count < 0:
             raise ReportError("cell count must be >= 0")
 
@@ -96,24 +100,21 @@ class ScoreMatrix:
         scorer (e.g. COMET) does; every bad line is named by ``file:line``."""
         matrix = cls()
         seen: dict[tuple, int] = {}
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines or tuple(lines[0].split("\t")) != SCORE_TSV_HEADER:
+        lines = read_lines(path, ReportError)
+        if tuple(next(lines, "").split("\t")) != SCORE_TSV_HEADER:
             raise ReportError(f"{path}: missing or malformed header")
         errors = []
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in enumerate(lines, start=2):
             parts = line.split("\t")
             if len(parts) != len(SCORE_TSV_HEADER):
-                errors.append(f"{path}:{lineno}: expected 5 fields")
+                if line.strip():
+                    errors.append(f"{path}:{lineno}: expected 5 fields")
                 continue
             src, tgt, metric, value, count = parts
             try:
                 key = (Direction(src, tgt), metric)
                 cell_value = float(value)
                 cell_count = int(count)
-                if not math.isfinite(cell_value):
-                    raise ReportError(f"non-finite value {value!r}")
                 if key in seen:
                     raise ReportError(
                         f"duplicate cell {src}-{tgt}/{metric} (first at line {seen[key]})"
@@ -181,7 +182,12 @@ def resource_grid_group(direction: Direction, registry: LanguageRegistry) -> str
 def _mean(values: Iterable[float]) -> float | None:
     """Arithmetic mean, or None when there are no values."""
     values = list(values)
-    return sum(values) / len(values) if values else None
+    if not values:
+        return None
+    mean = sum(values) / len(values)
+    if not math.isfinite(mean):
+        raise ReportError(f"the mean of {len(values)} values overflows")
+    return mean
 
 
 def aggregate(
@@ -387,8 +393,6 @@ def emit_report(
         raise ReportError("refusing to report an empty matrix")
     if fmt not in ("tsv", "json", "markdown"):
         raise ReportError(f"unknown report format {fmt!r}")
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     schemes = list(schemes)
 
     summaries: dict[str, dict] = {}
@@ -399,6 +403,8 @@ def emit_report(
             per_metric[key] = _summarize(scheme, _group(matrix, scheme, registry, metric))
         summaries[metric] = per_metric
 
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
     if fmt == "tsv":
         matrix.save_tsv(out / "scores.tsv")
         lines = ["metric\tscheme\tgroup\tvalue\n"]

@@ -2,7 +2,8 @@
 
 Weights follow the standard temperature sampler: with data sizes n_k and
 temperature T, p_k is proportional to (n_k / sum(n))^(1/T).  T = 1 recovers
-proportional sampling; large T flattens towards uniform.
+proportional sampling; large T flattens towards uniform.  Size and weight
+tables are ``key<TAB>number`` records read through :mod:`multipar.textio`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .rng import stream
+from .textio import read_records
 
 
 class SamplingError(ValueError):
@@ -47,8 +49,12 @@ def temperature_weights(sizes: Mapping[str, int | float], temperature: float) ->
     if any(n <= 0 for n in sizes.values()):
         raise SamplingError("all sizes must be positive")
     total = sum(sizes.values())
+    if not math.isfinite(total):
+        raise SamplingError("sizes sum beyond the float range")
     raw = {k: (n / total) ** (1.0 / temperature) for k, n in sizes.items()}
     norm = sum(raw.values())
+    if norm == 0:
+        raise SamplingError(f"every weight underflows to 0 at temperature {temperature}")
     return MixtureWeights(
         weights={k: v / norm for k, v in raw.items()}, temperature=temperature
     )
@@ -78,23 +84,16 @@ def save_weights(weights: MixtureWeights, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> dict[str, float]:
-    """Read ``key<TAB>number`` lines, skipping blank ones; each number must be
-    finite."""
+    """Read ``key<TAB>number`` records; each number must be finite."""
     table = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise SamplingError(f"{path}:{lineno}: expected key<TAB>number")
-            try:
-                value = float(parts[1])
-                if not math.isfinite(value):
-                    raise SamplingError(f"non-finite value {parts[1]!r}")
-            except ValueError as exc:
-                raise SamplingError(f"{path}:{lineno}: {exc}") from None
-            table[parts[0]] = value
+    for lineno, (key, number) in read_records(path, 2, SamplingError):
+        try:
+            value = float(number)
+            if not math.isfinite(value):
+                raise SamplingError(f"non-finite value {number!r}")
+        except ValueError as exc:
+            raise SamplingError(f"{path}:{lineno}: {exc}") from None
+        table[key] = value
     return table
 
 

@@ -451,3 +451,27 @@ def test_ontarget_rejects_non_integer_row_id_with_file_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{hyps}:2" in err and "Traceback" not in err
+
+
+def test_mix_rejects_weights_outside_the_float_range(tmp_path, capsys):
+    sizes = tmp_path / "sizes.tsv"
+    sizes.write_text("a\t1e308\nb\t1e308\n", encoding="utf-8")
+    argv = ["mix", "--sizes", str(sizes), "--temperature", "1", "--out", str(tmp_path / "m1")]
+    assert main(argv) == 1
+    assert "sizes sum beyond the float range" in capsys.readouterr().err
+    sizes.write_text("a\t1\nb\t1\n", encoding="utf-8")
+    argv = ["mix", "--sizes", str(sizes), "--temperature", "1e-5", "--out", str(tmp_path / "m2")]
+    assert main(argv) == 1
+    assert "every weight underflows to 0" in capsys.readouterr().err
+    assert not (tmp_path / "m1").exists() and not (tmp_path / "m2").exists()
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "markdown"])
+def test_report_rejects_a_mean_beyond_the_float_range(tmp_path, capsys, fmt):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text(SCORE_HEADER + "de\tnl\tchrf\t1e308\t1\nnl\tde\tchrf\t1e308\t1\n")
+    out = tmp_path / "report"
+    rc = main(["report", "--scores", str(scores), "--format", fmt, "--out", str(out)])
+    assert rc == 1
+    assert "the mean of 2 values overflows" in capsys.readouterr().err
+    assert not out.exists()

@@ -40,6 +40,14 @@ def test_direction_str_and_parse():
         Direction("de", "de")
 
 
+@pytest.mark.parametrize("src, tgt", [("", "nl"), ("de", ""), ("", "")])
+def test_direction_rejects_empty_code(src, tgt):
+    with pytest.raises(DatagenError, match="empty language code"):
+        Direction(src, tgt)
+    with pytest.raises(DatagenError, match="empty language code"):
+        Direction.parse(f"{src}-{tgt}")
+
+
 def test_enumerate_counts_match_n_times_n_minus_1():
     for n in (2, 3, 8):
         codes = [f"l{i}" for i in range(n - 1)] + ["en"]
