@@ -140,6 +140,9 @@ def cmd_mine(args) -> int:
     bitexts = {f.stem: load_bitext_tsv(f) for f in files}
     registry = _registry(args)
     corpus, stats = mine_pivot_aligned(bitexts, english_code=registry.english_code)
+    if not stats.yield_rows:
+        names = ", ".join(str(f) for f in files)
+        raise CorpusError(f"no English pivot is shared by every bitext ({names})")
     out = Path(args.out)
     save_corpus(corpus, out)
     _write_json(

@@ -6,6 +6,13 @@ summed log-probabilities plus a prior.  Used to measure off-target rates and
 to carve out per-direction on-target subsets.  A saved model is checked field
 by field when loaded, so a malformed ``lid_model.json`` is a ``LidError``
 naming the file.
+
+Scores come from log-probability tables built from the counts on a model's
+first score: per language the log prior and, per order, a ``gram ->
+log-probability`` dict with one constant for unseen grams.  A text's n-grams
+are extracted once per order and looked up in every language's tables; the
+terms are added one at a time, in n-gram order, so every score is the float
+the direct formula gives.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import chain, repeat
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -50,9 +60,10 @@ class LidConfig:
             raise LidError(f"smoothing alpha must be positive and finite, got {self.alpha}")
 
 
-def _check_model_json(data) -> None:
+def _check_model_json(data) -> LidConfig:
     """Raise LidError unless ``data`` has the fields and shapes that
-    ``LidModel.to_json_dict`` writes."""
+    ``LidModel.to_json_dict`` writes and values that score to finite floats;
+    return the model's config."""
     if data.get("schema_version") != LID_SCHEMA_VERSION:
         raise LidError(f"unsupported model schema {data.get('schema_version')!r}")
     for key, kinds in _MODEL_FIELDS.items():
@@ -63,20 +74,40 @@ def _check_model_json(data) -> None:
         set(languages) == set(data["priors"]) == set(data["counts"])
     ):
         raise LidError("languages, priors and counts name different languages")
-    if any(type(p) not in (float, int) or not p > 0 for p in data["priors"].values()):
-        raise LidError("priors must be positive numbers")
-    if len(data["vocab_sizes"]) != n or any(type(v) is not int for v in data["vocab_sizes"]):
-        raise LidError(f"vocab_sizes must be {n} integers")
+    # `0 < p < inf` is also false for NaN, and compares a huge int exactly
+    if any(type(p) not in (float, int) or not 0 < p < math.inf for p in data["priors"].values()):
+        raise LidError("priors must be positive finite numbers")
+    vocab_sizes = data["vocab_sizes"]
+    if len(vocab_sizes) != n or any(type(v) is not int or v < 1 for v in vocab_sizes):
+        raise LidError(f"vocab_sizes must be {n} integers >= 1")
+    config = LidConfig(max_order=n, alpha=data["alpha"],
+                       empty_is_off_target=data["empty_is_off_target"])
     for tables in data["counts"].values():
         if type(tables) is not list or len(tables) != n or any(
-            type(table) is not dict or any(type(c) is not int for c in table.values())
+            type(table) is not dict or any(type(c) is not int or c < 0 for c in table.values())
             for table in tables
         ):
-            raise LidError(f"counts must hold {n} tables of integer counts per language")
+            raise LidError(f"counts must hold {n} tables of integer counts >= 0 per language")
+        for table, vocab in zip(tables, vocab_sizes):
+            # the smallest smoothed probability, that of an unseen gram
+            try:
+                unseen = config.alpha / (sum(table.values()) + config.alpha * vocab)
+            except OverflowError:
+                unseen = 0.0
+            if not unseen > 0:
+                raise LidError("an unseen n-gram gets probability 0: counts too large for alpha")
+    return config
 
 
 def _ngrams(text: str, n: int) -> Iterable[str]:
-    return (text[i : i + n] for i in range(len(text) - n + 1))
+    """The character n-grams of ``text``, left to right."""
+    if n == 1:
+        return iter(text)
+    return map("".join, zip(*(text[k:] for k in range(n))))
+
+
+def _text_grams(text: str, max_order: int) -> list[list[str]]:
+    return [list(_ngrams(text, order)) for order in range(1, max_order + 1)]
 
 
 @dataclass(frozen=True)
@@ -88,27 +119,41 @@ class LidModel:
     priors: Mapping[str, float]
     # vocabulary sizes per order, shared across languages (plus one unseen slot)
     vocab_sizes: tuple[int, ...] = field(default=())
-    _total_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _total(self, language: str, order: int) -> int:
-        key = (language, order)
-        if key not in self._total_cache:
-            self._total_cache[key] = sum(self.counts[language][order - 1].values())
-        return self._total_cache[key]
+    @cached_property
+    def _log_tables(self) -> dict[str, tuple[float, list[tuple[dict[str, float], float]]]]:
+        """Per language, the log prior and, per order, the log-probability of
+        each counted gram with that of an unseen one; built on first use."""
+        alpha = self.config.alpha
+        tables = {}
+        for lang, orders in self.counts.items():
+            per_order = []
+            for table, vocab in zip(orders, self.vocab_sizes):
+                denom = sum(table.values()) + alpha * vocab
+                # one float per distinct count, shared by the grams that have it
+                by_count = {c: math.log((c + alpha) / denom) for c in set(table.values())}
+                logs = dict(zip(table, map(by_count.__getitem__, table.values())))
+                per_order.append((logs, math.log(alpha / denom)))
+            tables[lang] = (math.log(self.priors[lang]), per_order)
+        return tables
+
+    def _score_grams(self, grams: Sequence[Sequence[str]], language: str) -> float:
+        log_prior, per_order = self._log_tables[language]
+        # reduce(add) is `score += term` in C, term by term in n-gram order;
+        # sum() would round differently on Python 3.12+
+        return reduce(add, chain.from_iterable(
+            map(logs.get, order_grams, repeat(unseen))
+            for (logs, unseen), order_grams in zip(per_order, grams)
+        ), log_prior)
 
     def log_score(self, text: str, language: str) -> float:
         if language not in self.counts:
             raise LidError(f"language {language!r} not in model")
-        cfg = self.config
-        score = math.log(self.priors[language])
-        for order in range(1, cfg.max_order + 1):
-            table = self.counts[language][order - 1]
-            denom = self._total(language, order) + cfg.alpha * self.vocab_sizes[order - 1]
-            for gram in _ngrams(text, order):
-                score += math.log((table.get(gram, 0) + cfg.alpha) / denom)
-        return score
+        return self._score_grams(_text_grams(text, self.config.max_order), language)
 
     def to_json_dict(self) -> dict:
+        """The model as JSON data.  The count tables are the model's own, not
+        copies: the model is saved without doubling its largest part."""
         return {
             "schema_version": LID_SCHEMA_VERSION,
             "languages": list(self.languages),
@@ -117,20 +162,12 @@ class LidModel:
             "empty_is_off_target": self.config.empty_is_off_target,
             "priors": dict(self.priors),
             "vocab_sizes": list(self.vocab_sizes),
-            "counts": {
-                lang: [dict(table) for table in tables]
-                for lang, tables in self.counts.items()
-            },
+            "counts": {lang: list(tables) for lang, tables in self.counts.items()},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LidModel":
-        _check_model_json(data)
-        config = LidConfig(
-            max_order=data["max_order"],
-            alpha=data["alpha"],
-            empty_is_off_target=data["empty_is_off_target"],
-        )
+        config = _check_model_json(data)
         return cls(
             languages=tuple(data["languages"]),
             config=config,
@@ -160,15 +197,14 @@ def lid_train(
     """Count character n-grams per language into smoothed profiles."""
     if len(samples) < 2:
         raise LidError("training needs at least 2 languages")
-    counts: dict[str, list[Counter]] = {}
+    counts: dict[str, list[dict[str, int]]] = {}
     for lang, sentences in samples.items():
         if not sentences:
             raise LidError(f"no training sentences for {lang!r}")
-        tables = [Counter() for _ in range(config.max_order)]
-        for sentence in sentences:
-            for order in range(1, config.max_order + 1):
-                tables[order - 1].update(_ngrams(sentence, order))
-        counts[lang] = tables
+        counts[lang] = [
+            dict(Counter(chain.from_iterable(_ngrams(s, order) for s in sentences)))
+            for order in range(1, config.max_order + 1)
+        ]
     vocab_sizes = []
     for order in range(config.max_order):
         vocab = set()
@@ -180,7 +216,7 @@ def lid_train(
     return LidModel(
         languages=languages,
         config=config,
-        counts={lang: [dict(t) for t in counts[lang]] for lang in languages},
+        counts={lang: counts[lang] for lang in languages},
         priors=priors,
         vocab_sizes=tuple(vocab_sizes),
     )
@@ -194,8 +230,9 @@ def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
     """
     if not text.strip():
         return UNKNOWN, 0.0
+    grams = _text_grams(text, model.config.max_order)
     scored = sorted(
-        ((model.log_score(text, lang), lang) for lang in model.languages),
+        ((model._score_grams(grams, lang), lang) for lang in model.languages),
         key=lambda pair: (-pair[0], pair[1]),
     )
     best_score, best_lang = scored[0]

@@ -2,6 +2,7 @@
 message naming the file, never a traceback."""
 
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -208,6 +209,35 @@ def test_bad_corpus_manifest_is_a_corpus_error(tmp_path, capsys, argv, manifest,
     assert f"{corpus / 'manifest.json'}{message}" in envelope["message"]
 
 
+@pytest.mark.parametrize("code", ["../outside", "..", ".", "", "sub/de", "/outside"])
+def test_manifest_code_that_is_not_a_file_name_is_a_corpus_error(tmp_path, capsys, code):
+    corpus = tmp_path / "corpus"
+    save_corpus(full_corpus(["en", "de", "nl"], 4), corpus)
+    # a well-formed column the code would reach outside the corpus directory
+    write(tmp_path / "outside.txt", (corpus / "nl.txt").read_text(encoding="utf-8"))
+    write(corpus / "manifest.json", json.dumps({"languages": ["en", "de", code]}))
+    out = tmp_path / "out"
+    envelope = json_error(["build-ft", "--corpus", str(corpus), "--out", str(out)], capsys)
+    assert envelope["error"] == "CorpusError"
+    assert envelope["message"] == (
+        f"{corpus / 'manifest.json'}: language code {code!r} is not a file name"
+    )
+    assert not out.exists()
+
+
+def test_mine_without_a_shared_pivot_is_an_error(tmp_path, capsys):
+    bitexts = tmp_path / "bitexts"
+    write(bitexts / "de.tsv", "hello\thallo\n")
+    write(bitexts / "nl.tsv", "bye\tdoei\n")
+    out = tmp_path / "mined"
+    envelope = json_error(["mine", "--bitexts", str(bitexts), "--out", str(out)], capsys)
+    assert envelope["error"] == "CorpusError"
+    assert envelope["message"] == (
+        f"no English pivot is shared by every bitext ({bitexts / 'de.tsv'}, {bitexts / 'nl.tsv'})"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "manifest, message", [("[1]", ": expected a JSON object"), ("", ":1:1: Expecting value")],
     ids=["list", "empty"],
@@ -234,8 +264,18 @@ def test_bad_dataset_manifest_is_a_datagen_error(tmp_path, capsys, manifest, mes
         (lambda m: {**m, "counts": {**m["counts"], "bb": [{}]}}, "counts must hold 3 tables"),
         (lambda m: {**m, "counts": {**m["counts"], "bb": [{"q": "1"}, {}, {}]}},
          "counts must hold 3 tables"),
+        # each of these passed the load check and failed only at scoring
+        (lambda m: {**m, "priors": {"aa": math.inf, "bb": 0.5}}, "priors must be positive"),
+        (lambda m: {**m, "vocab_sizes": [0, 0, 0], "counts": {c: [{}, {}, {}] for c in m["counts"]}},
+         "vocab_sizes must be 3 integers >= 1"),
+        (lambda m: {**m, "counts": {**m["counts"], "bb": [{"a": -1}, {}, {}]}},
+         "integer counts >= 0"),
+        (lambda m: {**m, "counts": {**m["counts"], "bb": [{"a": 10**400}, {}, {}]}},
+         "an unseen n-gram gets probability 0"),
+        (lambda m: {**m, "alpha": 5e-324}, "an unseen n-gram gets probability 0"),
     ],
-    ids=["empty", "list", "max_order", "priors", "prior", "vocab", "tables", "count"],
+    ids=["empty", "list", "max_order", "priors", "prior", "vocab", "tables", "count",
+         "infinite-prior", "zero-vocab", "negative-count", "huge-count", "tiny-alpha"],
 )
 def test_bad_lid_model_is_a_lid_error(tmp_path, lid_model, capsys, command, edit, message):
     argv, hyps, first = stage(command, tmp_path, lid_model)

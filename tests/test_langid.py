@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from multipar import (
     LidConfig,
@@ -10,7 +12,7 @@ from multipar import (
     off_target_rate,
     on_target_subset,
 )
-from multipar.langid import LidError, UNKNOWN
+from multipar.langid import LidError, UNKNOWN, _ngrams
 
 from helpers import synthetic_sentences
 
@@ -158,3 +160,80 @@ def test_model_schema_version_checked(tmp_path, disjoint_model):
 def test_log_score_unknown_language(disjoint_model):
     with pytest.raises(LidError):
         disjoint_model.log_score("text", "zz")
+
+
+# --- exactness of the table-driven scoring path ---------------------------------
+# The references below slice strings and apply the smoothed formula term by
+# term, straight from the counts a model writes.
+
+
+def slice_ngrams(text, n):
+    return [text[i : i + n] for i in range(len(text) - n + 1)]
+
+
+def reference_log_score(data, text, language):
+    alpha = data["alpha"]
+    score = math.log(data["priors"][language])
+    for order in range(1, data["max_order"] + 1):
+        table = data["counts"][language][order - 1]
+        denom = sum(table.values()) + alpha * data["vocab_sizes"][order - 1]
+        for gram in slice_ngrams(text, order):
+            score += math.log((table.get(gram, 0) + alpha) / denom)
+    return score
+
+
+def reference_classify(data, text):
+    scored = sorted((-reference_log_score(data, text, lang), lang) for lang in data["languages"])
+    return scored[0][1], scored[1][0] - scored[0][0]
+
+
+# non-BMP and combining characters alongside ASCII
+TEXT = st.text(alphabet=st.sampled_from("ab \u00e9\u0301\u4e2d\U0001f600\U00010348"), max_size=12)
+
+
+@given(text=st.one_of(TEXT, st.text(max_size=12)), n=st.integers(1, 14))
+def test_ngrams_equal_slicing(text, n):
+    assert list(_ngrams(text, n)) == slice_ngrams(text, n)
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 3, 4])
+def test_log_score_and_classify_equal_the_formula(tmp_path, max_order):
+    train = {
+        "aa": synthetic_sentences("abcdefgh", 40, seed=5),
+        "bb": synthetic_sentences("efghijkl", 40, seed=6),
+        "cc": synthetic_sentences("abcd\u00e9\U0001f600", 40, seed=7),
+    }
+    model = lid_train(train, LidConfig(max_order=max_order, alpha=0.3))
+    model.save(tmp_path / "model.json")
+    loaded = LidModel.load(tmp_path / "model.json")
+    data = model.to_json_dict()
+    # seen text, mixed alphabets, grams no language has seen, and short texts
+    texts = [
+        *synthetic_sentences("abcdefghijkl\u00e9", 12, seed=8),
+        "zzz xyz", "a", "ab", "\U0001f600\U0001f600 qq", "hgfe dcba",
+    ]
+    for text in texts:
+        for lang in model.languages:
+            expected = reference_log_score(data, text, lang)
+            assert model.log_score(text, lang) == expected
+            assert loaded.log_score(text, lang) == expected
+        assert lid_classify(text, model) == reference_classify(data, text)
+        assert lid_classify(text, loaded) == reference_classify(data, text)
+
+
+def test_trained_counts_equal_slicing_counts():
+    train = {
+        "aa": synthetic_sentences("abcdefgh", 30, seed=9) + ["", "a", "\U0001f600x\U0001f600"],
+        "bb": synthetic_sentences("qrstuvwx", 30, seed=10),
+    }
+    data = lid_train(train, LidConfig(max_order=4)).to_json_dict()
+    expected = {
+        lang: [
+            dict(Counter(g for s in sentences for g in slice_ngrams(s, n))) for n in range(1, 5)
+        ]
+        for lang, sentences in train.items()
+    }
+    assert data["counts"] == expected
+    assert data["vocab_sizes"] == [
+        len(set(expected["aa"][n]) | set(expected["bb"][n])) + 1 for n in range(4)
+    ]
