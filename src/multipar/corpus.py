@@ -160,10 +160,12 @@ def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
         codes = manifest.get("languages")
         if not (isinstance(codes, list) and all(isinstance(c, str) for c in codes)):
             raise CorpusError(f'{manifest_path}: "languages" must be a list of codes')
-        for code in codes:
+        for i, code in enumerate(codes):
             # a code names the file <code>.txt inside the corpus directory
             if code in ("", ".", "..") or Path(code).name != code:
                 raise CorpusError(f"{manifest_path}: language code {code!r} is not a file name")
+            if code in codes[:i]:
+                raise CorpusError(f"{manifest_path}: language code {code!r} is listed twice")
         row_ids = manifest.get("row_ids")
         if row_ids is not None and not (
             isinstance(row_ids, list) and all(type(r) is int for r in row_ids)

@@ -88,15 +88,22 @@ def _check_model_json(data) -> LidConfig:
             for table in tables
         ):
             raise LidError(f"counts must hold {n} tables of integer counts >= 0 per language")
-        for table, vocab in zip(tables, vocab_sizes):
-            # the smallest smoothed probability, that of an unseen gram
-            try:
-                unseen = config.alpha / (sum(table.values()) + config.alpha * vocab)
-            except OverflowError:
-                unseen = 0.0
-            if not unseen > 0:
-                raise LidError("an unseen n-gram gets probability 0: counts too large for alpha")
+        _check_unseen_probability(tables, vocab_sizes, config.alpha)
     return config
+
+
+def _check_unseen_probability(tables, vocab_sizes, alpha: float) -> None:
+    """Raise LidError unless an unseen gram, the least likely, gets a
+    probability above 0 in each of one language's tables."""
+    for table, vocab in zip(tables, vocab_sizes):
+        try:
+            unseen = alpha / (sum(table.values()) + alpha * vocab)
+        except OverflowError:
+            unseen = 0.0
+        if not unseen > 0:
+            raise LidError(
+                f"an unseen n-gram gets probability 0: counts too large for alpha {alpha!r}"
+            )
 
 
 def _ngrams(text: str, n: int) -> Iterable[str]:
@@ -211,6 +218,8 @@ def lid_train(
         for tables in counts.values():
             vocab.update(tables[order])
         vocab_sizes.append(len(vocab) + 1)  # +1 reserves mass for unseen n-grams
+    for tables in counts.values():
+        _check_unseen_probability(tables, vocab_sizes, config.alpha)
     languages = tuple(sorted(samples))
     priors = {lang: 1.0 / len(languages) for lang in languages}
     return LidModel(

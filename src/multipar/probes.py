@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .datagen import Direction, DirectionSet, FtDataset
-from .rng import stream
+from .rng import stream, streams
 from .textio import read_records
 
 
@@ -60,6 +60,9 @@ class ProbeConfig:
             raise ProbeError("digit_min must not exceed digit_max")
         if self.tokens_per_line < 1:
             raise ProbeError("tokens_per_line must be >= 1")
+        if self.digit_max - self.digit_min + 1 > 2**64:
+            # one draw is one 64-bit SplitMix64 output
+            raise ProbeError("digit_max - digit_min + 1 must not exceed 2**64")
 
 
 def gen_number_pairs(
@@ -67,21 +70,20 @@ def gen_number_pairs(
 ) -> FtDataset:
     """Identical source/target lines of uniform random integers, per direction.
 
-    Each line is a deterministic function of (direction, line index, seed).
+    Line i of direction d is ``tokens_per_line`` draws from
+    ``stream(seed, f"numbers/{d}/{i}")``, a function of (direction, line
+    index, seed) alone.
     """
     if lines_per_direction < 1:
         raise ProbeError("lines_per_direction must be >= 1")
 
-    def line(d: Direction, i: int) -> str:
-        rng = stream(config.seed, f"numbers/{d}/{i}")
-        return " ".join(
-            str(rng.randint(config.digit_min, config.digit_max))
-            for _ in range(config.tokens_per_line)
-        )
-
+    lo, hi, k = config.digit_min, config.digit_max, config.tokens_per_line
     blocks = []
     for d in dirs:
-        lines = tuple(line(d, i) for i in range(lines_per_direction))
+        lines = tuple(
+            " ".join(map(str, rng.randints(lo, hi, k)))
+            for rng in streams(config.seed, f"numbers/{d}/", lines_per_direction)
+        )
         blocks.append((d, lines, lines))
     manifest = {
         "corpus_id": "number_pairs",

@@ -197,8 +197,9 @@ def json_error(argv, capsys) -> dict:
     "manifest, message",
     [("{}", ': "languages" must be a list'), ("[1]", ": expected a JSON object"),
      ('{"languages": ["en", "de"], "row_ids": [true]}', ': "row_ids" must be a list'),
-     ("{", ":1:2: Expecting property name")],
-    ids=["no-languages", "list", "row-ids", "malformed"],
+     ("{", ":1:2: Expecting property name"),
+     ('{"languages": ["en", "de", "de"]}', ": language code 'de' is listed twice")],
+    ids=["no-languages", "list", "row-ids", "malformed", "duplicate-code"],
 )
 def test_bad_corpus_manifest_is_a_corpus_error(tmp_path, capsys, argv, manifest, message):
     corpus = tmp_path / "corpus"
@@ -285,6 +286,19 @@ def test_bad_lid_model_is_a_lid_error(tmp_path, lid_model, capsys, command, edit
     envelope = json_error([a if a != str(lid_model) else str(model) for a in argv], capsys)
     assert envelope["error"] == "LidError"
     assert envelope["message"].startswith(f"{model}: ") and message in envelope["message"]
+
+
+def test_lid_train_alpha_too_small_for_the_counts_is_a_lid_error(tmp_path, lid_model, capsys):
+    # every load of such a model fails, so training must not write it
+    corpus = lid_model.parent.parent / "corpus"
+    out = tmp_path / "model"
+    argv = ["lid-train", "--corpus", str(corpus), "--alpha", "5e-324", "--out", str(out)]
+    envelope = json_error(argv, capsys)
+    assert envelope["error"] == "LidError"
+    assert envelope["message"] == (
+        "an unseen n-gram gets probability 0: counts too large for alpha 5e-324"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

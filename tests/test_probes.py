@@ -1,7 +1,14 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import multipar
 from multipar import (
     Dictionary,
     ProbeConfig,
@@ -10,8 +17,10 @@ from multipar import (
     match_token_budget,
     pivot_dictionaries,
 )
+from multipar.cli import main
 from multipar.datagen import Direction, enumerate_directions
 from multipar.probes import ProbeError, count_whitespace_tokens, load_muse_dictionary
+from multipar.rng import stream
 
 from helpers import brute_force_join
 
@@ -64,6 +73,62 @@ def test_number_pairs_digit_bounds_are_respected_and_attained():
     ds = gen_number_pairs(dirs, 50, ProbeConfig(digit_min=1, digit_max=3, seed=0))
     values = {int(t) for r in ds.records for t in r.src_text.split()}
     assert values == {1, 2, 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.one_of(st.integers(min_value=0, max_value=2000),
+              st.integers(min_value=2**62, max_value=2**64 - 1)),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_number_pairs_equal_one_randint_per_token(lo, span, tokens, seed):
+    dirs = enumerate_directions(["en", "de"])
+    config = ProbeConfig(digit_min=lo, digit_max=lo + span, tokens_per_line=tokens, seed=seed)
+    ds = gen_number_pairs(dirs, 3, config)
+    for d, sources, _targets in ds.blocks:
+        for i, line in enumerate(sources):
+            rng = stream(seed, f"numbers/{d}/{i}")
+            assert line == " ".join(str(rng.randint(lo, lo + span)) for _ in range(tokens))
+
+
+def test_digit_range_wider_than_one_draw_is_a_probe_error():
+    ProbeConfig(digit_min=0, digit_max=2**64 - 1)
+    ProbeConfig(digit_min=-(2**63), digit_max=2**63 - 1)
+    with pytest.raises(ProbeError, match=r"2\*\*64"):
+        ProbeConfig(digit_min=0, digit_max=2**64)
+    with pytest.raises(ProbeError, match=r"2\*\*64"):
+        ProbeConfig(digit_min=1, digit_max=10**20)
+
+
+def test_cli_digit_range_wider_than_one_draw_exits_1(tmp_path):
+    # a subprocess with a timeout: such a range made the draw loop spin forever
+    argv = ["probe-numbers", "--languages", "en", "de", "--lines", "1",
+            "--digit-max", str(10**20), "--out", str(tmp_path / "out")]
+    code = f"import sys; from multipar.cli import main; sys.exit(main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(multipar.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 1
+    assert "2**64" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "706f6858f02bdee0ab80751e01c04fcaba1d1aadb85307a561807d81ac30c353"),
+        # about half of the raw draws of a 2**63 + 1 range are rejected
+        (["--digit-min", "0", "--digit-max", "9223372036854775808", "--tokens-per-line", "7"],
+         "123fb65a23af213dc2224581f5c30ac0c779e46fd4c910fd7ded411a97f60011"),
+    ],
+    ids=["default-range", "rejection"],
+)
+def test_number_probe_bytes_are_pinned(tmp_path, extra, digest):
+    out = tmp_path / "numbers"
+    argv = ["probe-numbers", "--languages", "en", "de", "nl", "--lines", "50", "--seed", "7"]
+    assert main([*argv, *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "records.tsv").read_bytes()).hexdigest() == digest
 
 
 # --- dictionaries -------------------------------------------------------------------

@@ -1,7 +1,28 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from multipar.rng import Stream, stream
+from multipar.rng import Stream, _fnv1a64, stream, streams
+
+
+def test_splitmix64_published_vector():
+    rng = Stream(1234567)
+    assert [rng.next_u64() for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, digest",
+    [("", 0xCBF29CE484222325), ("a", 0xAF63DC4C8601EC8C), ("foobar", 0x85944171F73967E8)],
+)
+def test_fnv1a64_published_vectors(label, digest):
+    assert _fnv1a64(label) == digest
+
+
+@given(st.text(max_size=20), st.text(max_size=20))
+def test_fnv1a64_continues_a_prefix_hash(prefix, suffix):
+    assert _fnv1a64(suffix, _fnv1a64(prefix)) == _fnv1a64(prefix + suffix)
 
 
 def test_same_seed_same_sequence():
@@ -47,6 +68,44 @@ def test_randbelow_range(n, seed):
 def test_randbelow_rejects_nonpositive():
     with pytest.raises(ValueError):
         Stream(0).randbelow(0)
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 10**20])
+def test_draws_wider_than_64_bits_are_rejected(n):
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        Stream(0).randbelow(n)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        Stream(0).randints(0, n - 1, 1)
+
+
+# spans n = hi - lo + 1 with no, rare and frequent (n = 2**63 + 1: about half
+# of all raw draws) rejections, up to the widest, 2**64
+SPANS = st.one_of(
+    st.integers(min_value=1, max_value=10_000),
+    st.integers(min_value=1, max_value=2**64),
+    st.sampled_from([2**63 + 1, 2**63 + 2**62, 2**64 - 1, 2**64]),
+)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=-(2**70),
+       max_value=2**70), SPANS, st.integers(min_value=0, max_value=40))
+def test_randints_equals_successive_randint_calls(seed, lo, n, k):
+    batched, single = Stream(seed), Stream(seed)
+    assert batched.randints(lo, lo + n - 1, k) == [single.randint(lo, lo + n - 1) for _ in range(k)]
+    assert batched._state == single._state
+    assert batched.next_u64() == single.next_u64()
+
+
+def test_randints_rejects_an_empty_range():
+    with pytest.raises(ValueError):
+        Stream(0).randints(5, 4, 3)
+
+
+@given(st.integers(min_value=-(2**65), max_value=2**65), st.text(max_size=12),
+       st.integers(min_value=0, max_value=30))
+def test_streams_equal_one_stream_per_label(seed, prefix, count):
+    got = [rng.next_u64() for rng in streams(seed, prefix, count)]
+    assert got == [stream(seed, f"{prefix}{i}").next_u64() for i in range(count)]
 
 
 def test_randint_closed_range():
