@@ -4,11 +4,21 @@ Covers direction enumeration and nested sampling, family restriction,
 row subsetting, bucketed multi-parallel vs. multi-directional settings,
 language-tag serialization, horizontal expansion, and bitext emission.
 
-A dataset's ``blocks`` are runs ``(direction, sources, targets)`` of aligned
-sentence tuples; records follow block order, and a direction may recur in
-later blocks.  Counts are computed from the blocks, and ``records`` is a
-per-record view built on request.  ``emit_bitext`` writes the on-disk formats
-and ``read_bitext_tsv`` reads the ``tsv`` one back through
+A dataset's ``blocks`` are runs ``(direction, sources, targets, positions)``:
+record k of a block is ``(sources[positions[k]], targets[positions[k]])``.
+``build_pairwise`` puts the corpus columns themselves in its blocks, with a
+``range`` of positions when no row is skipped and a compact ``array``
+otherwise, shared by a direction and its reverse; ``read_bitext_tsv`` and
+the probes give each block columns of its own.  Records follow block order,
+and a direction may recur in later blocks.
+
+A tag strategy is recorded on the dataset by ``apply_tags`` and applied as
+records are written or viewed: each block gets one (source, target) prefix
+pair, and no prefixed copy of any sentence is made.  Counts are computed
+from the blocks, and ``records`` is a per-record view built on request.
+``emit_bitext`` checks every cell it will write before it creates anything,
+then writes the on-disk formats in chunks of joined lines;
+``read_bitext_tsv`` reads the ``tsv`` one back through
 :mod:`multipar.textio`, naming ``records.tsv:<line>`` for a bad record or
 direction.
 
@@ -20,7 +30,10 @@ seed, and likewise for row counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
+from itertools import chain, compress, filterfalse, repeat
+from operator import not_
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -185,6 +198,14 @@ class TagStrategy:
         if self.kind not in self.KINDS:
             raise DatagenError(f"unknown tag strategy {self.kind!r}")
 
+    def prefixes(self, d: Direction) -> tuple[str, str]:
+        """The (source, target) text put before every record of direction ``d``."""
+        if self.kind == "one_tag":
+            return TARGET_TAG.format(code=d.tgt) + " ", ""
+        if self.kind == "two_tag":
+            return SOURCE_TAG.format(code=d.src) + " ", TWO_TAG_TARGET.format(code=d.tgt) + " "
+        return "", ""
+
 
 @dataclass(frozen=True, slots=True)
 class BitextRecord:
@@ -193,33 +214,43 @@ class BitextRecord:
     tgt_text: str
 
 
-# (direction, sources, targets): aligned, non-empty tuples of sentences
-Block = tuple[Direction, tuple[str, ...], tuple[str, ...]]
+# (direction, sources, targets, positions): record k is
+# (sources[positions[k]], targets[positions[k]]); positions is non-empty
+Block = tuple[Direction, Sequence[str], Sequence[str], Sequence[int]]
 
 
 @dataclass(frozen=True)
 class FtDataset:
+    """Direction blocks, a manifest, and the tags added to the records.
+
+    ``tags`` is applied when records are emitted or viewed; the manifest's
+    ``tag_strategy`` says which tags the emitted text carries.  ``row_ids``
+    names the row of each column position when the columns are a corpus's;
+    when it is None, a position names itself.
+    """
+
     blocks: tuple[Block, ...]
     manifest: Mapping[str, object] = field(default_factory=dict)
+    tags: TagStrategy = TagStrategy("none")
+    row_ids: Sequence[int] | None = None
 
     def __post_init__(self):
-        for d, sources, targets in self.blocks:
-            if not sources or len(sources) != len(targets):
-                raise DatagenError(
-                    f"block for {d} has {len(sources)} sources and {len(targets)} targets"
-                )
+        for d, _sources, _targets, positions in self.blocks:
+            if not positions:
+                raise DatagenError(f"block for {d} has no records")
 
     def __len__(self) -> int:
-        return sum(len(sources) for _d, sources, _t in self.blocks)
+        return sum(len(block[3]) for block in self.blocks)
 
     @property
     def records(self) -> tuple[BitextRecord, ...]:
-        """Record view, built on request: one record per aligned sentence pair."""
-        return tuple(
-            BitextRecord(d, s, t)
-            for d, sources, targets in self.blocks
-            for s, t in zip(sources, targets)
-        )
+        """Record view, built on request: one record per aligned sentence pair,
+        with the tags applied."""
+        records = []
+        for d, sources, targets, positions in self.blocks:
+            sp, tp = self.tags.prefixes(d)
+            records.extend(BitextRecord(d, sp + sources[i], tp + targets[i]) for i in positions)
+        return tuple(records)
 
 
 def build_pairwise(
@@ -231,29 +262,43 @@ def build_pairwise(
 
     Order is direction-major with rows in the given order; rows with a
     missing (empty) side are skipped and counted in the manifest, and a
-    direction whose rows are all skipped gets no block.
+    direction whose rows are all skipped gets no block.  Blocks hold the
+    corpus columns; their positions are a ``range`` when every row is kept,
+    else an ``array`` shared by the direction and its reverse.
     """
     columns = corpus.columns
     for d in dirs:
         if d.src not in columns or d.tgt not in columns:
             raise DatagenError(f"direction {d} references a language absent from corpus")
+    n = corpus.n_rows
     if row_ids is None:
-        row_ids = list(corpus.row_ids)
-    index = {rid: i for i, rid in enumerate(corpus.row_ids)}
-    try:
-        positions = [index[rid] for rid in row_ids]
-    except KeyError as exc:
-        raise DatagenError(f"row id {exc.args[0]} not in corpus") from None
+        row_ids = corpus.row_ids
+        rows: Sequence[int] = range(n)
+    else:
+        index = {rid: i for i, rid in enumerate(corpus.row_ids)}
+        try:
+            rows = _position_array(map(index.__getitem__, row_ids), n)
+        except KeyError as exc:
+            raise DatagenError(f"row id {exc.args[0]} not in corpus") from None
 
+    empty: dict[str, set[int]] = {}  # code -> positions of its missing cells
+    kept_for_pair: dict[frozenset[str], Sequence[int]] = {}
     blocks: list[Block] = []
     skipped: dict[str, int] = {}
     for d in dirs:
-        src, tgt = columns[d.src], columns[d.tgt]
-        kept = [i for i in positions if src[i] and tgt[i]]
-        if len(kept) < len(positions):
-            skipped[str(d)] = len(positions) - len(kept)
+        pair = frozenset((d.src, d.tgt))
+        if pair not in kept_for_pair:
+            for code in pair:
+                if code not in empty:
+                    empty[code] = set(compress(range(n), map(not_, columns[code])))
+            gaps = empty[d.src] | empty[d.tgt]
+            kept = _position_array(filterfalse(gaps.__contains__, rows), n) if gaps else rows
+            kept_for_pair[pair] = kept if len(kept) < len(rows) else rows
+        kept = kept_for_pair[pair]
+        if len(kept) < len(rows):
+            skipped[str(d)] = len(rows) - len(kept)
         if kept:
-            blocks.append((d, tuple(src[i] for i in kept), tuple(tgt[i] for i in kept)))
+            blocks.append((d, columns[d.src], columns[d.tgt], kept))
     manifest = {
         "corpus_id": corpus.provenance.get("source", "unknown"),
         "directions": [str(d) for d in dirs],
@@ -262,7 +307,12 @@ def build_pairwise(
         "tag_strategy": "none",
         "skipped": skipped,
     }
-    return FtDataset(tuple(blocks), manifest)
+    return FtDataset(tuple(blocks), manifest, row_ids=corpus.row_ids)
+
+
+def _position_array(positions: Iterable[int], n_rows: int) -> array:
+    """Positions into columns of ``n_rows`` cells, stored without int objects."""
+    return array("I" if n_rows <= 2 ** (8 * array("I").itemsize) else "Q", positions)
 
 
 @dataclass(frozen=True)
@@ -322,7 +372,7 @@ def build_multiparallel_setting(
         "bucket": chosen_bucket,
         "seed": seed,
     }
-    return FtDataset(dataset.blocks, manifest)
+    return replace(dataset, manifest=manifest)
 
 
 def build_multidirectional_setting(
@@ -355,33 +405,22 @@ def build_multidirectional_setting(
         "skipped": skipped,
         "seed": seed,
     }
-    return FtDataset(tuple(blocks), manifest)
+    return FtDataset(tuple(blocks), manifest, row_ids=corpus.row_ids)
 
 
 def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
-    """Serialize language tags onto the dataset per the strategy.
+    """The dataset with language tags per the strategy, added to each record
+    as it is emitted or viewed.
 
     Tagging an already-tagged dataset is an error (detected via the
-    manifest), since tags are plain text once applied.
+    manifest), since tags are plain text once emitted.
     """
     if dataset.manifest.get("tag_strategy", "none") != "none" and strategy.kind != "none":
         raise DatagenError("dataset is already tagged")
     if strategy.kind == "none":
         return dataset
-    blocks = []
-    for d, sources, targets in dataset.blocks:
-        if strategy.kind == "one_tag":
-            sources = _prefixed(TARGET_TAG.format(code=d.tgt), sources)
-        else:
-            sources = _prefixed(SOURCE_TAG.format(code=d.src), sources)
-            targets = _prefixed(TWO_TAG_TARGET.format(code=d.tgt), targets)
-        blocks.append((d, sources, targets))
     manifest = {**dataset.manifest, "tag_strategy": strategy.kind}
-    return FtDataset(tuple(blocks), manifest)
-
-
-def _prefixed(tag: str, texts: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(f"{tag} {text}" for text in texts)
+    return replace(dataset, manifest=manifest, tags=strategy)
 
 
 def horizontal_expand(
@@ -402,10 +441,60 @@ def horizontal_expand(
     return expanded, 2 * corpus.n_languages
 
 
-def _check_emittable(text: str) -> str:
-    if "\t" in text or "\n" in text or "\r" in text:
-        raise DatagenError(f"embedded tab/newline in record text: {text!r}")
-    return text
+# records written per chunk: one joined string per chunk
+_CHUNK = 8192
+
+
+def _unwritable(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text
+
+
+def _unwritable_cells(column: Sequence[str]) -> dict[int, str]:
+    """Position -> text of every cell holding a tab, LF or CR."""
+    bad = {}
+    for start in range(0, len(column), _CHUNK):
+        cells = column[start:start + _CHUNK]
+        if _unwritable("".join(cells)):
+            bad.update((i, t) for i, t in enumerate(cells, start) if _unwritable(t))
+    return bad
+
+
+def _check_writable(dataset: FtDataset) -> None:
+    """Raise on the first block whose tags or records hold a tab, LF or CR,
+    naming its direction and row; each column is scanned once."""
+    bad: dict[int, dict[int, str]] = {}  # id(column) -> its unwritable cells
+    for d, sources, targets, positions in dataset.blocks:
+        for prefix in dataset.tags.prefixes(d):
+            if _unwritable(prefix):
+                raise DatagenError(f"{d}: embedded tab/newline in tag {prefix!r}")
+        for column in (sources, targets):
+            if id(column) not in bad:
+                bad[id(column)] = _unwritable_cells(column)
+            cells = bad[id(column)]
+            hit = next(filter(cells.__contains__, positions), None) if cells else None
+            if hit is not None:
+                row = hit if dataset.row_ids is None else dataset.row_ids[hit]
+                raise DatagenError(
+                    f"{d} row {row}: embedded tab/newline in record text: {cells[hit]!r}"
+                )
+
+
+def _cells(column: Sequence[str], chunk: Sequence[int]) -> Iterable[str]:
+    """The column's cells at the chunk's positions, sliced when consecutive."""
+    if isinstance(chunk, range) and chunk.step == 1:
+        return column[chunk.start:chunk.stop]
+    return map(column.__getitem__, chunk)
+
+
+def _write_lines(fh, positions: Sequence[int], *layout: str | Sequence[str]) -> None:
+    """Write one line per position: the concatenation of ``layout``, where a
+    string stands for itself and a column for its cell at that position.
+    Each chunk of lines is one joined string."""
+    for start in range(0, len(positions), _CHUNK):
+        chunk = positions[start:start + _CHUNK]
+        parts = [repeat(part) if isinstance(part, str) else _cells(part, chunk)
+                 for part in layout if part != ""]
+        fh.write("".join(chain.from_iterable(zip(*parts))))
 
 
 def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
@@ -419,6 +508,7 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
         raise DatagenError("refusing to emit an empty dataset")
     if mode not in ("tsv", "split_files"):
         raise DatagenError(f"unknown emit mode {mode!r}")
+    _check_writable(dataset)
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     runs: dict[Direction, list[Block]] = {}
@@ -426,20 +516,20 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
         runs.setdefault(block[0], []).append(block)
     if mode == "tsv":
         with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            for d, sources, targets in dataset.blocks:
-                fh.writelines(
-                    f"{d.src}\t{d.tgt}\t{_check_emittable(s)}\t{_check_emittable(t)}\n"
-                    for s, t in zip(sources, targets)
-                )
+            for d, sources, targets, positions in dataset.blocks:
+                sp, tp = dataset.tags.prefixes(d)
+                _write_lines(fh, positions, f"{d.src}\t{d.tgt}\t{sp}", sources, f"\t{tp}",
+                             targets, "\n")
     else:
         for d, blocks in runs.items():
             base = out / str(d)
+            sp, tp = dataset.tags.prefixes(d)
             with open(f"{base}.src", "w", encoding="utf-8", newline="\n") as sfh, \
                     open(f"{base}.tgt", "w", encoding="utf-8", newline="\n") as tfh:
-                for _d, sources, targets in blocks:
-                    sfh.writelines(_check_emittable(s) + "\n" for s in sources)
-                    tfh.writelines(_check_emittable(t) + "\n" for t in targets)
-    per_direction = {str(d): sum(len(b[1]) for b in blocks) for d, blocks in runs.items()}
+                for _d, sources, targets, positions in blocks:
+                    _write_lines(sfh, positions, sp, sources, "\n")
+                    _write_lines(tfh, positions, tp, targets, "\n")
+    per_direction = {str(d): sum(len(b[3]) for b in blocks) for d, blocks in runs.items()}
     manifest = {
         **dataset.manifest,
         "format": mode,
@@ -476,4 +566,6 @@ def read_bitext_tsv(directory: str | Path) -> FtDataset:
     manifest = {"tag_strategy": "none"}
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
-    return FtDataset(tuple((d, tuple(s), tuple(t)) for d, s, t in runs), manifest)
+    return FtDataset(
+        tuple((d, tuple(s), tuple(t), range(len(s))) for d, s, t in runs), manifest
+    )

@@ -84,7 +84,7 @@ def gen_number_pairs(
             " ".join(map(str, rng.randints(lo, hi, k)))
             for rng in streams(config.seed, f"numbers/{d}/", lines_per_direction)
         )
-        blocks.append((d, lines, lines))
+        blocks.append((d, lines, lines, range(lines_per_direction)))
     manifest = {
         "corpus_id": "number_pairs",
         "directions": [str(d) for d in dirs],
@@ -176,7 +176,7 @@ def build_word_pair_dataset(
         entries = by_pair[key].oriented(direction)
         if entries:
             sources, targets = zip(*entries)
-            blocks.append((direction, sources, targets))
+            blocks.append((direction, sources, targets, range(len(sources))))
     manifest = {
         "corpus_id": "word_pairs",
         "directions": [str(d) for d in dirs],
@@ -214,10 +214,3 @@ def match_token_budget(
         achieved_tokens=lines * tokens_per_line * num_directions,
     )
 
-
-def count_whitespace_tokens(dataset: FtDataset, side: str = "src") -> int:
-    """Whitespace-tokenized token count over one side of a dataset."""
-    if side not in ("src", "tgt"):
-        raise ProbeError(f"unknown side {side!r}")
-    side_index = 1 if side == "src" else 2
-    return sum(len(text.split()) for block in dataset.blocks for text in block[side_index])

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multipar import save_corpus
+from multipar import MultiParallelCorpus, save_corpus
 from multipar.cli import main
 
 from helpers import full_corpus, synthetic_sentences
@@ -337,3 +337,24 @@ def test_tag_rejects_bad_direction_with_file_line(tmp_path, capsys, line):
     assert envelope["error"] == "DatagenError"
     assert envelope["message"].startswith(f"{tmp_path / 'records.tsv'}:2: direction with")
     assert not (tmp_path / "out").exists()
+
+
+# --- unwritable records ----------------------------------------------------------
+
+
+def test_unwritable_record_fails_before_anything_is_written(tmp_path, capsys):
+    # a tab in the last cell used to leave a records.tsv of 4,999 lines
+    n = 5000
+    columns = {
+        "en": tuple(f"en {i}" for i in range(n)),
+        "de": tuple(f"de {i}" for i in range(n - 1)) + ("de\tlast",),
+    }
+    save_corpus(MultiParallelCorpus(columns, tuple(range(10_000, 10_000 + n))), tmp_path / "corpus")
+    out = tmp_path / "out"
+    envelope = json_error(["build-ft", "--corpus", str(tmp_path / "corpus"), "--out", str(out)], capsys)
+    assert envelope["error"] == "DatagenError"
+    assert envelope["message"] == (
+        "de-en row 14999: embedded tab/newline in record text: 'de\\tlast'"
+    )
+    assert not (out / "records.tsv").exists()
+    assert not out.exists()

@@ -1,11 +1,17 @@
+import hashlib
 import itertools
 import json
+import tempfile
+from array import array
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multipar import (
     Direction,
     DirectionSet,
+    MultiParallelCorpus,
     TagStrategy,
     apply_tags,
     build_multidirectional_setting,
@@ -18,7 +24,9 @@ from multipar import (
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
+    save_corpus,
 )
+from multipar.cli import main
 from multipar.datagen import DatagenError, read_bitext_tsv
 from multipar.registry import ec30
 
@@ -181,10 +189,14 @@ def test_build_pairwise_skips_empty_sides_and_counts_them():
 def test_build_pairwise_respects_row_subset_order():
     corpus = full_corpus(["en", "de"], 5)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]), row_ids=[3, 1])
-    assert [(str(d), sources) for d, sources, _t in ds.blocks] == [
-        ("de-en", ("de r 3 alpha beta", "de r 1 alpha beta")),
-        ("en-de", ("en r 3 alpha beta", "en r 1 alpha beta")),
+    assert [(str(r.direction), r.src_text) for r in ds.records] == [
+        ("de-en", "de r 3 alpha beta"), ("de-en", "de r 1 alpha beta"),
+        ("en-de", "en r 3 alpha beta"), ("en-de", "en r 1 alpha beta"),
     ]
+    # blocks reference the corpus columns; one position array serves both directions
+    (d0, s0, t0, p0), (d1, s1, t1, p1) = ds.blocks
+    assert s0 is t1 is corpus.columns["de"] and t0 is s1 is corpus.columns["en"]
+    assert p0 is p1 and list(p0) == [3, 1]
 
 
 def test_build_pairwise_validates_inputs():
@@ -241,14 +253,14 @@ def test_settings_have_equal_record_counts_with_equal_buckets():
     assert len(multi_par) == len(multi_dir) == 4000
     # each bucket contributes exactly its two directions, one block each,
     # over that bucket's rows
-    assert [str(d) for d, _s, _t in multi_dir.blocks] == [
+    assert [str(d) for d, _s, _t, _p in multi_dir.blocks] == [
         str(d) for a, b in pairs.values() for d in (Direction(a, b), Direction(b, a))
     ]
     for bucket, (a, b) in pairs.items():
         rows = sorted(assignment.bucket_rows(bucket))
-        _d, sources, targets = multi_dir.blocks[2 * bucket]
-        assert sources == tuple(corpus.columns[a][r] for r in rows)
-        assert targets == tuple(corpus.columns[b][r] for r in rows)
+        _d, sources, targets, positions = multi_dir.blocks[2 * bucket]
+        assert [sources[i] for i in positions] == [corpus.columns[a][r] for r in rows]
+        assert [targets[i] for i in positions] == [corpus.columns[b][r] for r in rows]
 
 
 def test_multidirectional_requires_total_pair_map():
@@ -342,9 +354,14 @@ def test_emit_rejects_empty_and_tabs(tmp_path):
         emit_bitext(ds, "parquet", tmp_path)
     from multipar import FtDataset
 
-    bad = FtDataset(((Direction("de", "en"), ("has\ttab",), ("x",)),), {})
-    with pytest.raises(DatagenError):
-        emit_bitext(bad, "tsv", tmp_path)
+    bad = FtDataset(((Direction("de", "en"), ("ok", "has\ttab"), ("x", "y"), range(2)),), {})
+    with pytest.raises(DatagenError, match=r"^de-en row 1: embedded tab/newline"):
+        emit_bitext(bad, "tsv", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # a bad cell no record uses is never written, so it is no error
+    emit_bitext(FtDataset(((Direction("de", "en"), ("ok", "has\ttab"), ("x", "y"), range(1)),)),
+                "tsv", tmp_path / "first")
+    assert (tmp_path / "first" / "records.tsv").read_text() == "de\ten\tok\tx\n"
     with pytest.raises(DatagenError):
         emit_bitext(FtDataset((), {}), "tsv", tmp_path)
 
@@ -355,7 +372,7 @@ def test_emit_split_files_skips_fully_skipped_direction(tmp_path):
 
     corpus = MultiParallelCorpus(columns, (0, 1))
     ds = build_pairwise(corpus, enumerate_directions(["en", "de", "nl"]))
-    assert [str(d) for d, _s, _t in ds.blocks] == ["de-en", "en-de"]
+    assert [str(d) for d, _s, _t, _p in ds.blocks] == ["de-en", "en-de"]
     emit_bitext(ds, "split_files", tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "de-en.src", "de-en.tgt", "en-de.src", "en-de.tgt", "manifest.json"
@@ -368,7 +385,9 @@ def test_emit_split_files_joins_a_recurring_direction(tmp_path):
     from multipar import FtDataset
 
     de_en, en_de = Direction("de", "en"), Direction("en", "de")
-    ds = FtDataset(((de_en, ("a",), ("b",)), (en_de, ("c",), ("d",)), (de_en, ("e",), ("f",))))
+    one = range(1)
+    ds = FtDataset(((de_en, ("a",), ("b",), one), (en_de, ("c",), ("d",), one),
+                    (de_en, ("e",), ("f",), one)))
     emit_bitext(ds, "split_files", tmp_path)
     assert (tmp_path / "de-en.src").read_text() == "a\ne\n"
     assert (tmp_path / "de-en.tgt").read_text() == "b\nf\n"
@@ -380,13 +399,11 @@ def test_dataset_rejects_empty_and_ragged_blocks():
     from multipar import FtDataset
 
     d = Direction("de", "en")
-    with pytest.raises(DatagenError, match="0 sources"):
-        FtDataset(((d, (), ()),))
-    with pytest.raises(DatagenError, match="2 sources and 1 targets"):
-        FtDataset(((d, ("a", "b"), ("x",)),))
-    ds = FtDataset(((d, ("a", "b"), ("x", "y")),))
+    with pytest.raises(DatagenError, match="block for de-en has no records"):
+        FtDataset(((d, ("a",), ("x",), range(0)),))
+    ds = FtDataset(((d, ("a", "b", "c"), ("x", "y", "z"), array("I", [2, 0])),))
     assert len(ds) == 2
-    assert [(r.src_text, r.tgt_text) for r in ds.records] == [("a", "x"), ("b", "y")]
+    assert [(r.src_text, r.tgt_text) for r in ds.records] == [("c", "z"), ("a", "x")]
 
 
 def test_read_bitext_tsv_groups_consecutive_lines_without_manifest(tmp_path):
@@ -396,9 +413,153 @@ def test_read_bitext_tsv_groups_consecutive_lines_without_manifest(tmp_path):
     ds = read_bitext_tsv(tmp_path)
     de_en, en_de = Direction("de", "en"), Direction("en", "de")
     assert ds.blocks == (
-        (de_en, ("a", "c"), ("b", "d")), (en_de, ("e",), ("f",)), (de_en, ("g",), ("h",))
+        (de_en, ("a", "c"), ("b", "d"), range(2)),
+        (en_de, ("e",), ("f",), range(1)),
+        (de_en, ("g",), ("h",), range(1)),
     )
     assert ds.manifest == {"tag_strategy": "none"}
     (tmp_path / "records.tsv").write_text("de\ten\ta\n", encoding="utf-8")
     with pytest.raises(DatagenError, match="records.tsv:1"):
         read_bitext_tsv(tmp_path)
+
+
+# --- emitted bytes ------------------------------------------------------------------
+
+
+def _golden_corpus(path):
+    ids = tuple(range(100, 140))
+    columns = {
+        c: tuple(
+            "" if (c == "de" and i % 7 == 3) or (c == "nl" and i % 5 == 1) else f"{c} row {i} ünï"
+            for i in range(40)
+        )
+        for c in ("en", "de", "nl", "fr")
+    }
+    save_corpus(MultiParallelCorpus(columns, ids, {"source": "golden"}), path)
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["build-ft", "--rows", "25", "--seed", "4", "--tag", "two_tag"],
+         {"records.tsv": "0cfe12aa4a8e89dc62fb8d311c2006a2092f0b1c0af69e6667c9003de0c8d919",
+          "manifest.json": "7b5e36049cd84d7dc784506c51fe9e760e27c09a7ed58abcee13f21e622a6330"}),
+        (["build-ft"],
+         {"records.tsv": "f133957c0c7fddde86e471b75ff7b803da6364bcd8f0adb932091eeab4a53ff8"}),
+        (["tag", "--tag", "one_tag"],
+         {"records.tsv": "39eb8e3d851e362c574426c45237cf5345f57cd7f95441907aa1a663888cc4ae",
+          "manifest.json": "94a7a8140a55192c18ae8b9fad2bc5f5049e01c622e91e0fb5aed2c1c11c62fc"}),
+        (["build-ft", "--rows", "25", "--seed", "4", "--tag", "one_tag", "--format", "split_files"],
+         {"de-nl.src": "b5893fca69be1aaebc6c000e3b6bc1266b2da0b9cee76b8955b4dddfac2838cc",
+          "de-nl.tgt": "3cd12aaff1048cf4339e27da18d5d3da9da765172d42c84a8d2b70be37af92cb",
+          "manifest.json": "99436a9758c5d97f0ec1f9bee88f5d3f19156259c82a723fb1f48a53ff860b8e"}),
+    ],
+    ids=["build-ft-two_tag", "build-ft", "tag-one_tag", "build-ft-split_files"],
+)
+def test_emitted_bytes_are_pinned(tmp_path, argv, digests):
+    # corpus columns with gaps, row ids that are not positions, and non-ASCII text
+    _golden_corpus(tmp_path / "corpus")
+    corpus_args = ["--corpus", str(tmp_path / "corpus")]
+    if argv[0] == "tag":
+        assert main(["build-ft", *corpus_args, "--out", str(tmp_path / "plain")]) == 0
+        corpus_args = ["--dataset", str(tmp_path / "plain")]
+    out = tmp_path / "out"
+    assert main([argv[0], *corpus_args, *argv[1:], "--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# The reference below makes, tags and writes records one at a time, as the
+# code did before blocks referenced corpus columns; it is kept to check them.
+
+
+def _reference_records(corpus, dirs, row_ids):
+    ids = list(corpus.row_ids) if row_ids is None else row_ids
+    at = {rid: i for i, rid in enumerate(corpus.row_ids)}
+    records = []
+    for d in dirs:
+        for rid in ids:
+            s, t = corpus.columns[d.src][at[rid]], corpus.columns[d.tgt][at[rid]]
+            if s and t:
+                records.append((d, s, t))
+    return records
+
+
+def _reference_tagged(records, kind):
+    if kind == "one_tag":
+        return [(d, f"<2{d.tgt}> {s}", t) for d, s, t in records]
+    if kind == "two_tag":
+        return [(d, f"<src:{d.src}> {s}", f"<tgt:{d.tgt}> {t}") for d, s, t in records]
+    return records
+
+
+def _reference_files(records, mode):
+    if mode == "tsv":
+        return {"records.tsv": "".join(f"{d.src}\t{d.tgt}\t{s}\t{t}\n" for d, s, t in records)}
+    files = {}
+    for d, s, t in records:
+        files[f"{d}.src"] = files.get(f"{d}.src", "") + s + "\n"
+        files[f"{d}.tgt"] = files.get(f"{d}.tgt", "") + t + "\n"
+    return files
+
+
+def _check_emit(ds, expected, out):
+    """``ds`` views and writes ``expected``, as the reference writer would."""
+    assert [(r.direction, r.src_text, r.tgt_text) for r in ds.records] == expected
+    assert len(ds) == len(expected)
+    for mode in ("tsv", "split_files"):
+        if any("\t" in s + t for _d, s, t in expected):
+            with pytest.raises(DatagenError, match="embedded tab"):
+                emit_bitext(ds, mode, out / mode)
+            assert not (out / mode).exists()
+            continue
+        emit_bitext(ds, mode, out / mode)
+        written = {p.name: p.read_bytes() for p in (out / mode).iterdir()}
+        manifest = json.loads(written.pop("manifest.json"))
+        reference = _reference_files(expected, mode)
+        assert written == {name: text.encode("utf-8") for name, text in reference.items()}
+        per_direction = {}
+        for d, _s, _t in expected:
+            per_direction[str(d)] = per_direction.get(str(d), 0) + 1
+        assert manifest["counts"] == {"records": len(expected), "per_direction": per_direction}
+
+
+# empty cells are missing, and the alphabet holds non-BMP letters
+CELLS = st.text(st.sampled_from("ab ü😀𝔘"), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blocks_write_what_the_per_record_reference_writes(data):
+    codes = data.draw(st.lists(st.sampled_from(["en", "de", "nl", "fr"]),
+                               min_size=2, max_size=4, unique=True))
+    n = data.draw(st.integers(1, 8))
+    row_ids = tuple(data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True)))
+    columns = {c: data.draw(st.lists(CELLS, min_size=n, max_size=n)) for c in codes}
+    if data.draw(st.booleans()):
+        # an unwritable cell, an error only when a record uses it
+        code, i = data.draw(st.sampled_from(codes)), data.draw(st.integers(0, n - 1))
+        columns[code][i] = "x\ty"
+    corpus = MultiParallelCorpus({c: tuple(v) for c, v in columns.items()}, row_ids)
+    subset = data.draw(st.none() | st.lists(st.sampled_from(row_ids), min_size=1, unique=True))
+    kind, reread_kind = data.draw(st.tuples(*[st.sampled_from(TagStrategy.KINDS)] * 2))
+    dirs = enumerate_directions(codes)
+    plain = _reference_records(corpus, dirs, subset)
+    ds = apply_tags(build_pairwise(corpus, dirs, subset), TagStrategy(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        if not plain:
+            with pytest.raises(DatagenError, match="empty dataset"):
+                emit_bitext(ds, "tsv", out / "none")
+            return
+        _check_emit(ds, _reference_tagged(plain, kind), out / "built")
+        if any("\t" in s + t for _d, s, t in plain):
+            return
+        # a records.tsv whose directions recur, read back and tagged at emit
+        again = plain + plain[: len(plain) // 2 + 1]
+        (out / "again").mkdir()
+        (out / "again" / "records.tsv").write_text(
+            _reference_files(again, "tsv")["records.tsv"], encoding="utf-8"
+        )
+        back = apply_tags(read_bitext_tsv(out / "again"), TagStrategy(reread_kind))
+        _check_emit(back, _reference_tagged(again, reread_kind), out / "reread")

@@ -19,7 +19,7 @@ from multipar import (
 )
 from multipar.cli import main
 from multipar.datagen import Direction, enumerate_directions
-from multipar.probes import ProbeError, count_whitespace_tokens, load_muse_dictionary
+from multipar.probes import ProbeError, load_muse_dictionary
 from multipar.rng import stream
 
 from helpers import brute_force_join
@@ -50,9 +50,10 @@ def test_number_pairs_deterministic_per_direction_and_line():
     # must not change existing lines
     wider = enumerate_directions(["en", "de", "nl"])
     c = gen_number_pairs(wider, 3, config)
-    by_direction = {d: sources for d, sources, _t in c.blocks}
-    for d, sources, targets in a.blocks:
+    by_direction = {d: sources for d, sources, _t, _p in c.blocks}
+    for d, sources, targets, positions in a.blocks:
         assert by_direction[d] == sources == targets
+        assert positions == range(3)
 
 
 def test_number_pairs_seed_sensitivity_and_validation():
@@ -87,7 +88,8 @@ def test_number_pairs_equal_one_randint_per_token(lo, span, tokens, seed):
     dirs = enumerate_directions(["en", "de"])
     config = ProbeConfig(digit_min=lo, digit_max=lo + span, tokens_per_line=tokens, seed=seed)
     ds = gen_number_pairs(dirs, 3, config)
-    for d, sources, _targets in ds.blocks:
+    for d, sources, _targets, positions in ds.blocks:
+        assert positions == range(len(sources)) == range(3)
         for i, line in enumerate(sources):
             rng = stream(seed, f"numbers/{d}/{i}")
             assert line == " ".join(str(rng.randint(lo, lo + span)) for _ in range(tokens))
@@ -267,17 +269,13 @@ def test_match_token_budget_minimum_one_line():
     assert report.lines_per_direction == 1
 
 
-def test_count_whitespace_tokens():
-    dirs = enumerate_directions(["en", "de"])
-    ds = gen_number_pairs(dirs, 4, ProbeConfig(tokens_per_line=7, seed=0))
-    assert count_whitespace_tokens(ds, "src") == 2 * 4 * 7
-    assert count_whitespace_tokens(ds, "tgt") == 2 * 4 * 7
-    with pytest.raises(ProbeError):
-        count_whitespace_tokens(ds, "middle")
-
-
-def test_budget_then_generate_hits_budget():
-    dirs = enumerate_directions(["en", "de", "nl"])  # 6 directions
-    report = match_token_budget(597, tokens_per_line=10, num_directions=len(dirs))
-    ds = gen_number_pairs(dirs, report.lines_per_direction, ProbeConfig(seed=0))
-    assert count_whitespace_tokens(ds, "src") == report.achieved_tokens == 600
+def test_budget_then_generate_hits_budget(tmp_path):
+    # 6 directions: 597 tokens round to 10 lines of 10 tokens each
+    report = match_token_budget(597, tokens_per_line=10, num_directions=6)
+    out = tmp_path / "numbers"
+    argv = ["probe-numbers", "--languages", "en", "de", "nl", "--token-budget", "597",
+            "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    records = [line.split("\t") for line in (out / "records.tsv").read_text().splitlines()]
+    assert sum(len(src.split()) for _s, _t, src, _tgt in records) == report.achieved_tokens == 600
+    assert sum(len(tgt.split()) for _s, _t, _src, tgt in records) == 600
