@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .datagen import Direction, DirectionSet, FtDataset
-from .rng import stream, streams
+from .rng import _LANES, Stream, _rejection_limit, draws, stream, stream_states
 from .textio import read_records
 
 
@@ -72,18 +72,37 @@ def gen_number_pairs(
 
     Line i of direction d is ``tokens_per_line`` draws from
     ``stream(seed, f"numbers/{d}/{i}")``, a function of (direction, line
-    index, seed) alone.
+    index, seed) alone.  A direction's lines are drawn _LANES at a time with
+    :func:`~multipar.rng.draws`; a line with a draw that ``randint`` would
+    reject is drawn again alone by ``Stream.randints``.
     """
     if lines_per_direction < 1:
         raise ProbeError("lines_per_direction must be >= 1")
 
     lo, hi, k = config.digit_min, config.digit_max, config.tokens_per_line
+    n = hi - lo + 1
+    limit = _rejection_limit(n)
+    # a range no larger than a chunk's draws formats each value once
+    table = [str(lo + v) for v in range(n)] if n <= _LANES * k else None
+    # a draw at or above a limit of 2**64 - 2**32 or more has its 32 top bits
+    # set, so a chunk without four 0xFF bytes in a row has no rejected draw
+    screen = b"\xff" * 4 if limit >= 2**64 - 2**32 else b""
     blocks = []
     for d in dirs:
-        lines = tuple(
-            " ".join(map(str, rng.randints(lo, hi, k)))
-            for rng in streams(config.seed, f"numbers/{d}/", lines_per_direction)
-        )
+        states = stream_states(config.seed, f"numbers/{d}/", lines_per_direction)
+        lines = []
+        for a in range(0, lines_per_direction, _LANES):
+            chunk = states[a:a + _LANES]
+            values = draws(chunk, k)
+            if table is None:
+                tokens = [str(lo + v % n) for v in values]
+            else:
+                tokens = [table[v % n] for v in values]
+            lines += map(" ".join, zip(*[iter(tokens)] * k))
+            if screen in values.tobytes() and max(values) >= limit:
+                for i in {j // k for j, v in enumerate(values) if v >= limit}:
+                    lines[a + i] = " ".join(map(str, Stream(chunk[i]).randints(lo, hi, k)))
+        lines = tuple(lines)
         blocks.append((d, lines, lines, range(lines_per_direction)))
     manifest = {
         "corpus_id": "number_pairs",
@@ -201,8 +220,10 @@ def match_token_budget(
 
     Rounds to the nearest line count (half away from zero), minimum one line;
     the achieved budget is therefore within one line's tokens per direction
-    of the target.
+    of the target.  A negative target is a ProbeError.
     """
+    if target_total_tokens < 0:
+        raise ProbeError(f"token budget must be >= 0, got {target_total_tokens}")
     if target_total_tokens < tokens_per_line:
         lines = 1
     else:

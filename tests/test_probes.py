@@ -20,7 +20,8 @@ from multipar import (
 from multipar.cli import main
 from multipar.datagen import Direction, enumerate_directions
 from multipar.probes import ProbeError, load_muse_dictionary
-from multipar.rng import stream
+from multipar import probes
+from multipar.rng import _LANES, _rejection_limit, stream
 
 from helpers import brute_force_join
 
@@ -76,23 +77,53 @@ def test_number_pairs_digit_bounds_are_respected_and_attained():
     assert values == {1, 2, 3}
 
 
+# line counts that cross the 10 / 100 / 1,000 label digit-count groups and a chunk
+LINES = st.sampled_from([1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                         _LANES - 1, _LANES, _LANES + 1])
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.one_of(st.integers(min_value=0, max_value=2000),
-              st.integers(min_value=2**62, max_value=2**64 - 1)),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_number_pairs_equal_one_randint_per_token(lo, span, tokens, seed):
+@given(st.integers(min_value=-(2**70), max_value=2**70), st.integers(min_value=1, max_value=12),
+       LINES, st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_number_pairs_equal_one_randint_per_token(lo, tokens, lines, seed, data):
+    # spans: small, around the str-table cut-off of a chunk's draws, and near
+    # 2**63, where about half of all draws are rejected
+    cut = _LANES * tokens
+    span = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=2000),
+        st.sampled_from([cut - 2, cut - 1, cut]),
+        st.sampled_from([2**63 - 1, 2**63, 2**63 + 1]),
+        st.integers(min_value=2**62, max_value=2**64 - 1),
+    ))
     dirs = enumerate_directions(["en", "de"])
     config = ProbeConfig(digit_min=lo, digit_max=lo + span, tokens_per_line=tokens, seed=seed)
-    ds = gen_number_pairs(dirs, 3, config)
+    ds = gen_number_pairs(dirs, lines, config)
     for d, sources, _targets, positions in ds.blocks:
-        assert positions == range(len(sources)) == range(3)
+        assert positions == range(len(sources)) == range(lines)
         for i, line in enumerate(sources):
             rng = stream(seed, f"numbers/{d}/{i}")
             assert line == " ".join(str(rng.randint(lo, lo + span)) for _ in range(tokens))
+
+
+@pytest.mark.parametrize(
+    "hi", [1000, 2**36 - 1, 2**63 + 1],
+    # limits of 2**64 - 616, of 2**64 - 2**28 (only its top 32 bits are set)
+    # and of 2**63 + 1
+    ids=["small", "top-32-bits", "half"],
+)
+def test_a_draw_at_the_rejection_limit_redraws_its_line(monkeypatch, hi):
+    dirs = enumerate_directions(["en", "de"])
+    config = ProbeConfig(digit_min=1, digit_max=hi, tokens_per_line=3, seed=5)
+    expected = gen_number_pairs(dirs, 20, config).blocks
+    real = probes.draws
+
+    def planted(states, k):
+        values = real(states, k)
+        values[7] = _rejection_limit(hi)  # line 2, token 1: the least rejected draw
+        return values
+
+    monkeypatch.setattr(probes, "draws", planted)
+    assert gen_number_pairs(dirs, 20, config).blocks == expected
 
 
 def test_digit_range_wider_than_one_draw_is_a_probe_error():
@@ -117,19 +148,23 @@ def test_cli_digit_range_wider_than_one_draw_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "extra, digest",
+    "argv, digest",
     [
-        ([], "706f6858f02bdee0ab80751e01c04fcaba1d1aadb85307a561807d81ac30c353"),
+        (["--languages", "en", "de", "nl", "--lines", "50"],
+         "706f6858f02bdee0ab80751e01c04fcaba1d1aadb85307a561807d81ac30c353"),
         # about half of the raw draws of a 2**63 + 1 range are rejected
-        (["--digit-min", "0", "--digit-max", "9223372036854775808", "--tokens-per-line", "7"],
+        (["--languages", "en", "de", "nl", "--lines", "50", "--digit-min", "0",
+          "--digit-max", "9223372036854775808", "--tokens-per-line", "7"],
          "123fb65a23af213dc2224581f5c30ac0c779e46fd4c910fd7ded411a97f60011"),
+        # several chunks per direction, with line indices of 4 digits
+        (["--languages", "en", "de", "--lines", "5000"],
+         "ae7b82ac390ea55bc59ff8a9a7b01c9c8ea5acde7e8e68ec7d3363193951ac1d"),
     ],
-    ids=["default-range", "rejection"],
+    ids=["default-range", "rejection", "chunks"],
 )
-def test_number_probe_bytes_are_pinned(tmp_path, extra, digest):
+def test_number_probe_bytes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "numbers"
-    argv = ["probe-numbers", "--languages", "en", "de", "nl", "--lines", "50", "--seed", "7"]
-    assert main([*argv, *extra, "--out", str(out)]) == 0
+    assert main(["probe-numbers", *argv, "--seed", "7", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "records.tsv").read_bytes()).hexdigest() == digest
 
 
@@ -279,3 +314,15 @@ def test_budget_then_generate_hits_budget(tmp_path):
     records = [line.split("\t") for line in (out / "records.tsv").read_text().splitlines()]
     assert sum(len(src.split()) for _s, _t, src, _tgt in records) == report.achieved_tokens == 600
     assert sum(len(tgt.split()) for _s, _t, _src, tgt in records) == 600
+
+
+def test_negative_token_budget_exits_1(tmp_path, capsys):
+    argv = ["probe-numbers", "--languages", "en", "de", "--seed", "0"]
+    out = tmp_path / "negative"
+    assert main([*argv, "--token-budget", "-50", "--out", str(out)]) == 1
+    assert "token budget must be >= 0, got -50" in capsys.readouterr().err
+    assert not out.exists()
+    # a budget of 0 keeps the minimum of one line per direction
+    out = tmp_path / "zero"
+    assert main([*argv, "--token-budget", "0", "--out", str(out)]) == 0
+    assert len((out / "records.tsv").read_text().splitlines()) == 2

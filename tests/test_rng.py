@@ -1,15 +1,49 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from multipar.rng import Stream, _fnv1a64, stream, streams
+from array import array
+
+from multipar.rng import (
+    _GAMMA, _MASK64, Stream, _fnv1a64, _mix64, _mix64_lanes, _ones, _pack, _unpack, draws,
+    stream, stream_states,
+)
+
+PUBLISHED_1234567 = [
+    6457827717110365317, 3203168211198807973, 9817491932198370423,
+    4593380528125082431, 16408922859458223821,
+]
 
 
 def test_splitmix64_published_vector():
     rng = Stream(1234567)
-    assert [rng.next_u64() for _ in range(5)] == [
-        6457827717110365317, 3203168211198807973, 9817491932198370423,
-        4593380528125082431, 16408922859458223821,
-    ]
+    assert [rng.next_u64() for _ in range(5)] == PUBLISHED_1234567
+
+
+def test_mix64_lanes_reproduce_the_published_vector():
+    states = array("Q", [(1234567 + (t + 1) * _GAMMA) & _MASK64 for t in range(5)])
+    assert list(_unpack(_mix64_lanes(_pack(states), _ones(5) * _MASK64), 5)) == PUBLISHED_1234567
+
+
+U64 = st.integers(min_value=0, max_value=_MASK64)
+# 0, the largest state, and states whose first or second step wraps past 2**64
+STATES = st.one_of(U64, st.sampled_from([0, 1, _MASK64, 2**64 - _GAMMA, 2**64 - _GAMMA + 1,
+                                         2**65 - 2 * _GAMMA]))
+
+
+@given(st.lists(U64, max_size=40))
+def test_mix64_lanes_equal_mix64_per_lane(values):
+    # the whole int: every high half stays zero
+    mixed = _mix64_lanes(_pack(array("Q", values)), _ones(len(values)) * _MASK64)
+    assert mixed == _pack(array("Q", map(_mix64, values)))
+
+
+@given(st.lists(STATES, max_size=20), st.integers(min_value=0, max_value=12))
+def test_draws_equal_successive_next_u64_calls(states, k):
+    expected = []
+    for s in states:
+        rng = Stream(s)
+        expected += [rng.next_u64() for _ in range(k)]
+    assert list(draws(array("Q", states), k)) == expected
 
 
 @pytest.mark.parametrize(
@@ -101,11 +135,19 @@ def test_randints_rejects_an_empty_range():
         Stream(0).randints(5, 4, 3)
 
 
-@given(st.integers(min_value=-(2**65), max_value=2**65), st.text(max_size=12),
-       st.integers(min_value=0, max_value=30))
-def test_streams_equal_one_stream_per_label(seed, prefix, count):
-    got = [rng.next_u64() for rng in streams(seed, prefix, count)]
-    assert got == [stream(seed, f"{prefix}{i}").next_u64() for i in range(count)]
+# label counts that cross the 10 / 100 / 1,000 digit-count groups and a lane chunk
+COUNTS = st.one_of(st.integers(min_value=0, max_value=30),
+                   st.sampled_from([99, 100, 101, 999, 1000, 1001, 1023, 1024, 1025, 1200]))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=12), COUNTS)
+@example(-1, "numbers/ü-日本/", 1200)
+@example(2**64, "numéros/🙂/", 1001)
+@example(2**70 + 5, "", 101)
+def test_stream_states_equal_one_stream_per_label(seed, prefix, count):
+    got = stream_states(seed, prefix, count)
+    assert list(got) == [stream(seed, f"{prefix}{i}")._state for i in range(count)]
 
 
 def test_randint_closed_range():
@@ -131,11 +173,6 @@ def test_permutation_leaves_input_untouched():
     out = Stream(9).permutation(items)
     assert items == [1, 2, 3, 4, 5]
     assert sorted(out) == items
-
-
-def test_choice_from_empty_raises():
-    with pytest.raises(ValueError):
-        Stream(0).choice([])
 
 
 def test_randbelow_roughly_uniform():
