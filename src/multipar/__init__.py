@@ -47,7 +47,6 @@ from .metrics import (
     ScorePair,
     bleu,
     chrf,
-    sentence_chrf,
     tokenize_13a,
 )
 from .probes import (

@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Every subcommand is a pure function of its inputs and the seed: reruns are
-byte-identical.  ``--threads`` is accepted and never changes the output:
-scoring runs on one thread.  Each output directory receives a ``run.json``
-manifest with the seed, tool version, and SHA-256 digests of all inputs.
+byte-identical.  ``--threads`` bounds the worker processes ``score`` forks to
+sum its statistics (default: the CPUs this process may run on) and never
+changes the output.  Each output directory receives a ``run.json`` manifest
+with the seed, tool version, and SHA-256 digests of all inputs.
 
 A config file (``key = value`` lines, ``#`` comments) can pre-set any long
 flag; command-line flags override it, in any spelling.  Every text input is
@@ -44,7 +45,7 @@ from .datagen import (
     sample_rows,
 )
 from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
-from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
+from .metrics import MetricConfig, MetricError, ScorePair, available_cpus, bleu, chrf
 from .probes import (
     ProbeConfig,
     ProbeError,
@@ -296,11 +297,12 @@ def cmd_score(args) -> int:
             f"{args.references}: {len(refs)}"
         )
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
+    workers = available_cpus() if args.threads is None else args.threads
     if args.metric == "bleu":
-        value = bleu(pairs, MetricConfig())
+        value = bleu(pairs, MetricConfig(), workers)
     else:
         word_order = 2 if args.metric == "chrfpp" else 0
-        value = chrf(pairs, MetricConfig(word_order=word_order))
+        value = chrf(pairs, MetricConfig(word_order=word_order), workers)
     matrix = ScoreMatrix()
     matrix.set(Direction(args.src_lang, args.tgt_lang), args.metric, value, len(pairs))
     out = Path(args.out)
@@ -411,7 +413,10 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--threads", type=int, default=1, help="ignored; scoring is single-threaded")
+    p.add_argument(
+        "--threads", type=int,
+        help="most worker processes score may use (default: the CPUs this process may run on)",
+    )
     p.add_argument("--json-errors", action="store_true", help="JSON error envelope on stderr")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -549,6 +554,8 @@ def main(argv=None) -> int:
             # in any spelling overrides the config, and config values get the
             # checks flags get
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _ERRORS as exc:
         if getattr(args, "json_errors", False):

@@ -203,6 +203,24 @@ def test_score_subcommand_and_threads_invariance(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_score_single_pair_in_range_and_scale(tmp_path):
+    def score(hyp, ref):
+        (tmp_path / "hyp.txt").write_text(hyp + "\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text(ref + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(
+            ["score", "--hypotheses", str(tmp_path / "hyp.txt"), "--references",
+             str(tmp_path / "ref.txt"), "--metric", "chrfpp", "--src-lang", "de",
+             "--tgt-lang", "en", "--out", str(out)]
+        ) == 0
+        _, _, metric, value, count = (out / "scores.tsv").read_text().splitlines()[1].split("\t")
+        assert (metric, count) == ("chrfpp", "1")
+        return float(value)
+
+    assert 0.0 < score("the cat sat", "the cat sat on the mat") < 100.0
+    assert score("same text", "same text") == pytest.approx(100.0)
+
+
 def test_score_line_count_mismatch(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

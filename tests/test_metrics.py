@@ -10,7 +10,6 @@ from multipar import (
     ScorePair,
     bleu,
     chrf,
-    sentence_chrf,
     tokenize_13a,
 )
 from multipar.metrics import MetricError
@@ -94,12 +93,6 @@ def test_corruption_strictly_decreases_chrf():
         ScorePair(p.reference.replace("e", "q"), p.reference) for p in PAIRS
     ]
     assert chrf(corrupted, CHRF_PP) < chrf(clean, CHRF_PP)
-
-
-def test_sentence_chrf_in_range_and_scale():
-    score = sentence_chrf(ScorePair("the cat sat", "the cat sat on the mat"))
-    assert 0.0 < score < 100.0
-    assert sentence_chrf(ScorePair("same text", "same text")) == pytest.approx(100.0)
 
 
 def test_empty_pair_list_rejected():
