@@ -49,6 +49,7 @@ from .metrics import (
     chrf,
     tokenize_13a,
 )
+from .pool import available_cpus
 from .probes import (
     Dictionary,
     ProbeConfig,

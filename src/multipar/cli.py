@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Every subcommand is a pure function of its inputs and the seed: reruns are
-byte-identical.  ``--threads`` bounds the worker processes ``score`` forks to
-sum its statistics (default: the CPUs this process may run on) and never
-changes the output.  Each output directory receives a ``run.json`` manifest
+byte-identical.  ``--threads`` bounds the worker processes that ``score``,
+``lid-train``, ``lid-eval`` and ``ontarget`` fork (default: the CPUs this
+process may run on); the other subcommands do not take it.  It never changes
+the output.  Each output directory receives a ``run.json`` manifest
 with the seed, tool version, and SHA-256 digests of all inputs.
 
 A config file (``key = value`` lines, ``#`` comments) can pre-set any long
@@ -45,7 +46,8 @@ from .datagen import (
     sample_rows,
 )
 from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
-from .metrics import MetricConfig, MetricError, ScorePair, available_cpus, bleu, chrf
+from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
+from .pool import available_cpus
 from .probes import (
     ProbeConfig,
     ProbeError,
@@ -122,6 +124,10 @@ def _write_run_manifest(out_dir: Path, args, inputs) -> None:
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "run.json", manifest, default=str)
+
+
+def _workers(args) -> int:
+    return available_cpus() if args.threads is None else args.threads
 
 
 def _registry(args) -> LanguageRegistry:
@@ -297,7 +303,7 @@ def cmd_score(args) -> int:
             f"{args.references}: {len(refs)}"
         )
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
-    workers = available_cpus() if args.threads is None else args.threads
+    workers = _workers(args)
     if args.metric == "bleu":
         value = bleu(pairs, MetricConfig(), workers)
     else:
@@ -316,7 +322,7 @@ def cmd_lid_train(args) -> int:
     corpus = load_corpus_dir(args.corpus)
     samples = {code: [s for s in column if s] for code, column in corpus.columns.items()}
     model = lid_train(
-        samples, LidConfig(max_order=args.max_order, alpha=args.alpha)
+        samples, LidConfig(max_order=args.max_order, alpha=args.alpha), _workers(args)
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -328,7 +334,7 @@ def cmd_lid_train(args) -> int:
 def cmd_lid_eval(args) -> int:
     model = LidModel.load(args.model)
     hyps = [(text, code) for _, (code, text) in read_records(args.hypotheses, 2, ValueError)]
-    report = off_target_rate(hyps, model)
+    report = off_target_rate(hyps, model, _workers(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -356,7 +362,7 @@ def cmd_ontarget(args) -> int:
             raise ValueError(
                 f"{args.hypotheses}:{lineno}: row id {row_id!r} is not an integer"
             ) from None
-    subsets = on_target_subset(per_direction, model)
+    subsets = on_target_subset(per_direction, model, _workers(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "on_target.json", {k: sorted(v) for k, v in subsets.items()})
@@ -413,13 +419,17 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument(
-        "--threads", type=int,
-        help="most worker processes score may use (default: the CPUs this process may run on)",
-    )
     p.add_argument("--json-errors", action="store_true", help="JSON error envelope on stderr")
     if seed:
         p.add_argument("--seed", type=int, default=0, help="master seed")
+
+
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--threads", type=int,
+        help="most worker processes to fork; never changes the output "
+             "(default: the CPUs this process may run on)",
+    )
 
 
 def _add_direction_flags(p: argparse.ArgumentParser) -> None:
@@ -505,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["chrf", "chrfpp", "bleu"], required=True)
     p.add_argument("--src-lang", required=True)
     p.add_argument("--tgt-lang", required=True)
+    _add_threads(p)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_score)
 
@@ -512,18 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.1)
+    _add_threads(p)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_lid_train)
 
     p = sub.add_parser("lid-eval", help="off-target rates for code<TAB>text hypotheses")
     p.add_argument("--model", required=True)
     p.add_argument("--hypotheses", required=True)
+    _add_threads(p)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_lid_eval)
 
     p = sub.add_parser("ontarget", help="per-direction on-target row-id subsets")
     p.add_argument("--model", required=True)
     p.add_argument("--hypotheses", required=True, help="direction<TAB>row_id<TAB>text lines")
+    _add_threads(p)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_ontarget)
 
@@ -554,7 +568,7 @@ def main(argv=None) -> int:
             # in any spelling overrides the config, and config values get the
             # checks flags get
             args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
-        if args.threads is not None and args.threads < 1:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except _ERRORS as exc:

@@ -13,6 +13,12 @@ log-probability`` dict with one constant for unseen grams.  A text's n-grams
 are extracted once per order and looked up in every language's tables; the
 terms are added one at a time, in n-gram order, so every score is the float
 the direct formula gives.
+
+Each language is counted, and each text classified, on its own, so
+``lid_train``, ``off_target_rate`` and ``on_target_subset`` run over
+contiguous slices in up to ``workers`` processes of :mod:`multipar.pool`:
+the slices' counts and labels, concatenated, are the serial ones.  The
+tables are built before the workers fork, which inherit them.
 """
 
 from __future__ import annotations
@@ -22,15 +28,22 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .pool import map_slices
 from .textio import read_json
 
 LID_SCHEMA_VERSION = 1
 UNKNOWN = "unknown"
+# what a worker process must get to pay for itself, timed on 2 cores over the
+# lid bench's inputs (11 runs per size): two workers classify faster than one
+# process from 256 lines, not always at 128-192; and count faster from 4
+# languages of about 470 sentences each, not always at 2-3
+MIN_LINES_PER_WORKER = 128
+MIN_LANGUAGES_PER_WORKER = 2
 # the JSON types each model field may take
 _MODEL_FIELDS = {
     "languages": (list,),
@@ -199,19 +212,34 @@ class LidModel:
 
 
 def lid_train(
-    samples: Mapping[str, Sequence[str]], config: LidConfig = LidConfig()
+    samples: Mapping[str, Sequence[str]], config: LidConfig = LidConfig(), workers: int = 1
 ) -> LidModel:
-    """Count character n-grams per language into smoothed profiles."""
+    """Count character n-grams per language into smoothed profiles.
+
+    The languages are counted in contiguous slices of their sorted list, in
+    up to ``workers`` processes; the counts do not depend on ``workers``.
+    """
     if len(samples) < 2:
         raise LidError("training needs at least 2 languages")
-    counts: dict[str, list[dict[str, int]]] = {}
     for lang, sentences in samples.items():
         if not sentences:
             raise LidError(f"no training sentences for {lang!r}")
-        counts[lang] = [
-            dict(Counter(chain.from_iterable(_ngrams(s, order) for s in sentences)))
-            for order in range(1, config.max_order + 1)
+    languages = tuple(sorted(samples))
+
+    def count(start: int, stop: int) -> list[list[dict[str, int]]]:
+        return [
+            [
+                dict(Counter(chain.from_iterable(_ngrams(s, order) for s in samples[lang])))
+                for order in range(1, config.max_order + 1)
+            ]
+            for lang in languages[start:stop]
         ]
+
+    slices = map_slices(
+        count, len(languages), workers, MIN_LANGUAGES_PER_WORKER,
+        LidError("a training worker process died before returning its counts"),
+    )
+    counts = dict(zip(languages, chain.from_iterable(slices)))
     vocab_sizes = []
     for order in range(config.max_order):
         vocab = set()
@@ -220,12 +248,11 @@ def lid_train(
         vocab_sizes.append(len(vocab) + 1)  # +1 reserves mass for unseen n-grams
     for tables in counts.values():
         _check_unseen_probability(tables, vocab_sizes, config.alpha)
-    languages = tuple(sorted(samples))
     priors = {lang: 1.0 / len(languages) for lang in languages}
     return LidModel(
         languages=languages,
         config=config,
-        counts={lang: counts[lang] for lang in languages},
+        counts=counts,
         priors=priors,
         vocab_sizes=tuple(vocab_sizes),
     )
@@ -249,6 +276,21 @@ def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
     return best_lang, margin
 
 
+def _labels(texts: Sequence[str], model: LidModel, workers: int) -> list[str]:
+    """``lid_classify``'s label for each text, classified in contiguous
+    slices in up to ``workers`` processes."""
+    model._log_tables  # built here once, not once in every worker
+
+    def classify(start: int, stop: int) -> list[str]:
+        return [lid_classify(text, model)[0] for text in texts[start:stop]]
+
+    slices = map_slices(
+        classify, len(texts), workers, MIN_LINES_PER_WORKER,
+        LidError("a classifying worker process died before returning its labels"),
+    )
+    return list(chain.from_iterable(slices))
+
+
 @dataclass(frozen=True)
 class OffTargetReport:
     per_direction: Mapping[str, dict]
@@ -261,22 +303,23 @@ class OffTargetReport:
 
 
 def off_target_rate(
-    hyps: Sequence[tuple[str, str]], model: LidModel
+    hyps: Sequence[tuple[str, str]], model: LidModel, workers: int = 1
 ) -> OffTargetReport:
     """Fraction of hypotheses not classified as their expected language.
 
     ``hyps`` is a list of (text, expected code); results are grouped by the
-    expected code.  Empty hypotheses count per the model's config.
+    expected code.  Empty hypotheses count per the model's config.  The texts
+    are classified in up to ``workers`` processes.
     """
     expected_codes = {code for _, code in hyps}
     missing = expected_codes - set(model.languages)
     if missing:
         raise LidError(f"expected codes absent from model: {sorted(missing)}")
+    labels = _labels([text for text, _ in hyps], model, workers)
     per: dict[str, dict] = {}
-    for text, expected in hyps:
+    for (_, expected), label in zip(hyps, labels):
         entry = per.setdefault(expected, {"total": 0, "off_target": 0})
         entry["total"] += 1
-        label, _ = lid_classify(text, model)
         if label == UNKNOWN:
             off = model.config.empty_is_off_target
         else:
@@ -295,10 +338,12 @@ def off_target_rate(
 def on_target_subset(
     baseline_hyps: Mapping[str, Sequence[tuple[int, str]]],
     model: LidModel,
+    workers: int = 1,
 ) -> dict[str, set[int]]:
     """Per direction, the row ids whose baseline hypothesis is already in the
-    target language.  Keys are ``src-tgt`` direction strings."""
-    subsets: dict[str, set[int]] = {}
+    target language.  Keys are ``src-tgt`` direction strings.  The texts of
+    all directions are classified together in up to ``workers`` processes."""
+    targets = {}
     for direction, rows in baseline_hyps.items():
         _, _, target = direction.rpartition("-")
         if target not in model.languages:
@@ -306,10 +351,13 @@ def on_target_subset(
         ids = [rid for rid, _ in rows]
         if len(set(ids)) != len(ids):
             raise LidError(f"duplicate row ids in direction {direction!r}")
-        keep = set()
-        for rid, text in rows:
-            label, _ = lid_classify(text, model)
-            if label == target:
-                keep.add(rid)
-        subsets[direction] = keep
-    return subsets
+        targets[direction] = target
+    texts = [text for rows in baseline_hyps.values() for _, text in rows]
+    labels = iter(_labels(texts, model, workers))
+    return {
+        direction: {
+            rid for (rid, _), label in zip(rows, islice(labels, len(rows)))
+            if label == targets[direction]
+        }
+        for direction, rows in baseline_hyps.items()
+    }

@@ -2,9 +2,10 @@
 
 Scores live on a 0-100 scale.  Statistics are pooled over the whole pair
 list before the F/precision computation (micro aggregation).  Scoring is
-pure Python; ``chrf`` and ``bleu`` can split the pairs into contiguous
-slices summed by forked worker processes (``workers``), which gives the same
-integer sums, so the same score, as one process.  Externally computed scores
+pure Python; ``chrf`` and ``bleu`` sum the integer statistics of contiguous
+slices of the pairs in up to ``workers`` processes of :mod:`multipar.pool`,
+which gives the same sums, so the same score, as one process.  This module
+starts no process itself.  Externally computed scores
 (e.g. COMET) are never recomputed here; ``report.ScoreMatrix.load_tsv``
 reads them from TSV.
 
@@ -21,12 +22,14 @@ reads them from TSV.
 from __future__ import annotations
 
 import math
-import os
 import re
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
+
+from .pool import map_slices
 
 
 CHAR_ORDER = 6
@@ -227,19 +230,6 @@ def chrf(pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP, workers: in
 # --- pooled statistics ------------------------------------------------------
 
 
-def available_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def worker_count(workers: int, n_pairs: int) -> int:
-    """Processes used to score ``n_pairs`` pairs with at most ``workers``."""
-    return max(1, min(workers, available_cpus(), n_pairs // MIN_PAIRS_PER_WORKER))
-
-
 def _column_sums(rows) -> list[int]:
     return [sum(column) for column in zip(*rows)]
 
@@ -247,47 +237,16 @@ def _column_sums(rows) -> list[int]:
 def _pooled_stats(pairs, config, pair_stats, workers: int = 1) -> list[int]:
     """Sum the per-pair integer statistics, column by column.
 
-    With more than one worker, each forked process sums a contiguous slice of
-    the pairs it inherited; only slice bounds go out and integer sums come
-    back, and the parent adds those up, so the result does not depend on
-    ``workers``.  Where fork is unavailable, or unsafe because other threads
-    run (a lock one of them holds would stay held in the workers), the pairs
-    are summed in-process.
+    Contiguous slices of the pairs are summed in up to ``workers`` processes
+    (see :mod:`multipar.pool`) and the parent adds those sums up, so the
+    result does not depend on ``workers``.
     """
-    workers = worker_count(workers, len(pairs))
-    if workers > 1:
-        import multiprocessing
-        import threading
-
-        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-            context = multiprocessing.get_context("fork")
-            return _forked_stats(pairs, config, pair_stats, workers, context)
-    return _column_sums(pair_stats(p, config) for p in pairs)
-
-
-def _forked_stats(pairs, config, pair_stats, workers, context) -> list[int]:
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    bounds = [len(pairs) * i // workers for i in range(workers + 1)]
-    try:
-        with ProcessPoolExecutor(
-            workers, context, initializer=_inherit, initargs=(pairs, config, pair_stats)
-        ) as pool:
-            slices = list(pool.map(_slice_stats, bounds[:-1], bounds[1:]))
-    except BrokenProcessPool:
-        raise MetricError("a scoring worker process died before returning its sums") from None
+    slices = map_slices(
+        partial(_slice_stats, pairs, config, pair_stats), len(pairs), workers,
+        MIN_PAIRS_PER_WORKER, MetricError("a scoring worker process died before returning its sums"),
+    )
     return _column_sums(slices)
 
 
-_inherited = None  # (pairs, config, pair_stats), set in each forked worker
-
-
-def _inherit(pairs, config, pair_stats) -> None:
-    # fork hands these over as they are: nothing is pickled
-    global _inherited
-    _inherited = (pairs, config, pair_stats)
-
-
-def _slice_stats(start: int, stop: int) -> list[int]:
-    pairs, config, pair_stats = _inherited
+def _slice_stats(pairs, config, pair_stats, start: int, stop: int) -> list[int]:
     return _column_sums(pair_stats(p, config) for p in pairs[start:stop])

@@ -246,7 +246,8 @@ def test_criterion_language_identification():
 
 
 def _run_pipeline(workdir: Path, threads: str) -> dict[str, bytes]:
-    """mine -> build-ft -> tag -> score -> report, returning output bytes."""
+    """mine -> build-ft -> tag -> score -> report, and lid-train -> lid-eval ->
+    ontarget on the mined corpus, returning output bytes."""
     bitexts_dir = workdir / "bitexts"
     bitexts_dir.mkdir(parents=True, exist_ok=True)
     for code, pairs in make_mining_fixture(n_lines=120).items():
@@ -262,7 +263,7 @@ def _run_pipeline(workdir: Path, threads: str) -> dict[str, bytes]:
     ft = workdir / "ft"
     assert main(
         ["build-ft", "--corpus", str(mined), "--out", str(ft),
-         "--rows", "50", "--seed", "7", "--threads", threads]
+         "--rows", "50", "--seed", "7"]
     ) == 0
 
     tagged = workdir / "tagged"
@@ -281,11 +282,31 @@ def _run_pipeline(workdir: Path, threads: str) -> dict[str, bytes]:
     assert main(
         ["report", "--scores", str(score_dir / "scores.tsv"),
          "--scheme", "resource_grid", "--format", "tsv",
-         "--out", str(report_dir), "--threads", threads]
+         "--out", str(report_dir)]
     ) == 0
 
+    # every mined cell as a hypothesis in its own language, and as one of a
+    # direction into the next language, a third of them off target: enough
+    # lines and languages for 2 workers
+    lid_dir, eval_dir, ontarget_dir = workdir / "lid", workdir / "lid_eval", workdir / "ontarget"
+    assert main(["lid-train", "--corpus", str(mined), "--out", str(lid_dir),
+                 "--threads", threads]) == 0
+    codes = json.loads((mined / "manifest.json").read_text(encoding="utf-8"))["languages"]
+    columns = {c: (mined / f"{c}.txt").read_text(encoding="utf-8").splitlines() for c in codes}
+    hyps, baseline = workdir / "hyps.tsv", workdir / "baseline.tsv"
+    hyps.write_text("".join(f"{c}\t{t}\n" for c in codes for t in columns[c]), encoding="utf-8")
+    baseline.write_text("".join(
+        f"{src}-{tgt}\t{i}\t{t if i % 3 else s}\n" for src, tgt in zip(codes, codes[1:] + codes[:1])
+        for i, (s, t) in enumerate(zip(columns[src], columns[tgt]))
+    ), encoding="utf-8")
+    model = str(lid_dir / "lid_model.json")
+    assert main(["lid-eval", "--model", model, "--hypotheses", str(hyps),
+                 "--out", str(eval_dir), "--threads", threads]) == 0
+    assert main(["ontarget", "--model", model, "--hypotheses", str(baseline),
+                 "--out", str(ontarget_dir), "--threads", threads]) == 0
+
     outputs = {}
-    for stage in (mined, ft, tagged, score_dir, report_dir):
+    for stage in (mined, ft, tagged, score_dir, report_dir, lid_dir, eval_dir, ontarget_dir):
         for f in sorted(stage.rglob("*")):
             if f.is_file():
                 outputs[str(f.relative_to(workdir))] = f.read_bytes()

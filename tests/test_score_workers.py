@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multipar import metrics
+from multipar import metrics, pool
 from multipar.cli import main
 from multipar.metrics import MIN_PAIRS_PER_WORKER, MetricConfig, ScorePair
 
@@ -45,13 +45,13 @@ def write_pairs(root: Path, n: int, seed: int = 0) -> list[str]:
 @pytest.mark.parametrize("metric", sorted(STATS))
 def test_score_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, metric):
     forked = []
-    real = metrics._forked_stats
+    real = pool._forked_map
 
-    def spy(pairs, config, pair_stats, workers, context):
-        forked.append(workers)
-        return real(pairs, config, pair_stats, workers, context)
+    def spy(fn, starts, stops, error):
+        forked.append(len(starts))
+        return real(fn, starts, stops, error)
 
-    monkeypatch.setattr(metrics, "_forked_stats", spy)
+    monkeypatch.setattr(pool, "_forked_map", spy)
     argv = write_pairs(tmp_path, 2 * MIN_PAIRS_PER_WORKER + 7) + ["--metric", metric]
     outputs = []
     for threads in (["--threads", "1"], ["--threads", "4"], []):
@@ -60,7 +60,7 @@ def test_score_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, metric):
         outputs.append(((out / "scores.tsv").read_bytes(), (out / "run.json").read_bytes()))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     # --threads 1 stays in-process; 4 and the default fork wherever there are 2 CPUs
-    workers = min(2, metrics.available_cpus())
+    workers = min(2, pool.available_cpus())
     assert forked == ([workers, workers] if workers > 1 else [])
 
 
@@ -77,48 +77,30 @@ def test_summed_slice_statistics_equal_the_serial_sums(texts, cuts):
     bounds = [0, *sorted(c for c in cuts if c < len(pairs)), len(pairs)]
     for config, pair_stats in STATS.values():
         serial = metrics._pooled_stats(pairs, config, pair_stats)
-        try:
-            metrics._inherit(pairs, config, pair_stats)  # what each forked worker runs first
-            slices = [metrics._slice_stats(a, b) for a, b in zip(bounds, bounds[1:])]
-        finally:
-            metrics._inherited = None
+        slices = [metrics._slice_stats(pairs, config, pair_stats, a, b) for a, b in zip(bounds, bounds[1:])]
         assert metrics._column_sums(slices) == serial
 
 
 def test_worker_count_is_bounded_by_cpus_and_pairs():
-    cpus = metrics.available_cpus()
-    assert metrics.worker_count(1_000_000, 10**9) == cpus
-    assert metrics.worker_count(1_000_000, 2 * MIN_PAIRS_PER_WORKER - 1) == 1
-    assert metrics.worker_count(1, 10**9) == 1
+    cpus = pool.available_cpus()
+    assert pool.worker_count(1_000_000, 10**9, MIN_PAIRS_PER_WORKER) == cpus
+    assert pool.worker_count(1_000_000, 2 * MIN_PAIRS_PER_WORKER - 1, MIN_PAIRS_PER_WORKER) == 1
+    assert pool.worker_count(1, 10**9, MIN_PAIRS_PER_WORKER) == 1
 
 
 def test_huge_threads_resolves_to_the_available_cpus_without_a_process(tmp_path, monkeypatch):
     pools = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            pools.append(max_workers)
-            self.start = lambda: initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            self.start()
-            return map(fn, *iterables)
+    def in_process_pool(fn, starts, stops, error):
+        pools.append(len(starts))
+        return list(map(fn, starts, stops))
 
     def no_fork():
         raise AssertionError("a process was started")
 
-    import concurrent.futures.process
-
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pool, "_forked_map", in_process_pool)
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(metrics, "available_cpus", lambda: 3)
-    monkeypatch.setattr(metrics, "_inherited", None)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 3)
     argv = write_pairs(tmp_path, 4 * MIN_PAIRS_PER_WORKER) + ["--metric", "chrfpp"]
     assert main(argv + ["--threads", "1000000"]) == 0
     pooled = (tmp_path / "out" / "scores.tsv").read_bytes()
@@ -130,8 +112,8 @@ def test_huge_threads_resolves_to_the_available_cpus_without_a_process(tmp_path,
 
 def test_another_running_thread_keeps_scoring_in_process(monkeypatch):
     forked = []
-    monkeypatch.setattr(metrics, "_forked_stats", lambda *args: forked.append(args))
-    monkeypatch.setattr(metrics, "available_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "_forked_map", lambda *args: forked.append(args))
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
     pairs = [ScorePair("the cat sat", "the cat sat on the mat")] * (2 * MIN_PAIRS_PER_WORKER)
     config, pair_stats = STATS["chrfpp"]
     serial = metrics._pooled_stats(pairs, config, pair_stats)
@@ -149,7 +131,7 @@ def test_another_running_thread_keeps_scoring_in_process(monkeypatch):
 
 DYING_WORKER = """
 import os, sys
-from multipar import metrics
+from multipar import metrics, pool
 from multipar.cli import main
 
 parent, real = os.getpid(), metrics._chrf_pair_stats
@@ -160,7 +142,7 @@ def dying(pair, config):
     return real(pair, config)
 
 metrics._chrf_pair_stats = dying
-metrics.available_cpus = lambda: 2
+pool.available_cpus = lambda: 2
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -191,6 +173,10 @@ def test_threads_below_one_is_an_error(tmp_path, capsys, value):
     sizes = tmp_path / "sizes.tsv"
     sizes.write_text("a\t10\nb\t5\n", encoding="utf-8")
     mix = ["mix", "--sizes", str(sizes), "--temperature", "2", "--out", str(tmp_path / "mix")]
-    assert main(mix + ["--threads", value]) == 1
-    assert "--threads" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as rejected:  # mix does not take the flag
+        main(mix + ["--threads", value])
+    assert rejected.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "mix").exists()
+    # a config file's threads key is ignored where the flag does not exist
+    assert main(mix + ["--config", str(tmp_path / "cfg")]) == 0
