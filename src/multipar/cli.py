@@ -1,9 +1,9 @@
 """Command-line front end: one subcommand per pipeline stage.
 
 Every subcommand is a pure function of its inputs and the seed: reruns are
-byte-identical.  ``--threads`` bounds the worker processes that ``score``,
-``lid-train``, ``lid-eval`` and ``ontarget`` fork (default: the CPUs this
-process may run on); the other subcommands do not take it.  It never changes
+byte-identical.  ``--threads`` bounds the processes, this one included, that
+``score``, ``lid-train``, ``lid-eval`` and ``ontarget`` work in (default: the
+CPUs this process may run on); the other subcommands do not take it.  It never changes
 the output.  Each output directory receives a ``run.json`` manifest
 with the seed, tool version, and SHA-256 digests of all inputs.
 
@@ -427,8 +427,8 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=int,
-        help="most worker processes to fork; never changes the output "
-             "(default: the CPUs this process may run on)",
+        help="most processes to work in, this one included; never changes the "
+             "output (default: the CPUs this process may run on)",
     )
 
 

@@ -64,9 +64,9 @@ def test_lid_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
     forked = []
     real = pool._forked_map
 
-    def spy(fn, starts, stops, error):
-        forked.append(len(starts))
-        return real(fn, starts, stops, error)
+    def spy(fn, bounds, workers, error):
+        forked.append(workers)
+        return real(fn, bounds, workers, error)
 
     monkeypatch.setattr(pool, "_forked_map", spy)
     monkeypatch.setattr(pool, "available_cpus", lambda: 2)

@@ -1,9 +1,11 @@
 """``multipar.pool``: contiguous slices over forked workers, whose results
-concatenate to the serial map, and the ways a worker can fail."""
+concatenate to the serial map, drawn from a queue so a slow worker holds
+none back, and the ways a worker can fail."""
 
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -23,8 +25,27 @@ def test_concatenated_slices_equal_the_serial_map(n, workers, min_per_worker):
 
     with mock.patch.object(pool, "available_cpus", lambda: 4):
         slices = pool.map_slices(squares, n, workers, min_per_worker, RuntimeError("died"))
-        assert len(slices) == pool.worker_count(workers, n, min_per_worker)
+        used = pool.worker_count(workers, n, min_per_worker)
     assert [x for part in slices for x in part] == squares(0, n)
+    # in-process one slice; forked SLICES_PER_WORKER per process, none empty
+    assert len(slices) == (1 if used == 1 else min(n, used * pool.SLICES_PER_WORKER))
+    assert all(slices) or n == 0
+
+
+def test_a_slow_worker_leaves_its_share_to_the_others():
+    parent = os.getpid()
+
+    def pids(start, stop):
+        if start and os.getpid() != parent:
+            time.sleep(1)  # the forked worker stalls on its first slice
+        return [os.getpid()] * (stop - start)
+
+    with mock.patch.object(pool, "available_cpus", lambda: 2):
+        slices = pool.map_slices(pids, 2 * pool.SLICES_PER_WORKER, 2, 1, RuntimeError("died"))
+    owners = [part[0] for part in slices]
+    # slice 1 was the worker's; the parent drew every slice from the queue
+    assert owners[1] != parent
+    assert owners[:1] + owners[2:] == [parent] * (2 * pool.SLICES_PER_WORKER - 1)
 
 
 def test_a_slice_that_raises_in_a_worker_is_the_given_error(capfd):

@@ -47,9 +47,9 @@ def test_score_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, metric):
     forked = []
     real = pool._forked_map
 
-    def spy(fn, starts, stops, error):
-        forked.append(len(starts))
-        return real(fn, starts, stops, error)
+    def spy(fn, bounds, workers, error):
+        forked.append(workers)
+        return real(fn, bounds, workers, error)
 
     monkeypatch.setattr(pool, "_forked_map", spy)
     argv = write_pairs(tmp_path, 2 * MIN_PAIRS_PER_WORKER + 7) + ["--metric", metric]
@@ -91,9 +91,9 @@ def test_worker_count_is_bounded_by_cpus_and_pairs():
 def test_huge_threads_resolves_to_the_available_cpus_without_a_process(tmp_path, monkeypatch):
     pools = []
 
-    def in_process_pool(fn, starts, stops, error):
-        pools.append(len(starts))
-        return list(map(fn, starts, stops))
+    def in_process_pool(fn, bounds, workers, error):
+        pools.append(workers)
+        return list(map(fn, bounds[:-1], bounds[1:]))
 
     def no_fork():
         raise AssertionError("a process was started")
