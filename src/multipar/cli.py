@@ -40,10 +40,10 @@ from .datagen import (
     emit_bitext,
     enumerate_directions,
     partition_buckets,
-    read_bitext_tsv,
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
+    tag_bitext,
 )
 from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
 from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
@@ -273,9 +273,8 @@ def cmd_buckets(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    tagged = apply_tags(read_bitext_tsv(args.dataset), TagStrategy(kind=args.tag))
     out = Path(args.out)
-    emit_bitext(tagged, "tsv", out)
+    tag_bitext(args.dataset, TagStrategy(kind=args.tag), out)
     _write_run_manifest(out, args, [args.dataset])
     return 0
 

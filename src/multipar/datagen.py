@@ -8,19 +8,23 @@ A dataset's ``blocks`` are runs ``(direction, sources, targets, positions)``:
 record k of a block is ``(sources[positions[k]], targets[positions[k]])``.
 ``build_pairwise`` puts the corpus columns themselves in its blocks, with a
 ``range`` of positions when no row is skipped and a compact ``array``
-otherwise, shared by a direction and its reverse; ``read_bitext_tsv`` and
-the probes give each block columns of its own.  Records follow block order,
-and a direction may recur in later blocks.
+otherwise, shared by a direction and its reverse; the probes give each
+block columns of its own.  Records follow block order, and a direction may
+recur in later blocks.
 
 A tag strategy is recorded on the dataset by ``apply_tags`` and applied as
 records are written or viewed: each block gets one (source, target) prefix
 pair, and no prefixed copy of any sentence is made.  Counts are computed
 from the blocks, and ``records`` is a per-record view built on request.
 ``emit_bitext`` checks every cell it will write before it creates anything,
-then writes the on-disk formats in chunks of joined lines;
-``read_bitext_tsv`` reads the ``tsv`` one back through
-:mod:`multipar.textio`, naming ``records.tsv:<line>`` for a bad record or
-direction.
+then writes the on-disk formats in chunks of joined lines.
+
+``tag_bitext`` streams an emitted ``tsv`` dataset into a tagged one in
+bounded memory: ``read_bitext_tsv`` yields the blocks of one chunk of
+``records.tsv`` at a time, read through :mod:`multipar.textio`, and the
+blocks go through ``emit_bitext``'s line writer into a temporary file that
+is renamed into place at the end.  A bad record, direction or byte is named
+by ``records.tsv:<line>``, and any error leaves no partial output.
 
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
@@ -30,17 +34,18 @@ seed, and likewise for row counts.
 from __future__ import annotations
 
 import json
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import not_
+from operator import ne, not_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import MultiParallelCorpus
 from .registry import LanguageRegistry
 from .rng import stream
-from .textio import read_json, read_records
+from .textio import read_json, read_line_chunks
 
 
 class DatagenError(ValueError):
@@ -410,17 +415,26 @@ def build_multidirectional_setting(
 
 def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
     """The dataset with language tags per the strategy, added to each record
-    as it is emitted or viewed.
+    as it is emitted or viewed."""
+    manifest = _tagged_manifest(dataset.manifest, strategy)
+    if strategy.kind == "none":
+        return dataset
+    return replace(dataset, manifest=manifest, tags=strategy)
+
+
+def _tagged_manifest(
+    manifest: Mapping[str, object], strategy: TagStrategy
+) -> Mapping[str, object]:
+    """The manifest of a dataset tagged per the strategy.
 
     Tagging an already-tagged dataset is an error (detected via the
     manifest), since tags are plain text once emitted.
     """
-    if dataset.manifest.get("tag_strategy", "none") != "none" and strategy.kind != "none":
-        raise DatagenError("dataset is already tagged")
     if strategy.kind == "none":
-        return dataset
-    manifest = {**dataset.manifest, "tag_strategy": strategy.kind}
-    return replace(dataset, manifest=manifest, tags=strategy)
+        return manifest
+    if manifest.get("tag_strategy", "none") != "none":
+        raise DatagenError("dataset is already tagged")
+    return {**manifest, "tag_strategy": strategy.kind}
 
 
 def horizontal_expand(
@@ -497,6 +511,47 @@ def _write_lines(fh, positions: Sequence[int], *layout: str | Sequence[str]) -> 
         fh.write("".join(chain.from_iterable(zip(*parts))))
 
 
+def _write_tsv(fh, blocks: Iterable[Block], tags: TagStrategy) -> dict[str, int]:
+    """Write one ``src_lang<TAB>tgt_lang<TAB>src<TAB>tgt`` line per record of
+    the blocks, tagged; return the records written per direction."""
+    per_direction: dict[str, int] = {}
+    for d, sources, targets, positions in blocks:
+        sp, tp = tags.prefixes(d)
+        _write_lines(fh, positions, f"{d.src}\t{d.tgt}\t{sp}", sources, f"\t{tp}", targets, "\n")
+        per_direction[str(d)] = per_direction.get(str(d), 0) + len(positions)
+    return per_direction
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)``,
+    continued at ``indent``, with each non-empty list of scalars (such as a
+    manifest's row ids) encoded by the C encoder, which ``indent`` disables."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return "{\n" + ",\n".join(
+            f"{inner}{json.dumps(k, ensure_ascii=False)}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+            body = f",\n{inner}".join(_json_text(v, inner) for v in value)
+        else:
+            body = json.dumps(value, ensure_ascii=False, separators=(f",\n{inner}", ": "))[1:-1]
+        return f"[\n{inner}{body}\n{indent}]"
+    # a raw newline only ever comes from the indentation
+    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    return text.replace("\n", "\n" + indent)
+
+
+def _write_manifest(
+    out: Path, manifest: Mapping[str, object], mode: str, per_direction: dict[str, int]
+) -> None:
+    """Write ``manifest.json``: the manifest with the format and record counts."""
+    counts = {"records": sum(per_direction.values()), "per_direction": per_direction}
+    text = _json_text({**manifest, "format": mode, "counts": counts})
+    (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
+
+
 def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
     """Write the dataset to disk, with a manifest JSON alongside.
 
@@ -511,16 +566,13 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
     _check_writable(dataset)
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    runs: dict[Direction, list[Block]] = {}
-    for block in dataset.blocks:
-        runs.setdefault(block[0], []).append(block)
     if mode == "tsv":
         with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            for d, sources, targets, positions in dataset.blocks:
-                sp, tp = dataset.tags.prefixes(d)
-                _write_lines(fh, positions, f"{d.src}\t{d.tgt}\t{sp}", sources, f"\t{tp}",
-                             targets, "\n")
+            per_direction = _write_tsv(fh, dataset.blocks, dataset.tags)
     else:
+        runs: dict[Direction, list[Block]] = {}
+        for block in dataset.blocks:
+            runs.setdefault(block[0], []).append(block)
         for d, blocks in runs.items():
             base = out / str(d)
             sp, tp = dataset.tags.prefixes(d)
@@ -529,43 +581,80 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
                 for _d, sources, targets, positions in blocks:
                     _write_lines(sfh, positions, sp, sources, "\n")
                     _write_lines(tfh, positions, tp, targets, "\n")
-    per_direction = {str(d): sum(len(b[3]) for b in blocks) for d, blocks in runs.items()}
-    manifest = {
-        **dataset.manifest,
-        "format": mode,
-        "counts": {"records": len(dataset), "per_direction": per_direction},
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+        per_direction = {str(d): sum(len(b[3]) for b in blocks) for d, blocks in runs.items()}
+    _write_manifest(out, dataset.manifest, mode, per_direction)
 
 
-def read_bitext_tsv(directory: str | Path) -> FtDataset:
-    """Read a dataset back from the ``tsv`` emit format.
+def read_bitext_tsv(directory: str | Path) -> Iterator[Block]:
+    """Stream the records of ``records.tsv`` in ``directory`` as blocks.
 
-    ``records.tsv`` gives the records, consecutive lines of one direction
-    forming one block; ``manifest.json`` gives the manifest, which is
-    ``{"tag_strategy": "none"}`` when the file is absent.
+    Each chunk of lines read gives one block per run of consecutive lines of
+    one direction, with columns of its own; a run that goes on past a chunk
+    continues in the next block.  A bad record or direction is named by
+    ``records.tsv:<line>``, counting skipped blank lines.
     """
-    directory = Path(directory)
-    path = directory / "records.tsv"
-    runs: list[tuple[Direction, list[str], list[str]]] = []
-    key = None
-    for lineno, (src_lang, tgt_lang, src, tgt) in read_records(path, 4, DatagenError):
-        if (src_lang, tgt_lang) != key:
-            key = (src_lang, tgt_lang)
-            try:
-                direction = Direction(src_lang, tgt_lang)
-            except DatagenError as exc:
-                raise DatagenError(f"{path}:{lineno}: {exc}") from None
-            runs.append((direction, [], []))
-        runs[-1][1].append(src)
-        runs[-1][2].append(tgt)
+    path = Path(directory) / "records.tsv"
+    key = direction = None
+    lineno = 0  # lines read
+    for lines in read_line_chunks(path, DatagenError):
+        first, lineno = lineno + 1, lineno + len(lines)
+        tabs = list(map(str.count, lines, repeat("\t")))
+        numbers: Sequence[int] = range(len(lines))  # index in the chunk of each kept line
+        bad = None
+        if tabs.count(3) != len(lines):
+            # blank lines are skipped; the first other line without 4 fields
+            # is an error, raised once the lines before it are read
+            bad = next((i for i, n in enumerate(tabs) if n != 3 and lines[i].strip()), None)
+            numbers = [i for i in range(len(lines) if bad is None else bad) if tabs[i] == 3]
+            lines = [lines[i] for i in numbers]
+        if lines:
+            fields = "\t".join(lines).split("\t")
+            src_langs, tgt_langs, sources, targets = (fields[i::4] for i in range(4))
+            n = len(sources)
+            if src_langs.count(src_langs[0]) == n and tgt_langs.count(tgt_langs[0]) == n:
+                starts = [0]  # one direction, as in most chunks
+            else:
+                keys = list(zip(src_langs, tgt_langs))
+                starts = [0, *compress(range(1, n), map(ne, keys[1:], keys))]
+            for start, stop in zip(starts, [*starts[1:], n]):
+                if (src_langs[start], tgt_langs[start]) != key:
+                    key = (src_langs[start], tgt_langs[start])
+                    try:
+                        direction = Direction(*key)
+                    except DatagenError as exc:
+                        raise DatagenError(f"{path}:{first + numbers[start]}: {exc}") from None
+                yield direction, sources[start:stop], targets[start:stop], range(stop - start)
+        if bad is not None:
+            raise DatagenError(f"{path}:{first + bad}: expected 4 fields, got {tabs[bad] + 1}")
+
+
+def tag_bitext(directory: str | Path, strategy: TagStrategy, path: str | Path) -> None:
+    """Write the ``tsv`` dataset in ``directory`` to ``path`` with the
+    strategy's tags, streaming chunk by chunk in bounded memory.
+
+    ``manifest.json`` in ``directory`` gives the manifest, which is
+    ``{"tag_strategy": "none"}`` when the file is absent.  Records are
+    written to a temporary file renamed into place at the end; on any error
+    the temporary file and every directory made for it are removed.
+    """
+    directory, out = Path(directory), Path(path)
     manifest_path = directory / "manifest.json"
     manifest = {"tag_strategy": "none"}
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
-    return FtDataset(
-        tuple((d, tuple(s), tuple(t), range(len(s))) for d, s, t in runs), manifest
-    )
+    manifest = _tagged_manifest(manifest, strategy)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    partial = out / "records.tsv.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            per_direction = _write_tsv(fh, read_bitext_tsv(directory), strategy)
+        if not per_direction:
+            raise DatagenError("refusing to emit an empty dataset")
+        os.replace(partial, out / "records.tsv")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        for made_dir in made:
+            made_dir.rmdir()
+        raise
+    _write_manifest(out, manifest, "tsv", per_direction)

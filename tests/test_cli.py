@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from multipar import save_corpus
 from multipar.cli import main
+from multipar.textio import CHUNK_CHARS
 
 from helpers import full_corpus, make_mining_fixture, synthetic_sentences
 
@@ -131,6 +133,128 @@ def test_tag_keeps_interleaved_direction_order(tmp_path):
     ]
     manifest = json.loads((tagged / "manifest.json").read_text())
     assert manifest["counts"] == {"records": 3, "per_direction": {"de-en": 2, "en-de": 1}}
+
+
+# --- tag streams records.tsv in chunks ------------------------------------------
+
+
+def tsv_lines(count, start=0):
+    """Records whose direction changes every 50 lines and recurs."""
+    dirs = [("de", "nl"), ("nl", "de"), ("de", "en")]
+    return [
+        "{}\t{}\tsentence {} ünï\tzin {}".format(*dirs[i // 50 % 3], i, i)
+        for i in range(start, start + count)
+    ]
+
+
+def two_tagged(lines):
+    out = []
+    for line in lines:
+        s, t, a, b = line.split("\t")
+        out.append(f"{s}\t{t}\t<src:{s}> {a}\t<tgt:{t}> {b}\n")
+    return "".join(out)
+
+
+def tag(dataset, out, kind="two_tag"):
+    return main(["tag", "--dataset", str(dataset), "--tag", kind, "--out", str(out)])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"de\tnl\tthree fields", "expected 4 fields, got 3"),
+     (b"de\tde\ta\tb", "direction with identical endpoints 'de'"),
+     (b"de\tnl\t\xff\tb", "invalid UTF-8")],
+    ids=["fields", "direction", "utf-8"],
+)
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new-out", "old-out"])
+def test_tag_failing_past_the_first_chunk_leaves_nothing(
+    tmp_path, capsys, bad, message, out_exists
+):
+    head = ["", "  ", " \t "]  # blank lines are skipped, yet counted
+    while sum(len(line) + 1 for line in head) <= CHUNK_CHARS:
+        head += tsv_lines(100, len(head))
+    tail = tsv_lines(10)
+    data = "".join(line + "\n" for line in head).encode() + bad + b"\n"
+    (tmp_path / "records.tsv").write_bytes(data + "".join(line + "\n" for line in tail).encode())
+    out = tmp_path / "new" / "out"
+    if out_exists:
+        out.mkdir(parents=True)
+        (out / "records.tsv").write_text("old\n", encoding="utf-8")
+    assert tag(tmp_path, out) == 1
+    assert f"{tmp_path / 'records.tsv'}:{len(head) + 1}: {message}" in capsys.readouterr().err
+    if out_exists:
+        assert [p.name for p in out.iterdir()] == ["records.tsv"]
+        assert (out / "records.tsv").read_text(encoding="utf-8") == "old\n"
+    else:
+        assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("data", [b"", b"\n \r\n\t\n"], ids=["empty", "blank"])
+def test_tag_of_an_empty_dataset_leaves_nothing(tmp_path, capsys, data):
+    (tmp_path / "records.tsv").write_bytes(data)
+    assert tag(tmp_path, tmp_path / "out") == 1
+    assert "refusing to emit an empty dataset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tag_reads_crlf_and_cr_line_ends_as_lf(tmp_path):
+    lines, at = [], 0  # at: bytes of the lines as CRLF
+    while at < CHUNK_CHARS - 100:
+        lines += tsv_lines(1, len(lines))
+        at += len(lines[-1].encode()) + 2
+    # a line whose CRLF falls across byte CHUNK_CHARS of the CRLF file
+    lines.append("de\tnl\tx\t" + "y" * (CHUNK_CHARS - 1 - at - len("de\tnl\tx\t")))
+    lines += tsv_lines(300, len(lines))
+    crlf = "".join(line + "\r\n" for line in lines).encode()
+    assert crlf[CHUNK_CHARS - 1:CHUNK_CHARS + 1] == b"\r\n"
+    written = {}
+    for end in ("\n", "\r\n", "\r"):
+        dataset = tmp_path / repr(end)
+        dataset.mkdir()
+        (dataset / "records.tsv").write_bytes("".join(line + end for line in lines).encode())
+        for kind in ("two_tag", "none"):
+            assert tag(dataset, dataset / kind, kind) == 0
+            written[end, kind] = [(dataset / kind / name).read_bytes()
+                                  for name in ("records.tsv", "manifest.json")]
+    lf = "".join(line + "\n" for line in lines).encode()
+    for end in ("\n", "\r\n", "\r"):
+        assert written[end, "two_tag"][0] == two_tagged(lines).encode()
+        assert written[end, "none"][0] == lf  # --tag none copies
+        assert written[end, "two_tag"][1] == written["\n", "two_tag"][1]
+    manifest = json.loads(written["\n", "two_tag"][1])
+    per_direction = {}
+    for line in lines:  # de-nl recurs after nl-de and de-en
+        key = "-".join(line.split("\t")[:2])
+        per_direction[key] = per_direction.get(key, 0) + 1
+    assert manifest["counts"] == {"records": len(lines), "per_direction": per_direction}
+
+
+def test_tag_in_place_replaces_the_records_it_reads(tmp_path):
+    lines = tsv_lines(3000)
+    text = "".join(line + "\n" for line in lines)
+    assert len(text) > CHUNK_CHARS
+    (tmp_path / "records.tsv").write_text(text, encoding="utf-8")
+    assert tag(tmp_path, tmp_path) == 0
+    assert (tmp_path / "records.tsv").read_bytes() == two_tagged(lines).encode()
+    assert json.loads((tmp_path / "manifest.json").read_text())["tag_strategy"] == "two_tag"
+
+
+def test_tag_memory_does_not_grow_with_the_input(tmp_path):
+    def peak(count):
+        dataset = tmp_path / str(count)
+        dataset.mkdir()
+        text = "".join(line + "\n" for line in tsv_lines(count))
+        (dataset / "records.tsv").write_text(text, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert tag(dataset, dataset / "out") == 0
+            return len(text), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    size, small = peak(10_000)
+    assert size > 4 * CHUNK_CHARS
+    assert peak(100_000)[1] <= 1.5 * small
 
 
 def test_buckets_ignores_registry_flag(tmp_path):

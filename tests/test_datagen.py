@@ -27,7 +27,7 @@ from multipar import (
     save_corpus,
 )
 from multipar.cli import main
-from multipar.datagen import DatagenError, read_bitext_tsv
+from multipar.datagen import DatagenError, _json_text
 from multipar.registry import ec30
 
 from helpers import full_corpus
@@ -328,13 +328,15 @@ def test_horizontal_expand_adds_2n_directions():
 def test_emit_tsv_round_trip(tmp_path):
     corpus = full_corpus(["en", "de", "nl"], 3)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de", "nl"]))
-    emit_bitext(ds, "tsv", tmp_path)
-    back = read_bitext_tsv(tmp_path)
-    assert back.blocks == ds.blocks
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert back.manifest == manifest
+    emit_bitext(ds, "tsv", tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
     assert manifest["counts"]["records"] == len(ds)
     assert manifest["counts"]["per_direction"]["de-en"] == 3
+    # read back and written untagged, the dataset is the same bytes
+    assert main(["tag", "--dataset", str(tmp_path / "ds"), "--tag", "none",
+                 "--out", str(tmp_path / "back")]) == 0
+    for name in ("records.tsv", "manifest.json"):
+        assert (tmp_path / "back" / name).read_bytes() == (tmp_path / "ds" / name).read_bytes()
 
 
 def test_emit_split_files_aligned(tmp_path):
@@ -406,21 +408,34 @@ def test_dataset_rejects_empty_and_ragged_blocks():
     assert [(r.src_text, r.tgt_text) for r in ds.records] == [("c", "z"), ("a", "x")]
 
 
-def test_read_bitext_tsv_groups_consecutive_lines_without_manifest(tmp_path):
-    (tmp_path / "records.tsv").write_text(
-        "de\ten\ta\tb\nde\ten\tc\td\nen\tde\te\tf\nde\ten\tg\th\n", encoding="utf-8"
-    )
-    ds = read_bitext_tsv(tmp_path)
-    de_en, en_de = Direction("de", "en"), Direction("en", "de")
-    assert ds.blocks == (
-        (de_en, ("a", "c"), ("b", "d"), range(2)),
-        (en_de, ("e",), ("f",), range(1)),
-        (de_en, ("g",), ("h",), range(1)),
-    )
-    assert ds.manifest == {"tag_strategy": "none"}
+def test_read_bitext_tsv_groups_consecutive_lines_without_manifest(tmp_path, capsys):
+    records = "de\ten\ta\tb\nde\ten\tc\td\nen\tde\te\tf\nde\ten\tg\th\n"
+    (tmp_path / "records.tsv").write_text(records, encoding="utf-8")
+    argv = ["tag", "--dataset", str(tmp_path), "--tag", "none", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert (tmp_path / "out" / "records.tsv").read_text(encoding="utf-8") == records
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text()) == {
+        "tag_strategy": "none",
+        "format": "tsv",
+        "counts": {"records": 4, "per_direction": {"de-en": 3, "en-de": 1}},
+    }
     (tmp_path / "records.tsv").write_text("de\ten\ta\n", encoding="utf-8")
-    with pytest.raises(DatagenError, match="records.tsv:1"):
-        read_bitext_tsv(tmp_path)
+    assert main(argv) == 1
+    assert f"{tmp_path / 'records.tsv'}:1: expected 4 fields, got 3" in capsys.readouterr().err
+
+
+def test_json_text_is_the_indented_json_dumps():
+    cases = [
+        {"rows": []},
+        {"rows": list(range(100_000)), "directions": ["de-nl", "nl-de"], "seed": None},
+        {"corpus_id": "çorpüs 😀", "skipped": {"de-ñl": 2},
+         "pair_for_bucket": {"0": ["de", "ü"]}},
+        {"nested": [[], {}, [1, [2.5, True]], {"b": "\t\"\\", "a": (1, "x")}],
+         "int_keys": {2: 1, 1: 0}},
+        [], {}, "plain", 3,
+    ]
+    for value in cases:
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 # --- emitted bytes ------------------------------------------------------------------
@@ -555,11 +570,19 @@ def test_blocks_write_what_the_per_record_reference_writes(data):
         _check_emit(ds, _reference_tagged(plain, kind), out / "built")
         if any("\t" in s + t for _d, s, t in plain):
             return
-        # a records.tsv whose directions recur, read back and tagged at emit
+        # a records.tsv whose directions recur, streamed through tag
         again = plain + plain[: len(plain) // 2 + 1]
         (out / "again").mkdir()
         (out / "again" / "records.tsv").write_text(
             _reference_files(again, "tsv")["records.tsv"], encoding="utf-8"
         )
-        back = apply_tags(read_bitext_tsv(out / "again"), TagStrategy(reread_kind))
-        _check_emit(back, _reference_tagged(again, reread_kind), out / "reread")
+        argv = ["tag", "--dataset", str(out / "again"), "--tag", reread_kind,
+                "--out", str(out / "reread")]
+        assert main(argv) == 0
+        reference = _reference_files(_reference_tagged(again, reread_kind), "tsv")["records.tsv"]
+        assert (out / "reread" / "records.tsv").read_text(encoding="utf-8") == reference
+        per_direction = {}
+        for d, _s, _t in again:
+            per_direction[str(d)] = per_direction.get(str(d), 0) + 1
+        manifest = json.loads((out / "reread" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["counts"] == {"records": len(again), "per_direction": per_direction}

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multipar.textio import read_json, read_lines, read_records
+from multipar.textio import CHUNK_CHARS, read_json, read_lines, read_records
 
 # byte strings biased towards line ends, separators and broken UTF-8
 TOKENS = [
@@ -55,6 +55,21 @@ def path(tmp_path_factory):
 @example(b"a\r\xc3")
 @example(b"\n")
 def test_read_lines_matches_reference_or_names_first_bad_line(path, data):
+    path.write_bytes(data)
+    lines, bad = decode_reference(data)
+    if bad is None:
+        assert list(read_lines(path, InputError)) == lines
+    else:
+        with pytest.raises(InputError, match=error_at(path, bad) + "invalid UTF-8$"):
+            list(read_lines(path, InputError))
+
+
+@pytest.mark.parametrize("tail", [b"\n\xff", b"\xa9\n\xff", b"\xa9\r\nz", b"x\xff", b"\xff", b""])
+@pytest.mark.parametrize("head", [b"\r", b"\n", b"\xc3", b"\r\n"])
+def test_read_lines_across_a_chunk_boundary_matches_reference(path, head, tail):
+    # head ends at the last byte of the first chunk, so a CRLF or a
+    # character may be cut in two
+    data = b"ab\r\n" * 10 + b"a" * (CHUNK_CHARS - 40 - len(head)) + head + tail
     path.write_bytes(data)
     lines, bad = decode_reference(data)
     if bad is None:
