@@ -45,7 +45,7 @@ from .datagen import (
     sample_rows,
     tag_bitext,
 )
-from .langid import LidConfig, LidModel, lid_train, off_target_rate, on_target_subset
+from .langid import LidConfig, LidError, LidModel, lid_train, off_target_rate, on_target_subset
 from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
 from .pool import available_cpus
 from .probes import (
@@ -304,7 +304,7 @@ def cmd_score(args) -> int:
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
     workers = _workers(args)
     if args.metric == "bleu":
-        value = bleu(pairs, MetricConfig(), workers)
+        value = bleu(pairs, workers)
     else:
         word_order = 2 if args.metric == "chrfpp" else 0
         value = chrf(pairs, MetricConfig(word_order=word_order), workers)
@@ -333,6 +333,8 @@ def cmd_lid_train(args) -> int:
 def cmd_lid_eval(args) -> int:
     model = LidModel.load(args.model)
     hyps = [(text, code) for _, (code, text) in read_records(args.hypotheses, 2, ValueError)]
+    if not hyps:
+        raise LidError(f"{args.hypotheses}: no hypotheses")
     report = off_target_rate(hyps, model, _workers(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -361,6 +363,8 @@ def cmd_ontarget(args) -> int:
             raise ValueError(
                 f"{args.hypotheses}:{lineno}: row id {row_id!r} is not an integer"
             ) from None
+    if not per_direction:
+        raise LidError(f"{args.hypotheses}: no hypotheses")
     subsets = on_target_subset(per_direction, model, _workers(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -389,9 +393,10 @@ def cmd_report(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _config_flags(path, args) -> list[str]:
+def _config_flags(path, args, multi_valued: set[str]) -> list[str]:
     """The ``key = value`` entries of a config file as flags for ``args``'s
-    subcommand; unknown keys are ignored."""
+    subcommand; unknown keys are ignored.  The value of a key in
+    ``multi_valued`` is split on whitespace, as a shell splits a flag's list."""
     values = {}
     for lineno, line in enumerate(read_lines(path, ValueError), 1):
         stripped = line.strip()
@@ -409,9 +414,17 @@ def _config_flags(path, args) -> list[str]:
         if isinstance(getattr(args, key), bool):
             if raw.lower() in ("1", "true", "yes"):
                 flags.append(flag)
+        elif key in multi_valued:
+            flags += [flag, *raw.split()]
         else:
             flags += [flag, raw]
     return flags
+
+
+def _multi_valued(parser: argparse.ArgumentParser, subcommand: str) -> set[str]:
+    """The keys of the subcommand's flags that take a list of values."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subparsers.choices[subcommand]._actions if a.nargs in ("*", "+")}
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -566,7 +579,8 @@ def main(argv=None) -> int:
             # explicit ones: argparse keeps the last value it reads, so a flag
             # in any spelling overrides the config, and config values get the
             # checks flags get
-            args = parser.parse_args(argv[:1] + _config_flags(args.config, args) + argv[1:])
+            flags = _config_flags(args.config, args, _multi_valued(parser, args.subcommand))
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .textio import read_json, read_lines, read_records
 
@@ -58,63 +58,15 @@ class MultiParallelCorpus:
         return tuple(self.columns)
 
     @property
-    def n_languages(self) -> int:
-        return len(self.columns)
-
-    @property
     def n_rows(self) -> int:
         return len(self.row_ids)
-
-    def is_fully_parallel(self) -> bool:
-        return all(all(column) for column in self.columns.values())
 
     @property
     def rows(self) -> tuple[dict[str, str], ...]:
         """Row view, built on request: each row maps only its non-empty cells."""
-        return tuple(self._row(i) for i in range(self.n_rows))
-
-    def row_by_id(self, row_id: int) -> dict[str, str]:
-        try:
-            return self._row(self.row_ids.index(row_id))
-        except ValueError:
-            raise CorpusError(f"no row with id {row_id}") from None
-
-    def _row(self, position: int) -> dict[str, str]:
-        return {c: col[position] for c, col in self.columns.items() if col[position]}
-
-
-def load_corpus(paths: Mapping[str, str | Path]) -> MultiParallelCorpus:
-    """Read one one-sentence-per-line file per language into a corpus.
-
-    All files must be UTF-8 and have equal line counts; row i of every
-    language comes from line i, and an empty line is a missing cell.
-    """
-    return _load(paths)
-
-
-def _load(
-    paths: Mapping[str, str | Path],
-    row_ids: Sequence[int] | None = None,
-    manifest_path: Path | None = None,
-) -> MultiParallelCorpus:
-    """:func:`load_corpus`, naming the rows ``row_ids`` (read from
-    ``manifest_path``), which must number one per line, or ``0..K-1``."""
-    columns: dict[str, tuple[str, ...]] = {}
-    for code, path in paths.items():
-        columns[code] = tuple(read_lines(path, CorpusError))
-    k = len(next(iter(columns.values()), ()))
-    if any(len(column) != k for column in columns.values()):
-        detail = ", ".join(f"{paths[c]}: {len(col)}" for c, col in sorted(columns.items()))
-        raise CorpusError(f"line-count mismatch across files ({detail})")
-    if row_ids is None:
-        row_ids = range(k)
-    elif len(row_ids) != k:
-        raise CorpusError(f"{manifest_path}: {len(row_ids)} row ids for {k} lines")
-    return MultiParallelCorpus(
-        columns=columns,
-        row_ids=tuple(row_ids),
-        provenance={"source": "load_corpus", "files": {c: str(paths[c]) for c in paths}},
-    )
+        return tuple(
+            {c: col[i] for c, col in self.columns.items() if col[i]} for i in range(self.n_rows)
+        )
 
 
 def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
@@ -151,7 +103,12 @@ def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
 
 
 def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
-    """Load a corpus from the directory layout written by :func:`save_corpus`."""
+    """Load a corpus from the directory layout written by :func:`save_corpus`.
+
+    The files must have equal line counts: row i of every language is line
+    i, and an empty line is a missing cell.  Without a ``manifest.json``,
+    every ``<code>.txt`` is read and the rows are numbered ``0..K-1``.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     row_ids = None
@@ -173,7 +130,22 @@ def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
             raise CorpusError(f'{manifest_path}: "row_ids" must be a list of integers')
     else:
         codes = sorted(p.stem for p in directory.glob("*.txt"))
-    return _load({c: directory / f"{c}.txt" for c in codes}, row_ids, manifest_path)
+    paths = {c: directory / f"{c}.txt" for c in codes}
+    columns = {c: tuple(read_lines(path, CorpusError)) for c, path in paths.items()}
+    k = len(next(iter(columns.values()), ()))
+    if any(len(column) != k for column in columns.values()):
+        detail = ", ".join(f"{paths[c]}: {len(col)}" for c, col in sorted(columns.items()))
+        raise CorpusError(f"line-count mismatch across files ({detail})")
+    if row_ids is None:
+        row_ids = range(k)
+    elif len(row_ids) != k:
+        raise CorpusError(f"{manifest_path}: {len(row_ids)} row ids for {k} lines")
+    # the source is the corpus_id that build-ft writes into its manifest
+    return MultiParallelCorpus(
+        columns=columns,
+        row_ids=tuple(row_ids),
+        provenance={"source": "load_corpus", "files": {c: str(p) for c, p in paths.items()}},
+    )
 
 
 @dataclass(frozen=True)
@@ -252,36 +224,3 @@ def mine_pivot_aligned(
     )
     return corpus, stats
 
-
-def subset_rows(
-    corpus: MultiParallelCorpus, row_ids: Sequence[int]
-) -> MultiParallelCorpus:
-    """Keep the given rows, in the given order, retaining their original ids."""
-    index = {rid: i for i, rid in enumerate(corpus.row_ids)}
-    try:
-        positions = [index[rid] for rid in row_ids]
-    except KeyError as exc:
-        raise CorpusError(f"row id {exc.args[0]} out of range") from None
-    return MultiParallelCorpus(
-        columns={c: tuple(col[p] for p in positions) for c, col in corpus.columns.items()},
-        row_ids=tuple(row_ids),
-        provenance={
-            **dict(corpus.provenance),
-            "row_subset_of": list(corpus.row_ids),
-        },
-    )
-
-
-def restrict_languages(
-    corpus: MultiParallelCorpus, codes: Iterable[str]
-) -> MultiParallelCorpus:
-    """Project the corpus onto a subset of its languages; K is unchanged."""
-    keep = set(codes)
-    unknown = keep - set(corpus.columns)
-    if unknown:
-        raise CorpusError(f"unknown language codes: {sorted(unknown)}")
-    return MultiParallelCorpus(
-        columns={c: col for c, col in corpus.columns.items() if c in keep},
-        row_ids=corpus.row_ids,
-        provenance={**dict(corpus.provenance), "restricted_to": sorted(keep)},
-    )

@@ -2,7 +2,7 @@
 
 Covers direction enumeration and nested sampling, family restriction,
 row subsetting, bucketed multi-parallel vs. multi-directional settings,
-language-tag serialization, horizontal expansion, and bitext emission.
+language-tag serialization, and bitext emission.
 
 A dataset's ``blocks`` are runs ``(direction, sources, targets, positions)``:
 record k of a block is ``(sources[positions[k]], targets[positions[k]])``.
@@ -66,13 +66,6 @@ class Direction:
     def __str__(self) -> str:
         return f"{self.src}-{self.tgt}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Direction":
-        src, sep, tgt = text.partition("-")
-        if not sep:
-            raise DatagenError(f"cannot parse direction {text!r}")
-        return cls(src, tgt)
-
     def is_english_centric(self, english_code: str = "en") -> bool:
         return english_code in (self.src, self.tgt)
 
@@ -80,7 +73,6 @@ class Direction:
 @dataclass(frozen=True)
 class DirectionSet:
     directions: tuple[Direction, ...]
-    english_code: str = "en"
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -92,15 +84,6 @@ class DirectionSet:
 
     def __iter__(self):
         return iter(self.directions)
-
-    def __contains__(self, d: Direction) -> bool:
-        return d in set(self.directions)
-
-    def english_centric(self) -> tuple[Direction, ...]:
-        return tuple(d for d in self.directions if d.is_english_centric(self.english_code))
-
-    def zero_shot(self) -> tuple[Direction, ...]:
-        return tuple(d for d in self.directions if not d.is_english_centric(self.english_code))
 
 
 def enumerate_directions(
@@ -123,7 +106,6 @@ def enumerate_directions(
         raise DatagenError("fewer than 2 usable languages after exclusions")
     return DirectionSet(
         tuple(dirs),
-        english_code=english_code,
         provenance={
             "rule": "enumerate",
             "include_english_centric": include_english_centric,
@@ -145,7 +127,6 @@ def sample_directions(dirs: DirectionSet, fraction: float, seed: int) -> Directi
     perm = stream(seed, "directions").permutation(sorted(dirs.directions))
     return DirectionSet(
         tuple(perm[:count]),
-        english_code=dirs.english_code,
         provenance={**dict(dirs.provenance), "fraction": fraction, "seed": seed},
     )
 
@@ -163,7 +144,6 @@ def restrict_directions_to_family(
         raise DatagenError(f"no directions fall within family {family!r}")
     return DirectionSet(
         kept,
-        english_code=dirs.english_code,
         provenance={
             **dict(dirs.provenance),
             "family": family,
@@ -435,24 +415,6 @@ def _tagged_manifest(
     if manifest.get("tag_strategy", "none") != "none":
         raise DatagenError("dataset is already tagged")
     return {**manifest, "tag_strategy": strategy.kind}
-
-
-def horizontal_expand(
-    corpus: MultiParallelCorpus, new_code: str, sentences: Sequence[str]
-) -> tuple[MultiParallelCorpus, int]:
-    """Add one language column; returns the count of newly covered directions (2N)."""
-    if new_code in corpus.columns:
-        raise DatagenError(f"language {new_code!r} already present")
-    if len(sentences) != corpus.n_rows:
-        raise DatagenError(
-            f"need {corpus.n_rows} sentences for {new_code!r}, got {len(sentences)}"
-        )
-    expanded = MultiParallelCorpus(
-        columns={**corpus.columns, new_code: tuple(sentences)},
-        row_ids=corpus.row_ids,
-        provenance={**dict(corpus.provenance), "expanded_with": new_code},
-    )
-    return expanded, 2 * corpus.n_languages
 
 
 # records written per chunk: one joined string per chunk

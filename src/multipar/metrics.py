@@ -1,11 +1,12 @@
 """Corpus-level ChrF/ChrF++ and BLEU with a 13a-style tokenizer.
 
 Scores live on a 0-100 scale.  Statistics are pooled over the whole pair
-list before the F/precision computation (micro aggregation).  Scoring is
-pure Python; ``chrf`` and ``bleu`` sum the integer statistics of contiguous
-slices of the pairs in up to ``workers`` processes of :mod:`multipar.pool`,
-which gives the same sums, so the same score, as one process.  This module
-starts no process itself.  Externally computed scores
+list before the F/precision computation (micro aggregation).  BLEU counts
+13a tokens, and ChrF weighs recall ``BETA`` times as much as precision.
+Scoring is pure Python; ``chrf`` and ``bleu`` sum the integer statistics of
+contiguous slices of the pairs in up to ``workers`` processes of
+:mod:`multipar.pool`, which gives the same sums, so the same score, as one
+process.  This module starts no process itself.  Externally computed scores
 (e.g. COMET) are never recomputed here; ``report.ScoreMatrix.load_tsv``
 reads them from TSV.
 
@@ -34,6 +35,7 @@ from .pool import map_slices
 
 CHAR_ORDER = 6
 BLEU_MAX_ORDER = 4
+BETA = 2
 # pairs a scoring worker process must have to pay for itself: on 2 cores, two
 # workers beat one process on all three metrics from 128 pairs, not at 64
 MIN_PAIRS_PER_WORKER = 64
@@ -46,21 +48,14 @@ class MetricError(ValueError):
 @dataclass(frozen=True)
 class MetricConfig:
     word_order: int = 0  # 0 for ChrF, 2 for ChrF++
-    beta: float = 2.0
-    tokenizer: str = "13a"
 
     def __post_init__(self):
         if self.word_order < 0:
             raise MetricError("word_order must be >= 0")
-        if self.beta <= 0:
-            raise MetricError("beta must be positive")
-        if self.tokenizer not in ("13a", "whitespace"):
-            raise MetricError(f"unsupported tokenizer {self.tokenizer!r}")
 
 
 CHRF = MetricConfig(word_order=0)
 CHRF_PP = MetricConfig(word_order=2)
-BLEU = MetricConfig()
 
 
 @dataclass(frozen=True)
@@ -94,12 +89,6 @@ def tokenize_13a(text: str) -> list[str]:
     return norm.split()
 
 
-def _tokenize(text: str, config: MetricConfig) -> list[str]:
-    if config.tokenizer == "13a":
-        return tokenize_13a(text)
-    return text.split()
-
-
 def _word_ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -111,9 +100,9 @@ def _char_ngrams(text: str, n: int) -> Counter:
 # --- BLEU -------------------------------------------------------------------
 
 
-def _bleu_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
-    hyp = _tokenize(pair.hypothesis, config)
-    ref = _tokenize(pair.reference, config)
+def _bleu_pair_stats(pair: ScorePair) -> list[int]:
+    hyp = tokenize_13a(pair.hypothesis)
+    ref = tokenize_13a(pair.reference)
     stats = [0] * (2 * BLEU_MAX_ORDER) + [len(hyp), len(ref)]
     for n in range(1, BLEU_MAX_ORDER + 1):
         hyp_ngrams = _word_ngrams(hyp, n)
@@ -123,11 +112,11 @@ def _bleu_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
     return stats
 
 
-def bleu(pairs: Sequence[ScorePair], config: MetricConfig = BLEU, workers: int = 1) -> float:
+def bleu(pairs: Sequence[ScorePair], workers: int = 1) -> float:
     """Corpus BLEU: orders 1..4, exponential smoothing, brevity penalty."""
     if not pairs:
         raise MetricError("empty pair list")
-    stats = _pooled_stats(pairs, config, _bleu_pair_stats, workers)
+    stats = _pooled_stats(pairs, _bleu_pair_stats, workers)
     sys_len, ref_len = stats[-2], stats[-1]
     log_precisions = []
     smooth = 1.0
@@ -198,7 +187,7 @@ def _chrf_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
     return stats
 
 
-def _f_score_from_stats(stats: Sequence[int], config: MetricConfig) -> float:
+def _f_score_from_stats(stats: Sequence[int]) -> float:
     avg_precision = 0.0
     avg_recall = 0.0
     effective = 0
@@ -214,7 +203,7 @@ def _f_score_from_stats(stats: Sequence[int], config: MetricConfig) -> float:
     avg_recall /= effective
     if avg_precision + avg_recall == 0.0:
         return 0.0
-    beta_sq = config.beta ** 2
+    beta_sq = BETA ** 2
     f = (1 + beta_sq) * avg_precision * avg_recall / (beta_sq * avg_precision + avg_recall)
     return 100.0 * f
 
@@ -223,8 +212,8 @@ def chrf(pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP, workers: in
     """Corpus ChrF (word_order 0) or ChrF++ (word_order 2) on a 0-100 scale."""
     if not pairs:
         raise MetricError("empty pair list")
-    stats = _pooled_stats(pairs, config, _chrf_pair_stats, workers)
-    return _f_score_from_stats(stats, config)
+    stats = _pooled_stats(pairs, partial(_chrf_pair_stats, config=config), workers)
+    return _f_score_from_stats(stats)
 
 
 # --- pooled statistics ------------------------------------------------------
@@ -234,7 +223,7 @@ def _column_sums(rows) -> list[int]:
     return [sum(column) for column in zip(*rows)]
 
 
-def _pooled_stats(pairs, config, pair_stats, workers: int = 1) -> list[int]:
+def _pooled_stats(pairs, pair_stats, workers: int = 1) -> list[int]:
     """Sum the per-pair integer statistics, column by column.
 
     Contiguous slices of the pairs are summed in up to ``workers`` processes
@@ -242,11 +231,11 @@ def _pooled_stats(pairs, config, pair_stats, workers: int = 1) -> list[int]:
     result does not depend on ``workers``.
     """
     slices = map_slices(
-        partial(_slice_stats, pairs, config, pair_stats), len(pairs), workers,
+        partial(_slice_stats, pairs, pair_stats), len(pairs), workers,
         MIN_PAIRS_PER_WORKER, MetricError("a scoring worker process died before returning its sums"),
     )
     return _column_sums(slices)
 
 
-def _slice_stats(pairs, config, pair_stats, start: int, stop: int) -> list[int]:
-    return _column_sums(pair_stats(p, config) for p in pairs[start:stop])
+def _slice_stats(pairs, pair_stats, start: int, stop: int) -> list[int]:
+    return _column_sums(map(pair_stats, pairs[start:stop]))

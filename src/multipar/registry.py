@@ -2,9 +2,9 @@
 
 A registry pins down the closed set of languages an experiment runs over,
 which language is the English pivot, and the grouping metadata (family,
-resource tier) that the report layer aggregates by.  The EC30/EC40
-registries used throughout the bundled experiments ship as package data;
-a registry JSON given by path is read through :mod:`multipar.textio`.
+resource tier) that the report layer aggregates by.  The bundled EC30
+registry is the EC40 table shipped as package data less its ExtraLow
+tier; a registry JSON given by path is read through :mod:`multipar.textio`.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class LanguageRegistry:
     def __contains__(self, code: str) -> bool:
         return code in self._by_code
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __getitem__(self, code: str) -> LanguageSpec:
         try:
             return self._by_code[code]
@@ -87,21 +84,6 @@ class LanguageRegistry:
     def tier_of(self, code: str) -> str:
         return self[code].tier
 
-    def family_of(self, code: str) -> str:
-        return self[code].family
-
-    def subset(self, codes: Iterable[str]) -> "LanguageRegistry":
-        keep = set(codes) | {self.english_code}
-        return LanguageRegistry(
-            (s for s in self.entries if s.code in keep), self.english_code
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "english_code": self.english_code,
-            "languages": [vars(s) | {} for s in self.entries],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "LanguageRegistry":
         rows, english_code = data.get("languages"), data.get("english_code", "en")
@@ -122,25 +104,12 @@ class LanguageRegistry:
         except RegistryError as exc:
             raise RegistryError(f"{path}: {exc}") from None
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-
-
-def _load_bundled() -> LanguageRegistry:
-    text = resources.files("multipar.data").joinpath("ec40.json").read_text("utf-8")
-    return LanguageRegistry.from_dict(json.loads(text))
-
-
-def ec40() -> LanguageRegistry:
-    """The full 40-language registry (plus the English pivot)."""
-    return _load_bundled()
-
 
 def ec30() -> LanguageRegistry:
-    """The 30-language subset: ExtraLow-tier languages excluded."""
-    full = _load_bundled()
+    """The bundled EC30 registry: the EC40 table in ``data/ec40.json``
+    without its ExtraLow tier, 30 languages plus the English pivot."""
+    text = resources.files("multipar.data").joinpath("ec40.json").read_text("utf-8")
+    full = LanguageRegistry.from_dict(json.loads(text))
     return LanguageRegistry(
         (s for s in full.entries if s.tier != "ExtraLow"), full.english_code
     )

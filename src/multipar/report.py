@@ -65,9 +65,6 @@ class ScoreMatrix:
     def __len__(self) -> int:
         return len(self._cells)
 
-    def __contains__(self, key: tuple[Direction, str]) -> bool:
-        return key in self._cells
-
     def cells(self) -> dict[tuple[Direction, str], Cell]:
         return dict(self._cells)
 
@@ -77,14 +74,6 @@ class ScoreMatrix:
     def directions(self, metric: str | None = None) -> tuple[Direction, ...]:
         dirs = {d for d, m in self._cells if metric is None or m == metric}
         return tuple(sorted(dirs))
-
-    def merge(self, other: "ScoreMatrix") -> "ScoreMatrix":
-        merged = ScoreMatrix()
-        for (d, m), cell in sorted(self._cells.items()):
-            merged.set(d, m, cell.value, cell.count)
-        for (d, m), cell in sorted(other._cells.items()):
-            merged.set(d, m, cell.value, cell.count)
-        return merged
 
     # --- TSV round trip: src_lang tgt_lang metric value count ---
 
@@ -143,18 +132,6 @@ class ScoreMatrix:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScoreMatrix":
-        matrix = cls()
-        for row in data["cells"]:
-            matrix.set(
-                Direction(row["src"], row["tgt"]),
-                row["metric"],
-                row["value"],
-                row.get("count", 0),
-            )
-        return matrix
-
 
 @dataclass(frozen=True)
 class GroupingScheme:
@@ -188,36 +165,6 @@ def _mean(values: Iterable[float]) -> float | None:
     if not math.isfinite(mean):
         raise ReportError(f"the mean of {len(values)} values overflows")
     return mean
-
-
-def aggregate(
-    matrix: ScoreMatrix,
-    scheme: GroupingScheme,
-    registry: LanguageRegistry,
-    metric: str,
-    allow_partial: bool = True,
-) -> dict[str, float]:
-    """Group means plus ``AVG`` (mean of group means) and ``GRAND_MEAN``
-    (direction-weighted), computed over the matrix's directions.
-
-    ``allow_partial=False`` errors if a resource-grid group has no member in
-    the matrix.
-    """
-    groups = _group(matrix, scheme, registry, metric)
-    if scheme.kind == "resource_grid" and not allow_partial:
-        missing = [g for g in RESOURCE_GRID_GROUPS if g not in groups]
-        if missing:
-            raise ReportError(f"resource grid groups without data: {missing}")
-    if not groups:
-        raise ReportError(f"no direction in the matrix fits scheme {scheme.kind!r}")
-    return _label_means(groups)
-
-
-def _label_means(groups: Mapping[str, list[float]]) -> dict[str, float]:
-    result = {label: _mean(vals) for label, vals in sorted(groups.items())}
-    result["AVG"] = _mean(result.values())
-    result["GRAND_MEAN"] = _mean(v for vals in groups.values() for v in vals)
-    return result
 
 
 def _group(
@@ -267,26 +214,6 @@ def classify(
     return None
 
 
-def english_centric_summary(
-    matrix: ScoreMatrix, registry: LanguageRegistry, metric: str
-) -> dict:
-    """Per-tier EN-X / X-EN means plus the overall mean of the tier cells; an
-    orientation with no direction in the matrix has an overall mean of None."""
-    scheme = GroupingScheme("english_centric")
-    groups = _group(matrix, scheme, registry, metric)
-    if not groups:
-        raise ReportError("no english-centric directions in the matrix")
-    return _summarize(scheme, groups)
-
-
-def family_summary(
-    matrix: ScoreMatrix, family: str, registry: LanguageRegistry, metric: str
-) -> dict[str, float | None]:
-    """Within / out-of / into family means over zero-shot directions."""
-    scheme = GroupingScheme("family", family=family)
-    return _summarize(scheme, _group(matrix, scheme, registry, metric))
-
-
 def _summarize(scheme: GroupingScheme, groups: Mapping[str, list[float]]) -> dict | None:
     """The summary of one scheme's groups; None when a resource-grid or
     english-centric scheme has no group, while a family keeps its keys."""
@@ -295,7 +222,10 @@ def _summarize(scheme: GroupingScheme, groups: Mapping[str, list[float]]) -> dic
     if not groups:
         return None
     if scheme.kind == "resource_grid":
-        return _label_means(groups)
+        result = {label: _mean(vals) for label, vals in sorted(groups.items())}
+        result["AVG"] = _mean(result.values())
+        result["GRAND_MEAN"] = _mean(v for vals in groups.values() for v in vals)
+        return result
     tiers: dict[str, dict[str, float]] = {}
     for label, values in groups.items():
         orientation, tier = label.split("/")

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .rng import stream
 from .textio import read_records
@@ -95,7 +95,3 @@ def load_table(path: str | Path) -> dict[str, float]:
             raise SamplingError(f"{path}:{lineno}: {exc}") from None
         table[key] = value
     return table
-
-
-def load_weights(path: str | Path, temperature: float = 1.0) -> MixtureWeights:
-    return MixtureWeights(weights=load_table(path), temperature=temperature)

@@ -6,7 +6,7 @@ they share no code path with the library implementations they check.
 
 from collections import Counter
 
-from multipar import MultiParallelCorpus
+from multipar.corpus import MultiParallelCorpus
 from multipar.rng import Stream
 
 

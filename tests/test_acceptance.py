@@ -16,38 +16,30 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from multipar import (
-    GroupingScheme,
-    LidConfig,
-    ProbeConfig,
-    ScoreMatrix,
-    ScorePair,
-    aggregate,
-    bleu,
+from multipar.cli import main
+from multipar.corpus import mine_pivot_aligned
+from multipar.datagen import (
     build_multidirectional_setting,
     build_multiparallel_setting,
     build_pairwise,
-    chrf,
-    english_centric_summary,
     enumerate_directions,
-    lid_classify,
-    lid_train,
-    mine_pivot_aligned,
-    off_target_rate,
-    on_target_subset,
     partition_buckets,
-    pivot_dictionaries,
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
-    save_corpus,
-    temperature_weights,
 )
-from multipar.cli import main
-from multipar.datagen import Direction
-from multipar.metrics import CHRF, CHRF_PP, tokenize_13a
+from multipar.langid import (
+    LidConfig,
+    lid_classify,
+    lid_train,
+    off_target_rate,
+    on_target_subset,
+)
+from multipar.metrics import CHRF, CHRF_PP, ScorePair, bleu, chrf, tokenize_13a
+from multipar.probes import pivot_dictionaries
 from multipar.registry import ec30
 from multipar.report import resource_grid_group
+from multipar.sampling import temperature_weights
 
 from helpers import (
     brute_force_join,
@@ -82,7 +74,7 @@ def test_criterion_combinatorics():
         without_oc = enumerate_directions(REG.codes, excluded_languages={"oc"})
         assert len(without_oc) == 870
 
-        zero_shot = enumerate_directions(REG.codes).zero_shot()
+        zero_shot = enumerate_directions(REG.codes, include_english_centric=False)
         counts = {}
         for d in zero_shot:
             cell = resource_grid_group(d, REG)
@@ -98,7 +90,7 @@ def test_criterion_combinatorics():
         assert len(germanic) == 42
 
 
-def test_criterion_table_arithmetic():
+def test_criterion_table_arithmetic(tmp_path):
     with gate("table arithmetic: zero-shot AVG 12.8 and english-centric AVG 52.1"):
         grid_values = {
             "H-H": 11.0, "H-M": 14.8, "H-L": 10.6,
@@ -106,26 +98,31 @@ def test_criterion_table_arithmetic():
             "L-H": 13.7, "L-M": 17.4, "L-L": 10.9,
         }
         reps = {"H": ("de", "fr"), "M": ("sv", "it"), "L": ("af", "ro")}
-        matrix = ScoreMatrix()
+        cells = []
         for cell, value in grid_values.items():
             s, t = cell.split("-")
-            matrix.set(Direction(reps[s][0], reps[t][1]), "chrf", value)
-        result = aggregate(matrix, GroupingScheme("resource_grid"), REG, "chrf")
-        assert result["AVG"] == pytest.approx(12.8, abs=0.05)
-
+            cells.append((reps[s][0], reps[t][1], value))
         table2 = {
             ("High", "EN-X"): 52.5, ("High", "X-EN"): 57.5,
             ("Medium", "EN-X"): 53.9, ("Medium", "X-EN"): 56.5,
             ("Low", "EN-X"): 42.5, ("Low", "X-EN"): 49.8,
         }
         tier_rep = {"High": "de", "Medium": "sv", "Low": "af"}
-        matrix2 = ScoreMatrix()
         for (tier, orientation), value in table2.items():
             code = tier_rep[tier]
-            d = Direction("en", code) if orientation == "EN-X" else Direction(code, "en")
-            matrix2.set(d, "chrf", value)
-        summary = english_centric_summary(matrix2, REG, "chrf")
-        assert summary["overall"]["AVG"] == pytest.approx(52.1, abs=0.05)
+            cells.append(("en", code, value) if orientation == "EN-X" else (code, "en", value))
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(
+            "src_lang\ttgt_lang\tmetric\tvalue\tcount\n"
+            + "".join(f"{src}\t{tgt}\tchrf\t{value}\t0\n" for src, tgt, value in cells),
+            encoding="utf-8",
+        )
+        out = tmp_path / "report"
+        assert main(["report", "--scores", str(scores), "--format", "json", "--out", str(out)]) == 0
+        summaries = json.loads((out / "report.json").read_text(encoding="utf-8"))["summaries"]
+        assert summaries["chrf"]["resource_grid"]["AVG"] == pytest.approx(12.8, abs=0.05)
+        overall = summaries["chrf"]["english_centric"]["overall"]
+        assert overall["AVG"] == pytest.approx(52.1, abs=0.05)
 
 
 def test_criterion_bitext_size_parity():

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
-from multipar import save_corpus
 from multipar.cli import main
+from multipar.corpus import save_corpus
+from multipar.registry import ec30
 from multipar.textio import CHUNK_CHARS
 
 from helpers import full_corpus, make_mining_fixture, synthetic_sentences
@@ -617,3 +618,117 @@ def test_report_rejects_a_mean_beyond_the_float_range(tmp_path, capsys, fmt):
     assert rc == 1
     assert "the mean of 2 values overflows" in capsys.readouterr().err
     assert not out.exists()
+
+
+def out_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, key, values",
+    [
+        (["probe-numbers", "--languages", "en", "de", "fr", "nl", "--lines", "1"],
+         "exclude", ["de", "fr"]),
+        (["probe-numbers", "--lines", "1"], "languages", ["en", "de"]),
+        (["report", "--format", "json"], "scheme", ["english_centric", "family:Germanic"]),
+    ],
+    ids=["exclude", "languages", "scheme"],
+)
+def test_config_sets_a_multi_value_flag_like_the_command_line(tmp_path, argv, key, values):
+    if argv[0] == "report":
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORE_HEADER + "en\tde\tchrf\t40\t10\nde\tnl\tchrf\t30\t10\n")
+        argv = argv + ["--scores", str(scores)]
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    assert main(argv + [f"--{key}", *values]) == 0
+    from_flags = out_bytes(out)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {' '.join(values)}\n", encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == 0
+    assert out_bytes(out) == from_flags
+
+
+@pytest.mark.parametrize("data", [b"", b"\n \r\n  \n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("subcommand", ["lid-eval", "ontarget"])
+def test_lid_eval_and_ontarget_reject_a_file_without_hypotheses(tmp_path, capsys, subcommand, data):
+    corpus, _a, _b = lid_fixture(tmp_path)
+    assert main(["lid-train", "--corpus", str(corpus), "--out", str(tmp_path / "model")]) == 0
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_bytes(data)
+    out = tmp_path / "out"
+    argv = [subcommand, "--model", str(tmp_path / "model" / "lid_model.json"),
+            "--hypotheses", str(hyps), "--out", str(out), "--json-errors"]
+    assert main(argv) == 1
+    envelope = json.loads(capsys.readouterr().err)
+    assert envelope == {"error": "LidError", "message": f"{hyps}: no hypotheses"}
+    assert not out.exists()
+
+
+def test_report_markdown_renders_the_resource_grid(tmp_path):
+    scores = tmp_path / "scores.tsv"
+    # two H-H directions and one L-L: the other seven groups have no data
+    scores.write_text(SCORE_HEADER + "de\tfr\tchrf\t10\t1\nfr\tde\tchrf\t20\t1\naf\tro\tchrf\t40\t1\n")
+    out = tmp_path / "report"
+    argv = ["report", "--scores", str(scores), "--scheme", "resource_grid",
+            "--format", "markdown", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "report.md").read_text(encoding="utf-8") == (
+        "### Zero-shot chrf by resource group\n\n"
+        "| H-H | H-M | H-L | M-H | M-M | M-L | L-H | L-M | L-L | AVG |\n"
+        "|---|---|---|---|---|---|---|---|---|---|\n"
+        "| 15.0 | null | null | null | null | null | null | null | 40.0 | 27.5 |\n\n"
+        "AVG is the mean of group means; direction-weighted mean: 23.33\n"
+    )
+
+
+def test_buckets_multi_parallel(tmp_path):
+    path = tmp_path / "corpus"
+    save_corpus(full_corpus(["de", "en", "nl", "fr"], 30), path)
+    out = tmp_path / "buckets"
+    rc = main(
+        ["buckets", "--corpus", str(path), "--num-buckets", "3", "--languages", "de", "en", "nl",
+         "--setting", "multi_parallel", "--bucket", "1", "--out", str(out), "--seed", "5"]
+    )
+    assert rc == 0
+    mapping = json.loads((out / "buckets.json").read_text())["mapping"]
+    bucket_rows = sorted(int(row) for row, bucket in mapping.items() if bucket == 1)
+    manifest = json.loads((out / "dataset" / "manifest.json").read_text())
+    assert manifest["setting"] == "multi_parallel" and manifest["bucket"] == 1
+    assert manifest["rows"] == bucket_rows and len(bucket_rows) == 10
+    # every direction of the chosen languages, over the bucket's rows only
+    assert manifest["counts"]["per_direction"] == {
+        d: 10 for d in ["de-en", "de-nl", "en-de", "en-nl", "nl-de", "nl-en"]
+    }
+    lines = (out / "dataset" / "records.tsv").read_text().splitlines()
+    # a full_corpus cell is "<code> r <row> alpha beta"
+    assert {int(line.split("\t")[2].split()[2]) for line in lines} == set(bucket_rows)
+
+
+def test_family_flag_restricts_build_ft_and_probe_numbers(tmp_path):
+    path = tmp_path / "corpus"
+    save_corpus(full_corpus(["de", "en", "fr", "nl"], 4), path)
+    directions = {}
+    for name, argv in {
+        "germanic": ["build-ft", "--corpus", str(path), "--family", "Germanic"],
+        "zero_shot": ["build-ft", "--corpus", str(path), "--family", "Germanic",
+                      "--no-english-centric"],
+        "romance": ["probe-numbers", "--lines", "1", "--family", "Romance"],
+    }.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        directions[name] = sorted(manifest["counts"]["per_direction"])
+    assert directions["germanic"] == ["de-en", "de-nl", "en-de", "en-nl", "nl-de", "nl-en"]
+    assert directions["zero_shot"] == ["de-nl", "nl-de"]
+    romance = ec30().members_of_family("Romance")
+    assert directions["romance"] == sorted(f"{a}-{b}" for a in romance for b in romance if a != b)
+
+
+def test_probe_numbers_defaults_to_the_registry_languages(tmp_path):
+    out = tmp_path / "numbers"
+    assert main(["probe-numbers", "--lines", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    codes = ec30().codes
+    assert len(codes) == 31
+    assert manifest["directions"] == [f"{a}-{b}" for a in sorted(codes) for b in sorted(codes)
+                                      if a != b]

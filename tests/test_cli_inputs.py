@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multipar import MultiParallelCorpus, save_corpus
+from multipar.corpus import MultiParallelCorpus, save_corpus
 from multipar.cli import main
 
 from helpers import full_corpus, synthetic_sentences

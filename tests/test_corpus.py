@@ -4,18 +4,21 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multipar import (
+from multipar.corpus import (
+    CorpusError,
     MultiParallelCorpus,
-    load_corpus,
+    load_bitext_tsv,
     load_corpus_dir,
     mine_pivot_aligned,
-    restrict_languages,
+    normalize_pivot,
     save_corpus,
-    subset_rows,
 )
-from multipar.corpus import CorpusError, load_bitext_tsv, normalize_pivot
 
 from helpers import brute_force_mine, full_corpus, make_mining_fixture
+
+
+def fully_parallel(corpus):
+    return all(all(column) for column in corpus.columns.values())
 
 
 # --- construction and validation ----------------------------------------------
@@ -46,19 +49,19 @@ def test_partial_rows_allowed():
         {"en": ("a", "c"), "de": ("b", "d"), "nl": ("", "e")},
         (0, 1),
     )
-    assert not corpus.is_fully_parallel()
-    assert corpus.row_by_id(1)["nl"] == "e"
-    assert corpus.row_by_id(0) == {"en": "a", "de": "b"}
+    assert not fully_parallel(corpus)
+    assert corpus.rows == ({"en": "a", "de": "b"}, {"en": "c", "de": "d", "nl": "e"})
 
 
 # --- file loading ----------------------------------------------------------------
+# a directory without manifest.json: every <code>.txt, rows numbered from 0
 
 
 def test_load_corpus_aligns_lines(tmp_path):
     (tmp_path / "en.txt").write_text("one\ntwo\n", encoding="utf-8")
     (tmp_path / "de.txt").write_text("eins\nzwei\n", encoding="utf-8")
-    corpus = load_corpus({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
-    assert corpus.n_rows == 2
+    corpus = load_corpus_dir(tmp_path)
+    assert corpus.n_rows == 2 and corpus.row_ids == (0, 1)
     assert corpus.rows[1] == {"en": "two", "de": "zwei"}
 
 
@@ -66,7 +69,7 @@ def test_load_corpus_line_count_mismatch_names_files(tmp_path):
     (tmp_path / "en.txt").write_text("one\ntwo\n", encoding="utf-8")
     (tmp_path / "de.txt").write_text("eins\n", encoding="utf-8")
     with pytest.raises(CorpusError) as err:
-        load_corpus({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
+        load_corpus_dir(tmp_path)
     assert "en.txt" in str(err.value) and "de.txt" in str(err.value)
 
 
@@ -74,7 +77,7 @@ def test_load_corpus_rejects_invalid_utf8(tmp_path):
     (tmp_path / "en.txt").write_bytes(b"\xff\xfe broken\n")
     (tmp_path / "de.txt").write_text("ok\n", encoding="utf-8")
     with pytest.raises(CorpusError):
-        load_corpus({"en": tmp_path / "en.txt", "de": tmp_path / "de.txt"})
+        load_corpus_dir(tmp_path)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -87,7 +90,11 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_load_preserves_nonconsecutive_row_ids(tmp_path):
-    corpus = subset_rows(full_corpus(["en", "de"], 10), [8, 3, 5])
+    full = full_corpus(["en", "de"], 10)
+    corpus = MultiParallelCorpus(
+        {code: tuple(column[i] for i in (8, 3, 5)) for code, column in full.columns.items()},
+        (8, 3, 5),
+    )
     save_corpus(corpus, tmp_path / "c")
     loaded = load_corpus_dir(tmp_path / "c")
     assert loaded.row_ids == (8, 3, 5)
@@ -139,7 +146,6 @@ def test_save_load_round_trip_keeps_missing_cells(corpus):
     assert loaded.languages == corpus.languages
     assert loaded.columns == corpus.columns
     assert loaded.row_ids == corpus.row_ids
-    assert loaded.is_fully_parallel() == corpus.is_fully_parallel()
 
 
 def test_load_corpus_dir_rejects_manifest_row_id_count_mismatch(tmp_path):
@@ -188,7 +194,7 @@ def test_mine_small_example():
     assert [r["en"] for r in corpus.rows] == ["Good morning", "Thanks"]
     assert corpus.rows[0]["nl"] == "Goedemorgen"
     assert stats.yield_rows == 2
-    assert corpus.is_fully_parallel()
+    assert fully_parallel(corpus)
 
 
 def test_mine_drops_ambiguous_pivots():
@@ -213,7 +219,7 @@ def test_mine_joins_on_trimmed_pivot():
 def test_mine_empty_foreign_side_is_a_missing_cell():
     corpus, _ = mine_pivot_aligned({"de": [("Hi", "")], "nl": [("Hi", "Hoi")]})
     assert corpus.rows[0] == {"en": "Hi", "nl": "Hoi"}
-    assert not corpus.is_fully_parallel()
+    assert not fully_parallel(corpus)
 
 
 def test_mine_requires_two_bitexts():
@@ -233,46 +239,3 @@ def test_mine_matches_brute_force_on_large_fixture():
     assert list(corpus.rows) == expected
     assert corpus.row_ids == tuple(range(len(expected)))
     assert len(expected) > 0  # fixture must actually exercise the join
-
-
-# --- subsetting -------------------------------------------------------------------
-
-
-def test_subset_rows_keeps_ids_and_order():
-    corpus = full_corpus(["en", "de"], 10)
-    sub = subset_rows(corpus, [7, 2, 4])
-    assert sub.row_ids == (7, 2, 4)
-    assert sub.rows[0] == corpus.row_by_id(7)
-
-
-def test_subset_rows_rejects_unknown_and_duplicate_ids():
-    corpus = full_corpus(["en", "de"], 3)
-    with pytest.raises(CorpusError):
-        subset_rows(corpus, [0, 99])
-    with pytest.raises(CorpusError):
-        subset_rows(corpus, [1, 1])
-
-
-def test_restrict_languages_keeps_all_rows():
-    corpus = full_corpus(["en", "de", "nl", "fr"], 5)
-    restricted = restrict_languages(corpus, ["de", "fr"])
-    assert restricted.languages == ("de", "fr")
-    assert restricted.n_rows == 5
-    assert all(set(r) == {"de", "fr"} for r in restricted.rows)
-
-
-def test_restrict_languages_validates():
-    corpus = full_corpus(["en", "de"], 2)
-    with pytest.raises(CorpusError):
-        restrict_languages(corpus, ["en", "zz"])
-    with pytest.raises(CorpusError):
-        restrict_languages(corpus, ["en"])
-
-
-def test_subset_then_restrict_commutes():
-    corpus = full_corpus(["en", "de", "nl"], 8)
-    a = restrict_languages(subset_rows(corpus, [6, 1]), ["en", "nl"])
-    b = subset_rows(restrict_languages(corpus, ["en", "nl"]), [6, 1])
-    assert a.languages == b.languages
-    assert a.rows == b.rows
-    assert a.row_ids == b.row_ids

@@ -8,27 +8,28 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multipar import (
+from multipar.cli import main
+from multipar.corpus import MultiParallelCorpus, save_corpus
+from multipar.datagen import (
+    DatagenError,
     Direction,
     DirectionSet,
-    MultiParallelCorpus,
+    FtDataset,
     TagStrategy,
+    _json_text,
     apply_tags,
     build_multidirectional_setting,
     build_multiparallel_setting,
     build_pairwise,
     emit_bitext,
     enumerate_directions,
-    horizontal_expand,
     partition_buckets,
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
-    save_corpus,
 )
-from multipar.cli import main
-from multipar.datagen import DatagenError, _json_text
 from multipar.registry import ec30
+from multipar.report import ScoreMatrix
 
 from helpers import full_corpus
 
@@ -38,12 +39,13 @@ EC30_CODES = list(ec30().codes)
 # --- directions -----------------------------------------------------------------
 
 
-def test_direction_str_and_parse():
+def test_direction_str_and_parse(tmp_path):
     d = Direction("de", "nl")
     assert str(d) == "de-nl"
-    assert Direction.parse("de-nl") == d
-    with pytest.raises(DatagenError):
-        Direction.parse("de")
+    # a score TSV line names a direction by its two language fields
+    path = tmp_path / "scores.tsv"
+    path.write_text("src_lang\ttgt_lang\tmetric\tvalue\tcount\nde\tnl\tchrf\t1\t0\n")
+    assert ScoreMatrix.load_tsv(path).directions() == (d,)
     with pytest.raises(DatagenError):
         Direction("de", "de")
 
@@ -52,8 +54,6 @@ def test_direction_str_and_parse():
 def test_direction_rejects_empty_code(src, tgt):
     with pytest.raises(DatagenError, match="empty language code"):
         Direction(src, tgt)
-    with pytest.raises(DatagenError, match="empty language code"):
-        Direction.parse(f"{src}-{tgt}")
 
 
 def test_enumerate_counts_match_n_times_n_minus_1():
@@ -86,9 +86,11 @@ def test_enumerate_needs_two_languages():
 
 def test_english_centric_vs_zero_shot_split():
     dirs = enumerate_directions(["en", "de", "nl"])
-    assert len(dirs.english_centric()) == 4
-    assert len(dirs.zero_shot()) == 2
-    assert set(dirs.english_centric()) | set(dirs.zero_shot()) == set(dirs)
+    zero_shot = enumerate_directions(["en", "de", "nl"], include_english_centric=False)
+    english_centric = [d for d in dirs if d.is_english_centric()]
+    assert len(english_centric) == 4
+    assert list(zero_shot) == [Direction("de", "nl"), Direction("nl", "de")]
+    assert set(english_centric) | set(zero_shot) == set(dirs)
 
 
 def test_direction_set_rejects_duplicates():
@@ -178,8 +180,6 @@ def test_build_pairwise_count_and_order():
 
 def test_build_pairwise_skips_empty_sides_and_counts_them():
     columns = {"en": ("hello", "bye", "again"), "de": ("hallo", "", "")}
-    from multipar import MultiParallelCorpus
-
     corpus = MultiParallelCorpus(columns, (0, 1, 2))
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
     assert len(ds) == 2
@@ -307,21 +307,6 @@ def test_unknown_tag_kind_rejected():
         TagStrategy("three_tag")
 
 
-# --- horizontal expansion ----------------------------------------------------------
-
-
-def test_horizontal_expand_adds_2n_directions():
-    corpus = full_corpus(["en", "de", "nl"], 3)
-    expanded, new_dirs = horizontal_expand(corpus, "fr", ["un", "deux", "trois"])
-    assert new_dirs == 6
-    assert expanded.languages == ("en", "de", "nl", "fr")
-    assert expanded.rows[2]["fr"] == "trois"
-    with pytest.raises(DatagenError):
-        horizontal_expand(corpus, "de", ["x", "y", "z"])
-    with pytest.raises(DatagenError):
-        horizontal_expand(corpus, "fr", ["only-two", "rows"])
-
-
 # --- emission ---------------------------------------------------------------------
 
 
@@ -354,8 +339,6 @@ def test_emit_rejects_empty_and_tabs(tmp_path):
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
     with pytest.raises(DatagenError):
         emit_bitext(ds, "parquet", tmp_path)
-    from multipar import FtDataset
-
     bad = FtDataset(((Direction("de", "en"), ("ok", "has\ttab"), ("x", "y"), range(2)),), {})
     with pytest.raises(DatagenError, match=r"^de-en row 1: embedded tab/newline"):
         emit_bitext(bad, "tsv", tmp_path / "out")
@@ -370,8 +353,6 @@ def test_emit_rejects_empty_and_tabs(tmp_path):
 
 def test_emit_split_files_skips_fully_skipped_direction(tmp_path):
     columns = {"en": ("hello", "bye"), "de": ("hallo", "tschüss"), "nl": ("", "")}
-    from multipar import MultiParallelCorpus
-
     corpus = MultiParallelCorpus(columns, (0, 1))
     ds = build_pairwise(corpus, enumerate_directions(["en", "de", "nl"]))
     assert [str(d) for d, _s, _t, _p in ds.blocks] == ["de-en", "en-de"]
@@ -384,8 +365,6 @@ def test_emit_split_files_skips_fully_skipped_direction(tmp_path):
 
 
 def test_emit_split_files_joins_a_recurring_direction(tmp_path):
-    from multipar import FtDataset
-
     de_en, en_de = Direction("de", "en"), Direction("en", "de")
     one = range(1)
     ds = FtDataset(((de_en, ("a",), ("b",), one), (en_de, ("c",), ("d",), one),
@@ -398,8 +377,6 @@ def test_emit_split_files_joins_a_recurring_direction(tmp_path):
 
 
 def test_dataset_rejects_empty_and_ragged_blocks():
-    from multipar import FtDataset
-
     d = Direction("de", "en")
     with pytest.raises(DatagenError, match="block for de-en has no records"):
         FtDataset(((d, ("a",), ("x",), range(0)),))

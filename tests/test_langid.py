@@ -4,15 +4,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from multipar import (
+from multipar.langid import (
+    UNKNOWN,
     LidConfig,
+    LidError,
     LidModel,
+    _ngrams,
     lid_classify,
     lid_train,
     off_target_rate,
     on_target_subset,
 )
-from multipar.langid import LidError, UNKNOWN, _ngrams
 
 from helpers import synthetic_sentences
 

@@ -3,16 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from multipar import (
+from multipar.datagen import Direction
+from multipar.metrics import (
     CHRF,
     CHRF_PP,
     MetricConfig,
+    MetricError,
     ScorePair,
     bleu,
     chrf,
     tokenize_13a,
 )
-from multipar.metrics import MetricError
 from multipar.report import ReportError, ScoreMatrix
 
 FIXTURE = json.loads(
@@ -81,12 +82,6 @@ def test_corpus_scores_invariant_under_pair_permutation():
     assert chrf(reordered, CHRF_PP) == pytest.approx(chrf(PAIRS, CHRF_PP), abs=1e-12)
 
 
-def test_chrf_beta_one_is_symmetric_in_hyp_and_ref():
-    config = MetricConfig(word_order=0, beta=1.0)
-    swapped = [ScorePair(p.reference, p.hypothesis) for p in PAIRS]
-    assert chrf(PAIRS, config) == pytest.approx(chrf(swapped, config), abs=1e-12)
-
-
 def test_corruption_strictly_decreases_chrf():
     clean = [ScorePair(p.reference, p.reference) for p in PAIRS]
     corrupted = [
@@ -102,19 +97,9 @@ def test_empty_pair_list_rejected():
         chrf([])
 
 
-def test_whitespace_tokenizer_differs_from_13a():
-    pairs = [ScorePair("one two three four, five six", "one two three four , five six")]
-    ws = bleu(pairs, MetricConfig(tokenizer="whitespace"))
-    thirteen_a = bleu(pairs, MetricConfig(tokenizer="13a"))
-    assert thirteen_a == pytest.approx(100.0, abs=1e-9)
-    assert ws < thirteen_a
-
-
 def test_config_validation():
     with pytest.raises(MetricError):
-        MetricConfig(beta=0)
-    with pytest.raises(MetricError):
-        MetricConfig(tokenizer="mecab")
+        MetricConfig(word_order=-1)
 
 
 # --- external score ingestion ---------------------------------------------------------
@@ -131,8 +116,6 @@ def test_ingest_round_trip(tmp_path):
     )
     matrix = ScoreMatrix.load_tsv(path)
     assert len(matrix) == 2
-    from multipar.datagen import Direction
-
     assert matrix.get(Direction("de", "nl"), "comet").value == pytest.approx(0.82)
     assert matrix.get(Direction("de", "nl"), "comet").count == 100
 

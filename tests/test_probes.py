@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multipar
-from multipar import (
+from multipar import probes
+from multipar.cli import main
+from multipar.datagen import Direction, enumerate_directions
+from multipar.probes import (
     Dictionary,
     ProbeConfig,
+    ProbeError,
     build_word_pair_dataset,
     gen_number_pairs,
+    load_muse_dictionary,
     match_token_budget,
     pivot_dictionaries,
 )
-from multipar.cli import main
-from multipar.datagen import Direction, enumerate_directions
-from multipar.probes import ProbeError, load_muse_dictionary
-from multipar import probes
 from multipar.rng import _LANES, _rejection_limit, stream
 
 from helpers import brute_force_join

@@ -4,8 +4,14 @@ from collections import Counter
 import mpmath
 import pytest
 
-from multipar import MixtureWeights, sample_schedule, temperature_weights
-from multipar.sampling import SamplingError, load_weights, save_weights
+from multipar.sampling import (
+    MixtureWeights,
+    SamplingError,
+    load_table,
+    sample_schedule,
+    save_weights,
+    temperature_weights,
+)
 
 
 def mpmath_temperature_oracle(sizes, temperature, dps=60):
@@ -106,6 +112,6 @@ def test_weights_tsv_round_trip(tmp_path):
     weights = temperature_weights({"high": 5_000_000, "low": 100_000}, 5.0)
     path = tmp_path / "weights.tsv"
     save_weights(weights, path)
-    loaded = load_weights(path, temperature=5.0)
+    loaded = load_table(path)
     for k, v in weights.weights.items():
-        assert loaded.weights[k] == pytest.approx(v, abs=1e-15)
+        assert loaded[k] == pytest.approx(v, abs=1e-15)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,9 @@ from multipar.metrics import MIN_PAIRS_PER_WORKER, MetricConfig, ScorePair
 
 SRC = Path(metrics.__file__).resolve().parents[1]
 STATS = {
-    "chrf": (MetricConfig(word_order=0), metrics._chrf_pair_stats),
-    "chrfpp": (MetricConfig(word_order=2), metrics._chrf_pair_stats),
-    "bleu": (MetricConfig(), metrics._bleu_pair_stats),
+    "chrf": partial(metrics._chrf_pair_stats, config=MetricConfig(word_order=0)),
+    "chrfpp": partial(metrics._chrf_pair_stats, config=MetricConfig(word_order=2)),
+    "bleu": metrics._bleu_pair_stats,
 }
 WORDS = ["the", "cat", "sat", "mat,", "Hund", "dög", "кот", "сидел.", "猫", "3.14", "a-b", "(x)", "&amp;"]
 
@@ -75,9 +76,9 @@ def test_score_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, metric):
 def test_summed_slice_statistics_equal_the_serial_sums(texts, cuts):
     pairs = [ScorePair(" ".join(h), " ".join(r)) for h, r in texts]
     bounds = [0, *sorted(c for c in cuts if c < len(pairs)), len(pairs)]
-    for config, pair_stats in STATS.values():
-        serial = metrics._pooled_stats(pairs, config, pair_stats)
-        slices = [metrics._slice_stats(pairs, config, pair_stats, a, b) for a, b in zip(bounds, bounds[1:])]
+    for pair_stats in STATS.values():
+        serial = metrics._pooled_stats(pairs, pair_stats)
+        slices = [metrics._slice_stats(pairs, pair_stats, a, b) for a, b in zip(bounds, bounds[1:])]
         assert metrics._column_sums(slices) == serial
 
 
@@ -115,13 +116,13 @@ def test_another_running_thread_keeps_scoring_in_process(monkeypatch):
     monkeypatch.setattr(pool, "_forked_map", lambda *args: forked.append(args))
     monkeypatch.setattr(pool, "available_cpus", lambda: 2)
     pairs = [ScorePair("the cat sat", "the cat sat on the mat")] * (2 * MIN_PAIRS_PER_WORKER)
-    config, pair_stats = STATS["chrfpp"]
-    serial = metrics._pooled_stats(pairs, config, pair_stats)
+    pair_stats = STATS["chrfpp"]
+    serial = metrics._pooled_stats(pairs, pair_stats)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert metrics._pooled_stats(pairs, config, pair_stats, 2) == serial
+        assert metrics._pooled_stats(pairs, pair_stats, 2) == serial
     finally:
         release.set()
         other.join(timeout=10)
