@@ -4,8 +4,17 @@ Every subcommand is a pure function of its inputs and the seed: reruns are
 byte-identical.  ``--threads`` bounds the processes, this one included, that
 ``score``, ``lid-train``, ``lid-eval`` and ``ontarget`` work in (default: the
 CPUs this process may run on); the other subcommands do not take it.  It never changes
-the output.  Each output directory receives a ``run.json`` manifest
-with the seed, tool version, and SHA-256 digests of all inputs.
+the output.
+
+``main()`` owns ``--out``: a subcommand writes its files into a hidden
+staging directory inside it.  On success each staged file is moved to the
+same relative path under ``--out`` and a ``run.json`` manifest is written,
+with the seed, tool version, and SHA-256 digests of the inputs the
+subcommand declares.  On any error the staging directory, ``--out`` if the
+run made it, and each parent made for it that is left empty are removed, so
+``--out`` is left as it was.
+Each file is replaced atomically; the directory as a whole is not, so a
+failure while moving can leave some files replaced and others not.
 
 A config file (``key = value`` lines, ``#`` comments) can pre-set any long
 flag; command-line flags override it, in any spelling.  Every text input is
@@ -18,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,28 +67,13 @@ from .probes import (
     match_token_budget,
     pivot_dictionaries,
 )
-from .registry import LanguageRegistry, RegistryError, ec30
-from .report import (
-    GroupingScheme,
-    ReportError,
-    ScoreMatrix,
-    delta,
-    emit_report,
-)
-from .sampling import SamplingError, load_table, sample_schedule, save_weights, temperature_weights
+from .registry import LanguageRegistry, ec30
+from .report import GroupingScheme, ScoreMatrix, delta, emit_report
+from .sampling import load_table, sample_schedule, save_weights, temperature_weights
 from .textio import read_lines, read_records
 
-_ERRORS = (
-    CorpusError,
-    DatagenError,
-    ProbeError,
-    SamplingError,
-    MetricError,
-    ReportError,
-    RegistryError,
-    ValueError,
-    OSError,
-)
+# every module's error class subclasses ValueError
+_ERRORS = (ValueError, OSError)
 
 
 def _sha256(path: Path) -> str:
@@ -108,22 +103,60 @@ def _write_json(path: Path, obj, default=None) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_run_manifest(out_dir: Path, args, inputs) -> None:
+def _write_run_manifest(out_dir: Path, args) -> None:
+    inputs = [getattr(args, name) for name in args.inputs]
     manifest = {
         "tool": "multipar",
         "version": __version__,
         "subcommand": args.subcommand,
         "seed": getattr(args, "seed", None),
-        "inputs": _digest_inputs(inputs),
+        "inputs": _digest_inputs(p for p in inputs if p is not None),
         "args": {
             k: v for k, v in sorted(vars(args).items())
             # threads is output-invariant by contract, so it is excluded to
             # keep reruns byte-identical across thread counts
-            if k not in ("func", "config", "json_errors", "threads") and not callable(v)
+            if k not in ("func", "inputs", "config", "json_errors", "threads")
         },
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "run.json", manifest, default=str)
+
+
+def _run_staged(args) -> None:
+    """Run the subcommand into a staging directory inside ``--out``, then
+    move each staged file to its path under ``--out`` and write ``run.json``.
+    On any error, remove the staging directory, ``--out`` if this run made
+    it, and each parent made for it that is left empty, and re-raise.  A
+    parent that another run has written into meanwhile is kept."""
+    import shutil
+    import tempfile
+
+    out = Path(args.out)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".multipar-staging-", dir=out))
+        try:
+            args.func(args, staging)
+            # a directory sorts before its contents
+            for staged in sorted(staging.rglob("*")):
+                target = out / staged.relative_to(staging)
+                if staged.is_dir():
+                    target.mkdir(exist_ok=True)
+                else:
+                    os.replace(staged, target)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        # after the commit, as an input directory may be --out itself
+        _write_run_manifest(out, args)
+    except BaseException:
+        if out in made:
+            shutil.rmtree(out, ignore_errors=True)
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                pass
+        raise
 
 
 def _workers(args) -> int:
@@ -139,7 +172,7 @@ def _registry(args) -> LanguageRegistry:
 # --- subcommand implementations ----------------------------------------------
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args, out: Path) -> None:
     bitext_dir = Path(args.bitexts)
     files = sorted(bitext_dir.glob("*.tsv"))
     if not files:
@@ -150,7 +183,6 @@ def cmd_mine(args) -> int:
     if not stats.yield_rows:
         names = ", ".join(str(f) for f in files)
         raise CorpusError(f"no English pivot is shared by every bitext ({names})")
-    out = Path(args.out)
     save_corpus(corpus, out)
     _write_json(
         out / "mining_stats.json",
@@ -160,8 +192,6 @@ def cmd_mine(args) -> int:
             "yield_rows": stats.yield_rows,
         },
     )
-    _write_run_manifest(out, args, [bitext_dir])
-    return 0
 
 
 def _direction_set(args, codes, registry):
@@ -180,7 +210,7 @@ def _direction_set(args, codes, registry):
     return dirs
 
 
-def cmd_build_ft(args) -> int:
+def cmd_build_ft(args, out: Path) -> None:
     registry = _registry(args)
     corpus = load_corpus_dir(args.corpus)
     dirs = _direction_set(args, corpus.languages, registry)
@@ -188,13 +218,10 @@ def cmd_build_ft(args) -> int:
     dataset = build_pairwise(corpus, dirs, row_ids)
     if args.tag != "none":
         dataset = apply_tags(dataset, TagStrategy(kind=args.tag))
-    out = Path(args.out)
     emit_bitext(dataset, args.format, out)
-    _write_run_manifest(out, args, [args.corpus])
-    return 0
 
 
-def cmd_probe_numbers(args) -> int:
+def cmd_probe_numbers(args, out: Path) -> None:
     registry = _registry(args)
     codes = args.languages or list(registry.codes)
     dirs = _direction_set(args, codes, registry)
@@ -210,13 +237,10 @@ def cmd_probe_numbers(args) -> int:
     else:
         lines = args.lines
     dataset = gen_number_pairs(dirs, lines, config)
-    out = Path(args.out)
     emit_bitext(dataset, args.format, out)
-    _write_run_manifest(out, args, [])
-    return 0
 
 
-def cmd_probe_words(args) -> int:
+def cmd_probe_words(args, out: Path) -> None:
     registry = _registry(args)
     dict_dir = Path(args.dictionaries)
     en = registry.english_code
@@ -232,18 +256,13 @@ def cmd_probe_words(args) -> int:
     dataset = build_word_pair_dataset(
         list(en_centric.values()) + list(pivoted.values()), dirs
     )
-    out = Path(args.out)
     emit_bitext(dataset, args.format, out)
-    _write_run_manifest(out, args, [dict_dir])
-    return 0
 
 
-def cmd_buckets(args) -> int:
+def cmd_buckets(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     corpus_codes = args.languages or list(corpus.languages)
     assignment = partition_buckets(list(corpus.row_ids), args.num_buckets, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "buckets.json",
         {
@@ -268,32 +287,23 @@ def cmd_buckets(args) -> int:
             corpus, assignment, dict(enumerate(pairs)), seed=args.seed
         )
         emit_bitext(dataset, args.format, out / "dataset")
-    _write_run_manifest(out, args, [args.corpus])
-    return 0
 
 
-def cmd_tag(args) -> int:
-    out = Path(args.out)
+def cmd_tag(args, out: Path) -> None:
     tag_bitext(args.dataset, TagStrategy(kind=args.tag), out)
-    _write_run_manifest(out, args, [args.dataset])
-    return 0
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args, out: Path) -> None:
     weights = temperature_weights(load_table(args.sizes), args.temperature)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_weights(weights, out / "weights.tsv")
     if args.schedule_length:
         schedule = sample_schedule(weights, args.schedule_length, args.seed)
         (out / "schedule.txt").write_text(
             "".join(k + "\n" for k in schedule), encoding="utf-8"
         )
-    _write_run_manifest(out, args, [args.sizes])
-    return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(args, out: Path) -> None:
     hyps = list(read_lines(args.hypotheses, MetricError))
     refs = list(read_lines(args.references, MetricError))
     if len(hyps) != len(refs):
@@ -301,6 +311,8 @@ def cmd_score(args) -> int:
             f"line-count mismatch: {args.hypotheses}: {len(hyps)}, "
             f"{args.references}: {len(refs)}"
         )
+    if not hyps:
+        raise MetricError(f"no lines to score in {args.hypotheses} and {args.references}")
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
     workers = _workers(args)
     if args.metric == "bleu":
@@ -310,34 +322,29 @@ def cmd_score(args) -> int:
         value = chrf(pairs, MetricConfig(word_order=word_order), workers)
     matrix = ScoreMatrix()
     matrix.set(Direction(args.src_lang, args.tgt_lang), args.metric, value, len(pairs))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     matrix.save_tsv(out / "scores.tsv")
-    _write_run_manifest(out, args, [args.hypotheses, args.references])
-    return 0
 
 
-def cmd_lid_train(args) -> int:
+def cmd_lid_train(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     samples = {code: [s for s in column if s] for code, column in corpus.columns.items()}
     model = lid_train(
         samples, LidConfig(max_order=args.max_order, alpha=args.alpha), _workers(args)
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model.save(out / "lid_model.json")
-    _write_run_manifest(out, args, [args.corpus])
-    return 0
 
 
-def cmd_lid_eval(args) -> int:
+def cmd_lid_eval(args, out: Path) -> None:
     model = LidModel.load(args.model)
-    hyps = [(text, code) for _, (code, text) in read_records(args.hypotheses, 2, ValueError)]
+    languages = set(model.languages)
+    hyps = []
+    for lineno, (code, text) in read_records(args.hypotheses, 2, ValueError):
+        if code not in languages:
+            raise LidError(f"{args.hypotheses}:{lineno}: expected code {code!r} absent from model")
+        hyps.append((text, code))
     if not hyps:
         raise LidError(f"{args.hypotheses}: no hypotheses")
     report = off_target_rate(hyps, model, _workers(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "off_target.json",
         {
@@ -349,31 +356,32 @@ def cmd_lid_eval(args) -> int:
             },
         },
     )
-    _write_run_manifest(out, args, [args.model, args.hypotheses])
-    return 0
 
 
-def cmd_ontarget(args) -> int:
+def cmd_ontarget(args, out: Path) -> None:
     model = LidModel.load(args.model)
-    per_direction: dict[str, list[tuple[int, str]]] = {}
+    languages = set(model.languages)
+    per_direction: dict[str, dict[int, str]] = {}
     for lineno, (direction, row_id, text) in read_records(args.hypotheses, 3, ValueError):
+        where = f"{args.hypotheses}:{lineno}"
         try:
-            per_direction.setdefault(direction, []).append((int(row_id), text))
+            rid = int(row_id)
         except ValueError:
-            raise ValueError(
-                f"{args.hypotheses}:{lineno}: row id {row_id!r} is not an integer"
-            ) from None
+            raise ValueError(f"{where}: row id {row_id!r} is not an integer") from None
+        target = direction.rpartition("-")[2]
+        if target not in languages:
+            raise LidError(f"{where}: target {target!r} of {direction!r} absent from model")
+        rows = per_direction.setdefault(direction, {})
+        if rid in rows:
+            raise LidError(f"{where}: duplicate row id {rid} in direction {direction!r}")
+        rows[rid] = text
     if not per_direction:
         raise LidError(f"{args.hypotheses}: no hypotheses")
     subsets = on_target_subset(per_direction, model, _workers(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "on_target.json", {k: sorted(v) for k, v in subsets.items()})
-    _write_run_manifest(out, args, [args.model, args.hypotheses])
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, out: Path) -> None:
     registry = _registry(args)
     matrix = ScoreMatrix.load_tsv(args.scores)
     if args.baseline:
@@ -384,19 +392,16 @@ def cmd_report(args) -> int:
             schemes.append(GroupingScheme("family", family=name.split(":", 1)[1]))
         else:
             schemes.append(GroupingScheme(name))
-    out = Path(args.out)
     emit_report(matrix, schemes, registry, args.format, out)
-    _write_run_manifest(out, args, [args.scores] + ([args.baseline] if args.baseline else []))
-    return 0
 
 
 # --- argument parsing ---------------------------------------------------------
 
 
-def _config_flags(path, args, multi_valued: set[str]) -> list[str]:
-    """The ``key = value`` entries of a config file as flags for ``args``'s
-    subcommand; unknown keys are ignored.  The value of a key in
-    ``multi_valued`` is split on whitespace, as a shell splits a flag's list."""
+def _config_flags(path, options: dict[str, argparse.Action]) -> list[str]:
+    """The ``key = value`` entries of a config file as flags of a subcommand
+    whose flags, by key, are ``options``; other keys are ignored.  The value
+    of a flag that takes a list is split on whitespace, as a shell splits it."""
     values = {}
     for lineno, line in enumerate(read_lines(path, ValueError), 1):
         stripped = line.strip()
@@ -408,23 +413,26 @@ def _config_flags(path, args, multi_valued: set[str]) -> list[str]:
         values[key.strip().replace("-", "_")] = value.strip()
     flags: list[str] = []
     for key, raw in values.items():
-        if not hasattr(args, key) or key == "config":
+        if key not in options:
             continue
         flag = "--" + key.replace("_", "-")
-        if isinstance(getattr(args, key), bool):
+        if options[key].nargs == 0:
             if raw.lower() in ("1", "true", "yes"):
                 flags.append(flag)
-        elif key in multi_valued:
+        elif options[key].nargs in ("*", "+"):
             flags += [flag, *raw.split()]
         else:
             flags += [flag, raw]
     return flags
 
 
-def _multi_valued(parser: argparse.ArgumentParser, subcommand: str) -> set[str]:
-    """The keys of the subcommand's flags that take a list of values."""
+def _options(parser: argparse.ArgumentParser, subcommand: str) -> dict[str, argparse.Action]:
+    """The subcommand's flags that a config file may set, by key."""
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in subparsers.choices[subcommand]._actions if a.nargs in ("*", "+")}
+    return {
+        a.dest: a for a in subparsers.choices[subcommand]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="join English-centric bitexts into a multi-parallel corpus")
     p.add_argument("--bitexts", required=True, help="directory of <code>.tsv en<TAB>xx files")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_mine)
+    p.set_defaults(func=cmd_mine, inputs=("bitexts",))
 
     p = sub.add_parser("build-ft", help="build pairwise fine-tuning bitext")
     p.add_argument("--corpus", required=True, help="corpus directory")
@@ -474,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_build_ft)
+    p.set_defaults(func=cmd_build_ft, inputs=("corpus",))
 
     p = sub.add_parser("probe-numbers", help="generate the number-pair probe dataset")
     p.add_argument("--languages", nargs="*", help="codes (default: registry)")
@@ -486,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_probe_numbers)
+    p.set_defaults(func=cmd_probe_numbers, inputs=())
 
     p = sub.add_parser("probe-words", help="generate the pivoted word-pair probe dataset")
     p.add_argument("--dictionaries", required=True, help="directory of en-<code>.txt MUSE files")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_probe_words)
+    p.set_defaults(func=cmd_probe_words, inputs=("dictionaries",))
 
     p = sub.add_parser("buckets", help="bucket rows; optionally build a bucketed dataset")
     p.add_argument("--corpus", required=True)
@@ -506,20 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket", type=int, default=0, help="bucket for multi_parallel")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_common(p)
-    p.set_defaults(func=cmd_buckets)
+    p.set_defaults(func=cmd_buckets, inputs=("corpus",))
 
     p = sub.add_parser("tag", help="apply a language-tag strategy to an emitted dataset")
     p.add_argument("--dataset", required=True, help="directory holding records.tsv")
     p.add_argument("--tag", choices=TagStrategy.KINDS, required=True)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_tag)
+    p.set_defaults(func=cmd_tag, inputs=("dataset",))
 
     p = sub.add_parser("mix", help="temperature mixture weights over pair sizes")
     p.add_argument("--sizes", required=True, help="key<TAB>count TSV")
     p.add_argument("--temperature", type=float, required=True)
     p.add_argument("--schedule-length", type=int, default=0)
     _add_common(p)
-    p.set_defaults(func=cmd_mix)
+    p.set_defaults(func=cmd_mix, inputs=("sizes",))
 
     p = sub.add_parser("score", help="score hypotheses against references")
     p.add_argument("--hypotheses", required=True)
@@ -529,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-lang", required=True)
     _add_threads(p)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, inputs=("hypotheses", "references"))
 
     p = sub.add_parser("lid-train", help="train the character n-gram identifier")
     p.add_argument("--corpus", required=True)
@@ -537,21 +545,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     _add_threads(p)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_lid_train)
+    p.set_defaults(func=cmd_lid_train, inputs=("corpus",))
 
     p = sub.add_parser("lid-eval", help="off-target rates for code<TAB>text hypotheses")
     p.add_argument("--model", required=True)
     p.add_argument("--hypotheses", required=True)
     _add_threads(p)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_lid_eval)
+    p.set_defaults(func=cmd_lid_eval, inputs=("model", "hypotheses"))
 
     p = sub.add_parser("ontarget", help="per-direction on-target row-id subsets")
     p.add_argument("--model", required=True)
     p.add_argument("--hypotheses", required=True, help="direction<TAB>row_id<TAB>text lines")
     _add_threads(p)
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_ontarget)
+    p.set_defaults(func=cmd_ontarget, inputs=("model", "hypotheses"))
 
     p = sub.add_parser("report", help="aggregate a score matrix into grouped reports")
     p.add_argument("--scores", required=True, help="score matrix TSV")
@@ -563,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["tsv", "json", "markdown"], default="tsv")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, inputs=("scores", "baseline"))
 
     return parser
 
@@ -579,11 +587,11 @@ def main(argv=None) -> int:
             # explicit ones: argparse keeps the last value it reads, so a flag
             # in any spelling overrides the config, and config values get the
             # checks flags get
-            flags = _config_flags(args.config, args, _multi_valued(parser, args.subcommand))
+            flags = _config_flags(args.config, _options(parser, args.subcommand))
             args = parser.parse_args(argv[:1] + flags + argv[1:])
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        return args.func(args)
+        _run_staged(args)
     except _ERRORS as exc:
         if getattr(args, "json_errors", False):
             envelope = {"error": type(exc).__name__, "message": str(exc)}
@@ -591,6 +599,7 @@ def main(argv=None) -> int:
         else:
             print(f"multipar {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -73,24 +73,23 @@ def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     """Write ``<code>.txt`` per language plus ``manifest.json``.
 
     A missing cell is an empty line, so line numbers stay aligned with row
-    positions across all files.  Nothing is written when a cell cannot be
-    encoded as UTF-8 (a lone surrogate).
+    positions across all files.  A cell that cannot be encoded as UTF-8 (a
+    lone surrogate) is an error naming its file and row; the files of the
+    columns before it are written.
     """
     directory = Path(directory)
-    encoded = {}
+    directory.mkdir(parents=True, exist_ok=True)
     for code, column in corpus.columns.items():
+        path = directory / f"{code}.txt"
         text = "".join(line + "\n" for line in column)
         try:
-            encoded[code] = text.encode("utf-8")
+            data = text.encode("utf-8")
         except UnicodeEncodeError as exc:
-            path = directory / f"{code}.txt"
             row = corpus.row_ids[text.count("\n", 0, exc.start)]
             raise CorpusError(
                 f"{path}: row {row} cannot be encoded as UTF-8: {exc.reason}"
             ) from None
-    directory.mkdir(parents=True, exist_ok=True)
-    for code, data in encoded.items():
-        (directory / f"{code}.txt").write_bytes(data)
+        path.write_bytes(data)
     manifest = {
         "languages": list(corpus.languages),
         "rows": corpus.n_rows,

@@ -22,9 +22,8 @@ then writes the on-disk formats in chunks of joined lines.
 ``tag_bitext`` streams an emitted ``tsv`` dataset into a tagged one in
 bounded memory: ``read_bitext_tsv`` yields the blocks of one chunk of
 ``records.tsv`` at a time, read through :mod:`multipar.textio`, and the
-blocks go through ``emit_bitext``'s line writer into a temporary file that
-is renamed into place at the end.  A bad record, direction or byte is named
-by ``records.tsv:<line>``, and any error leaves no partial output.
+blocks go through ``emit_bitext``'s line writer.  A bad record, direction or
+byte is named by ``records.tsv:<line>``.
 
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
@@ -34,7 +33,6 @@ seed, and likewise for row counts.
 from __future__ import annotations
 
 import json
-import os
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
@@ -60,6 +58,10 @@ class Direction:
     def __post_init__(self):
         if not self.src or not self.tgt:
             raise DatagenError(f"direction with an empty language code {self.src!r}-{self.tgt!r}")
+        if _unwritable(self.src) or _unwritable(self.tgt):
+            raise DatagenError(
+                f"direction with a tab or line break in a language code {self.src!r}-{self.tgt!r}"
+            )
         if self.src == self.tgt:
             raise DatagenError(f"direction with identical endpoints {self.src!r}")
 
@@ -436,13 +438,11 @@ def _unwritable_cells(column: Sequence[str]) -> dict[int, str]:
 
 
 def _check_writable(dataset: FtDataset) -> None:
-    """Raise on the first block whose tags or records hold a tab, LF or CR,
-    naming its direction and row; each column is scanned once."""
+    """Raise on the first block whose records hold a tab, LF or CR, naming
+    its direction and row; each column is scanned once.  Tags hold no such
+    character, since a ``Direction``'s codes hold none."""
     bad: dict[int, dict[int, str]] = {}  # id(column) -> its unwritable cells
     for d, sources, targets, positions in dataset.blocks:
-        for prefix in dataset.tags.prefixes(d):
-            if _unwritable(prefix):
-                raise DatagenError(f"{d}: embedded tab/newline in tag {prefix!r}")
         for column in (sources, targets):
             if id(column) not in bad:
                 bad[id(column)] = _unwritable_cells(column)
@@ -591,13 +591,13 @@ def read_bitext_tsv(directory: str | Path) -> Iterator[Block]:
 
 
 def tag_bitext(directory: str | Path, strategy: TagStrategy, path: str | Path) -> None:
-    """Write the ``tsv`` dataset in ``directory`` to ``path`` with the
-    strategy's tags, streaming chunk by chunk in bounded memory.
+    """Write the ``tsv`` dataset in ``directory`` to the existing directory
+    ``path`` with the strategy's tags, streaming chunk by chunk in bounded
+    memory.  ``path`` must not be ``directory``: ``records.tsv`` is written
+    as the input is read.
 
     ``manifest.json`` in ``directory`` gives the manifest, which is
-    ``{"tag_strategy": "none"}`` when the file is absent.  Records are
-    written to a temporary file renamed into place at the end; on any error
-    the temporary file and every directory made for it are removed.
+    ``{"tag_strategy": "none"}`` when the file is absent.
     """
     directory, out = Path(directory), Path(path)
     manifest_path = directory / "manifest.json"
@@ -605,18 +605,8 @@ def tag_bitext(directory: str | Path, strategy: TagStrategy, path: str | Path) -
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
     manifest = _tagged_manifest(manifest, strategy)
-    made = [p for p in (out, *out.parents) if not p.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    partial = out / "records.tsv.tmp"
-    try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
-            per_direction = _write_tsv(fh, read_bitext_tsv(directory), strategy)
-        if not per_direction:
-            raise DatagenError("refusing to emit an empty dataset")
-        os.replace(partial, out / "records.tsv")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        for made_dir in made:
-            made_dir.rmdir()
-        raise
+    with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
+        per_direction = _write_tsv(fh, read_bitext_tsv(directory), strategy)
+    if not per_direction:
+        raise DatagenError("refusing to emit an empty dataset")
     _write_manifest(out, manifest, "tsv", per_direction)

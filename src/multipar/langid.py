@@ -307,14 +307,11 @@ def off_target_rate(
 ) -> OffTargetReport:
     """Fraction of hypotheses not classified as their expected language.
 
-    ``hyps`` is a list of (text, expected code); results are grouped by the
-    expected code.  Empty hypotheses count per the model's config.  The texts
-    are classified in up to ``workers`` processes.
+    ``hyps`` is a list of (text, expected code), each code one of the
+    model's languages; results are grouped by the expected code.  Empty
+    hypotheses count per the model's config.  The texts are classified in up
+    to ``workers`` processes.
     """
-    expected_codes = {code for _, code in hyps}
-    missing = expected_codes - set(model.languages)
-    if missing:
-        raise LidError(f"expected codes absent from model: {sorted(missing)}")
     labels = _labels([text for text, _ in hyps], model, workers)
     per: dict[str, dict] = {}
     for (_, expected), label in zip(hyps, labels):
@@ -336,28 +333,21 @@ def off_target_rate(
 
 
 def on_target_subset(
-    baseline_hyps: Mapping[str, Sequence[tuple[int, str]]],
+    baseline_hyps: Mapping[str, Mapping[int, str]],
     model: LidModel,
     workers: int = 1,
 ) -> dict[str, set[int]]:
     """Per direction, the row ids whose baseline hypothesis is already in the
-    target language.  Keys are ``src-tgt`` direction strings.  The texts of
-    all directions are classified together in up to ``workers`` processes."""
-    targets = {}
-    for direction, rows in baseline_hyps.items():
-        _, _, target = direction.rpartition("-")
-        if target not in model.languages:
-            raise LidError(f"target {target!r} of {direction!r} absent from model")
-        ids = [rid for rid, _ in rows]
-        if len(set(ids)) != len(ids):
-            raise LidError(f"duplicate row ids in direction {direction!r}")
-        targets[direction] = target
-    texts = [text for rows in baseline_hyps.values() for _, text in rows]
+    target language.  Keys are ``src-tgt`` direction strings whose target is
+    one of the model's languages, each mapping row id to hypothesis.  The
+    texts of all directions are classified together in up to ``workers``
+    processes."""
+    texts = [text for rows in baseline_hyps.values() for text in rows.values()]
     labels = iter(_labels(texts, model, workers))
     return {
         direction: {
-            rid for (rid, _), label in zip(rows, islice(labels, len(rows)))
-            if label == targets[direction]
+            rid for rid, label in zip(rows, islice(labels, len(rows)))
+            if label == direction.rpartition("-")[2]
         }
         for direction, rows in baseline_hyps.items()
     }

@@ -233,11 +233,11 @@ def test_criterion_language_identification():
         assert report.overall_off_target == 2
 
         mixed = [a[i // 2] if i % 2 == 0 else b[i // 2] for i in range(10)]
-        baseline = {"bb-aa": list(enumerate(mixed))}
+        baseline = {"bb-aa": dict(enumerate(mixed))}
         subsets = on_target_subset(baseline, model)
         assert subsets["bb-aa"] == {0, 2, 4, 6, 8}
         residual = [
-            (text, "aa") for rid, text in baseline["bb-aa"] if rid in subsets["bb-aa"]
+            (text, "aa") for rid, text in baseline["bb-aa"].items() if rid in subsets["bb-aa"]
         ]
         assert off_target_rate(residual, model).overall_rate == 0.0
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multipar.corpus import MultiParallelCorpus, save_corpus
+from multipar import cli
 from multipar.cli import main
 
 from helpers import full_corpus, synthetic_sentences
@@ -181,6 +182,14 @@ def test_invalid_config_value_stays_a_usage_error(tmp_path, lid_model):
     assert run(argv) == 2
 
 
+def test_config_keys_that_name_no_flag_are_ignored(tmp_path, lid_model):
+    # func and subcommand are parser defaults, not flags: they were passed
+    # on as --func and --subcommand, a usage error
+    argv, cfg, _ = stage("config", tmp_path, lid_model)
+    cfg.write_text("func = x\ninputs = y\nsubcommand = z\nhelp = true\n", encoding="utf-8")
+    assert run(argv) == 0
+
+
 # --- JSON inputs ---------------------------------------------------------------
 
 
@@ -337,6 +346,129 @@ def test_tag_rejects_bad_direction_with_file_line(tmp_path, capsys, line):
     assert envelope["error"] == "DatagenError"
     assert envelope["message"].startswith(f"{tmp_path / 'records.tsv'}:2: direction with")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+@pytest.mark.parametrize("subcommand", ["probe-numbers", "score"])
+def test_language_code_with_a_tab_or_line_break_is_an_error(tmp_path, capsys, subcommand, char):
+    # both exited 0 with a records.tsv or scores.tsv that tag or report rejected
+    code = f"a{char}b"
+    if subcommand == "probe-numbers":
+        argv = ["probe-numbers", "--languages", code, "de", "--lines", "1"]
+    else:
+        write(tmp_path / "hyp", "the cat\n")
+        argv = ["score", "--hypotheses", str(tmp_path / "hyp"), "--references",
+                str(tmp_path / "hyp"), "--metric", "chrf", "--src-lang", code, "--tgt-lang", "de"]
+    out = tmp_path / "out"
+    envelope = json_error([*argv, "--out", str(out)], capsys)
+    assert envelope["error"] == "DatagenError"
+    assert envelope["message"].startswith("direction with a tab or line break in a language code")
+    assert not out.exists()
+
+
+def test_score_on_empty_files_names_both(tmp_path, capsys):
+    for name in ("hyp", "ref"):
+        write(tmp_path / name, "")
+    argv = ["score", "--hypotheses", str(tmp_path / "hyp"), "--references", str(tmp_path / "ref"),
+            "--metric", "bleu", "--src-lang", "de", "--tgt-lang", "en", "--out", str(tmp_path / "out")]
+    envelope = json_error(argv, capsys)
+    assert envelope == {
+        "error": "MetricError",
+        "message": f"no lines to score in {tmp_path / 'hyp'} and {tmp_path / 'ref'}",
+    }
+
+
+# --- a failing run leaves --out as it found it -------------------------------------
+
+
+def failing_run(subcommand, root, model):
+    """The argv, without ``--out``, of a ``subcommand`` run that exits 1."""
+    corpus = root / "corpus"
+    save_corpus(full_corpus(["en", "de", "nl"], 6), corpus)
+    if subcommand == "mine":
+        write(root / "bitexts" / "de.tsv", "hello\thallo\n")
+        write(root / "bitexts" / "nl.tsv", "bye\tdoei\n")
+        return ["mine", "--bitexts", str(root / "bitexts")]
+    if subcommand == "build-ft":
+        return ["build-ft", "--corpus", str(corpus), "--rows", "7"]
+    if subcommand == "probe-numbers":
+        return ["probe-numbers", "--languages", "a\tb", "de", "--lines", "1"]
+    if subcommand == "probe-words":
+        write(root / "dicts" / "en-de.txt", "dog Hund\n")
+        return ["probe-words", "--dictionaries", str(root / "dicts")]
+    if subcommand == "buckets-multi_parallel":
+        return ["buckets", "--corpus", str(corpus), "--num-buckets", "2",
+                "--setting", "multi_parallel", "--bucket", "9"]
+    if subcommand == "buckets-multi_directional":
+        # 3 languages give 3 pairs, for 4 buckets
+        return ["buckets", "--corpus", str(corpus), "--num-buckets", "4",
+                "--setting", "multi_directional"]
+    if subcommand == "tag":
+        write(root / "dataset" / "records.tsv", "de\tnl\ta\tb\nde\tde\ta\tb\n")
+        return ["tag", "--dataset", str(root / "dataset"), "--tag", "one_tag"]
+    if subcommand == "mix":
+        write(root / "sizes.tsv", "a\t1\nb\t3\n")
+        return ["mix", "--sizes", str(root / "sizes.tsv"), "--temperature", "1",
+                "--schedule-length", "-3"]
+    if subcommand == "score":
+        write(root / "hyp", "a\nb\n")
+        write(root / "ref", "a\n")
+        return ["score", "--hypotheses", str(root / "hyp"), "--references", str(root / "ref"),
+                "--metric", "chrf", "--src-lang", "de", "--tgt-lang", "en"]
+    if subcommand == "lid-train":
+        return ["lid-train", "--corpus", str(corpus), "--alpha", "nan"]
+    if subcommand == "lid-eval":
+        write(root / "hyps.tsv", "aa\tabc\nzz\tabc\n")
+        return ["lid-eval", "--model", str(model), "--hypotheses", str(root / "hyps.tsv")]
+    if subcommand == "ontarget":
+        write(root / "hyps.tsv", "aa-bb\t0\tabc\naa-bb\t0\tqrs\n")
+        return ["ontarget", "--model", str(model), "--hypotheses", str(root / "hyps.tsv")]
+    if subcommand == "report":
+        write(root / "scores.tsv", SCORE_HEADER.decode() + "de\tnl\tchrf\t1e308\t1\n"
+              "nl\tde\tchrf\t1e308\t1\n")
+        return ["report", "--scores", str(root / "scores.tsv")]
+    raise AssertionError(subcommand)
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["mine", "build-ft", "probe-numbers", "probe-words", "buckets-multi_parallel",
+     "buckets-multi_directional", "tag", "mix", "score", "lid-train", "lid-eval", "ontarget",
+     "report"],
+)
+def test_a_failing_run_leaves_out_as_it_found_it(tmp_path, lid_model, subcommand):
+    argv = failing_run(subcommand, tmp_path, lid_model)
+    new = tmp_path / "new" / "nested" / "out"
+    assert main([*argv, "--out", str(new)]) == 1
+    assert not (tmp_path / "new").exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "sentinel").write_text("kept\n", encoding="utf-8")
+    assert main([*argv, "--out", str(old)]) == 1
+    assert [p.name for p in old.iterdir()] == ["sentinel"]
+    assert (old / "sentinel").read_text(encoding="utf-8") == "kept\n"
+    # the staging directory is hidden
+    assert [p for p in tmp_path.rglob(".*")] == []
+
+
+def test_a_failing_run_keeps_what_another_run_wrote_into_a_parent_it_made(tmp_path, monkeypatch):
+    # two runs into fresh siblings both find res/scores missing; the one that
+    # fails must not remove the other's committed outputs
+    sibling = tmp_path / "res" / "scores" / "de-nl"
+
+    def fails_after_a_sibling_commits(args, staging):
+        sibling.mkdir()
+        (sibling / "scores.tsv").write_text("kept\n", encoding="utf-8")
+        raise ValueError("failed")
+
+    monkeypatch.setattr(cli, "cmd_mix", fails_after_a_sibling_commits)
+    write(tmp_path / "sizes.tsv", "a\t1\n")
+    out = tmp_path / "res" / "scores" / "de-fr"
+    argv = ["mix", "--sizes", str(tmp_path / "sizes.tsv"), "--temperature", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert [p.name for p in (tmp_path / "res" / "scores").iterdir()] == ["de-nl"]
+    assert (sibling / "scores.tsv").read_text(encoding="utf-8") == "kept\n"
 
 
 # --- unwritable records ----------------------------------------------------------

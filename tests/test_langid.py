@@ -1,9 +1,11 @@
+import json
 import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from multipar.cli import main
 from multipar.langid import (
     UNKNOWN,
     LidConfig,
@@ -110,17 +112,34 @@ def test_off_target_empty_policy_configurable():
     assert report.overall_off_target == 0
 
 
-def test_off_target_unknown_expected_code(disjoint_model):
-    with pytest.raises(LidError):
-        off_target_rate([("text", "zz")], disjoint_model)
+def lid_error(tmp_path, capsys, model, subcommand, hyps):
+    """The JSON error envelope of ``subcommand`` run on the ``hyps`` lines;
+    asserts exit 1 and that nothing is written."""
+    model.save(tmp_path / "model.json")
+    (tmp_path / "hyps.tsv").write_text(hyps, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [subcommand, "--model", str(tmp_path / "model.json"),
+            "--hypotheses", str(tmp_path / "hyps.tsv"), "--out", str(out), "--json-errors"]
+    assert main(argv) == 1
+    assert not out.exists()
+    return json.loads(capsys.readouterr().err)
+
+
+def test_off_target_unknown_expected_code(disjoint_model, tmp_path, capsys):
+    for line, code in [("zz\ttext", "zz"), ("\t", "")]:
+        envelope = lid_error(tmp_path, capsys, disjoint_model, "lid-eval", f"aa\tabc\n{line}\n")
+        assert envelope == {
+            "error": "LidError",
+            "message": f"{tmp_path / 'hyps.tsv'}:2: expected code {code!r} absent from model",
+        }
 
 
 def test_on_target_subset_and_zero_residual_rate(disjoint_model):
     a = synthetic_sentences(ALPHA_A, 6, seed=20)
     b = synthetic_sentences(ALPHA_B, 6, seed=21)
     baseline = {
-        "bb-aa": [(0, a[0]), (1, b[0]), (2, a[1]), (3, "")],
-        "aa-bb": [(0, b[1]), (1, a[2]), (2, b[2])],
+        "bb-aa": {0: a[0], 1: b[0], 2: a[1], 3: ""},
+        "aa-bb": {0: b[1], 1: a[2], 2: b[2]},
     }
     subsets = on_target_subset(baseline, disjoint_model)
     assert subsets["bb-aa"] == {0, 2}
@@ -129,17 +148,21 @@ def test_on_target_subset_and_zero_residual_rate(disjoint_model):
     residual = [
         (text, direction.rpartition("-")[2])
         for direction, rows in baseline.items()
-        for rid, text in rows
+        for rid, text in rows.items()
         if rid in subsets[direction]
     ]
     assert off_target_rate(residual, disjoint_model).overall_rate == 0.0
 
 
-def test_on_target_subset_validation(disjoint_model):
-    with pytest.raises(LidError):
-        on_target_subset({"aa-zz": [(0, "x")]}, disjoint_model)
-    with pytest.raises(LidError):
-        on_target_subset({"aa-bb": [(0, "x"), (0, "y")]}, disjoint_model)
+def test_on_target_subset_validation(disjoint_model, tmp_path, capsys):
+    for line, message in [
+        ("aa-zz\t0\tx", "target 'zz' of 'aa-zz' absent from model"),
+        ("aabb\t0\tx", "target 'aabb' of 'aabb' absent from model"),
+        ("aa-bb\t1\ty", "duplicate row id 1 in direction 'aa-bb'"),
+    ]:
+        hyps = f"aa-bb\t1\tx\nbb-aa\t1\tx\n{line}\n"
+        envelope = lid_error(tmp_path, capsys, disjoint_model, "ontarget", hyps)
+        assert envelope == {"error": "LidError", "message": f"{tmp_path / 'hyps.tsv'}:3: {message}"}
 
 
 def test_model_json_round_trip(tmp_path, disjoint_model):

@@ -107,7 +107,7 @@ def test_another_running_thread_keeps_lid_in_process(monkeypatch):
     samples = {c: synthetic_sentences(ALPHABETS[c], 20, seed=i) for i, c in enumerate(codes)}
     texts = [samples[codes[i % len(codes)]][i % 20] for i in range(2 * MIN_LINES_PER_WORKER)]
     hyps = [(text, codes[i % 2]) for i, text in enumerate(texts)]
-    rows = {f"{codes[0]}-{codes[1]}": list(enumerate(texts))}
+    rows = {f"{codes[0]}-{codes[1]}": dict(enumerate(texts))}
     model = langid.lid_train(samples, LidConfig())
     serial = (
         langid.lid_train(samples, LidConfig()).to_json_dict(),

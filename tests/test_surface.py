@@ -66,3 +66,22 @@ def test_every_definition_is_named_elsewhere_in_the_package():
 def test_the_allowlist_names_existing_definitions():
     defined = {qualified for tree in _trees().values() for qualified, _ in _definitions(tree)}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def test_no_subcommand_writes_outside_its_staging_directory():
+    # main() stages each subcommand's output and writes run.json itself; a
+    # cmd_* that reads args.out or writes the manifest would bypass the
+    # rollback on error
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 12
+    bypasses = [
+        f"{command.name}: {ast.unparse(node)}"
+        for command in commands
+        for node in ast.walk(command)
+        if (isinstance(node, ast.Attribute) and node.attr == "out"
+            and isinstance(node.value, ast.Name) and node.value.id == "args")
+        or (isinstance(node, ast.Name) and node.id == "_write_run_manifest")
+    ]
+    assert bypasses == []
