@@ -10,7 +10,9 @@ the output.
 staging directory inside it.  On success each staged file is moved to the
 same relative path under ``--out`` and a ``run.json`` manifest is written,
 with the seed, tool version, and SHA-256 digests of the inputs the
-subcommand declares.  On any error the staging directory, ``--out`` if the
+subcommand declares, taken before it runs.  A staged file that would replace
+one of those input files is an error, except in ``tag``, which may retag a
+dataset in place.  On any error the staging directory, ``--out`` if the
 run made it, and each parent made for it that is left empty are removed, so
 ``--out`` is left as it was.
 Each file is replaced atomically; the directory as a whole is not, so a
@@ -87,6 +89,8 @@ def _sha256(path: Path) -> str:
 def _digest_inputs(paths) -> dict[str, str]:
     digests = {}
     for p in paths:
+        if p is None:
+            continue
         p = Path(p)
         if p.is_dir():
             for child in sorted(p.rglob("*")):
@@ -103,14 +107,13 @@ def _write_json(path: Path, obj, default=None) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_run_manifest(out_dir: Path, args) -> None:
-    inputs = [getattr(args, name) for name in args.inputs]
+def _write_run_manifest(out_dir: Path, args, inputs: dict[str, str]) -> None:
     manifest = {
         "tool": "multipar",
         "version": __version__,
         "subcommand": args.subcommand,
         "seed": getattr(args, "seed", None),
-        "inputs": _digest_inputs(p for p in inputs if p is not None),
+        "inputs": inputs,
         "args": {
             k: v for k, v in sorted(vars(args).items())
             # threads is output-invariant by contract, so it is excluded to
@@ -122,14 +125,20 @@ def _write_run_manifest(out_dir: Path, args) -> None:
 
 
 def _run_staged(args) -> None:
-    """Run the subcommand into a staging directory inside ``--out``, then
-    move each staged file to its path under ``--out`` and write ``run.json``.
-    On any error, remove the staging directory, ``--out`` if this run made
-    it, and each parent made for it that is left empty, and re-raise.  A
-    parent that another run has written into meanwhile is kept."""
+    """Digest the declared inputs, run the subcommand into a staging directory
+    inside ``--out``, then move each staged file to its path under ``--out``
+    and write ``run.json``.  A staged file that would replace an input file is
+    refused before anything moves, unless the subcommand is ``tag``, which
+    rewrites its dataset in place.  On any error, remove the staging
+    directory, ``--out`` if this run made it, and each parent made for it that
+    is left empty, and re-raise.  A parent that another run has written into
+    meanwhile is kept."""
     import shutil
     import tempfile
 
+    # digested before the run, as --out may be an input directory itself
+    inputs = _digest_inputs(getattr(args, name) for name in args.inputs)
+    input_files = {Path(p).resolve() for p in inputs}
     out = Path(args.out)
     made = [p for p in (out, *out.parents) if not p.exists()]
     try:
@@ -138,16 +147,19 @@ def _run_staged(args) -> None:
         try:
             args.func(args, staging)
             # a directory sorts before its contents
-            for staged in sorted(staging.rglob("*")):
-                target = out / staged.relative_to(staging)
-                if staged.is_dir():
+            staged = [(p, out / p.relative_to(staging)) for p in sorted(staging.rglob("*"))]
+            if args.subcommand != "tag":
+                for path, target in staged:
+                    if path.is_file() and target.resolve() in input_files:
+                        raise ValueError(f"{target}: refusing to replace an input of this run")
+            for path, target in staged:
+                if path.is_dir():
                     target.mkdir(exist_ok=True)
                 else:
-                    os.replace(staged, target)
+                    os.replace(path, target)
         finally:
             shutil.rmtree(staging, ignore_errors=True)
-        # after the commit, as an input directory may be --out itself
-        _write_run_manifest(out, args)
+        _write_run_manifest(out, args, inputs)
     except BaseException:
         if out in made:
             shutil.rmtree(out, ignore_errors=True)

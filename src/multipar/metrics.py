@@ -10,6 +10,15 @@ process.  This module starts no process itself.  Externally computed scores
 (e.g. COMET) are never recomputed here; ``report.ScoreMatrix.load_tsv``
 reads them from TSV.
 
+A pair's statistics are counted one n-gram order at a time by C-level
+passes (``_overlap_stats``): a string's n-grams are grown from the order
+below with ``map(operator.add, ...)``, a token list's are zipped; the
+hypothesis n-grams fill one ``Counter``, the reference n-grams found in it
+another, and the matches sum ``min`` over the shared n-grams.  Totals are
+``max(0, len - n + 1)``, and an identical pair's follow by arithmetic alone.
+ChrF drops whitespace with ``"".join(s.split())``: ``str.split`` splits on
+exactly the code points ``re``'s ``\\s`` matches, all 1,114,112 checked.
+
 13a tokenization rules, applied in order:
   1. drop the literal token ``<skipped>``; join hyphenated line breaks;
      turn newlines into spaces; unescape ``&quot; &amp; &lt; &gt;``
@@ -28,6 +37,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from operator import add
 from typing import Sequence
 
 from .pool import map_slices
@@ -36,8 +46,10 @@ from .pool import map_slices
 CHAR_ORDER = 6
 BLEU_MAX_ORDER = 4
 BETA = 2
-# pairs a scoring worker process must have to pay for itself: on 2 cores, two
-# workers beat one process on all three metrics from 128 pairs, not at 64
+# pairs a scoring worker process must have to pay for itself.  On 2 cores, 11
+# runs each on the eval bench's pairs, two workers beat one process on all
+# three metrics in 11 runs at 192 and 256 pairs, in 11 at 128 pairs on chrF++
+# and BLEU but in 1, 8 and 11 over three sets on chrF, and in at most 1 at 64
 MIN_PAIRS_PER_WORKER = 64
 
 
@@ -64,7 +76,9 @@ class ScorePair:
     reference: str
 
 
-_13A_PAD = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+# 13a pads the characters of the ASCII ranges {-~, [-`, space-&, (-+, :-@ and
+# the slash with a space on each side
+_13A_PAD = str.maketrans({c: f" {c} " for c in "{|}~[\\]^_` !\"#$%&()*+:;<=>?@/"})
 _13A_DOT_BEFORE = re.compile(r"([^0-9])([\.,])")
 _13A_DOT_AFTER = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
@@ -81,35 +95,51 @@ def tokenize_13a(text: str) -> list[str]:
             .replace("&lt;", "<")
             .replace("&gt;", ">")
         )
-    norm = f" {norm} "
-    norm = _13A_PAD.sub(r" \1 ", norm)
-    norm = _13A_DOT_BEFORE.sub(r"\1 \2 ", norm)
-    norm = _13A_DOT_AFTER.sub(r" \1 \2", norm)
-    norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
+    norm = f" {norm} ".translate(_13A_PAD)
+    if "." in norm or "," in norm:
+        norm = _13A_DOT_BEFORE.sub(r"\1 \2 ", norm)
+        norm = _13A_DOT_AFTER.sub(r" \1 \2", norm)
+    if "-" in norm:
+        norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
     return norm.split()
 
 
-def _word_ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _overlap_stats(hyp: str | list[str], ref: str | list[str], order: int) -> list[int]:
+    """``[hyp n-grams, ref n-grams, matches]`` for each n = 1..order, where the
+    n-grams are a string's characters or a list's tokens and matches is the
+    clipped count: for each n-gram, the smaller of its two counts, summed."""
+    if hyp == ref:
+        return [max(0, len(hyp) - n + 1) for n in range(1, order + 1) for _ in range(3)]
+    stats = []
+    hyp_grams, ref_grams = hyp, ref
+    for n in range(1, order + 1):
+        if n > 1:
+            hyp_grams, ref_grams = _next_order(hyp_grams, hyp, n), _next_order(ref_grams, ref, n)
+        hyp_counts = Counter(hyp_grams)
+        shared = Counter(filter(hyp_counts.__contains__, ref_grams))
+        matches = sum(map(min, map(hyp_counts.__getitem__, shared), shared.values()))
+        stats += [max(0, len(hyp) - n + 1), max(0, len(ref) - n + 1), matches]
+    return stats
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+def _next_order(grams, units: str | list[str], n: int) -> list:
+    """The ``n``-grams of ``units``, given its ``n - 1``-grams ``grams``: a
+    string's grow by one character each, a token list's are zipped tuples."""
+    if isinstance(units, str):
+        return list(map(add, grams, units[n - 1 :]))
+    return list(zip(*(units[k:] for k in range(n))))
 
 
 # --- BLEU -------------------------------------------------------------------
 
 
 def _bleu_pair_stats(pair: ScorePair) -> list[int]:
+    """Matches and hypothesis n-grams for each order, then both token counts."""
     hyp = tokenize_13a(pair.hypothesis)
     ref = tokenize_13a(pair.reference)
-    stats = [0] * (2 * BLEU_MAX_ORDER) + [len(hyp), len(ref)]
-    for n in range(1, BLEU_MAX_ORDER + 1):
-        hyp_ngrams = _word_ngrams(hyp, n)
-        ref_ngrams = _word_ngrams(ref, n)
-        stats[2 * (n - 1)] = sum((hyp_ngrams & ref_ngrams).values())
-        stats[2 * (n - 1) + 1] = sum(hyp_ngrams.values())
-    return stats
+    overlap = _overlap_stats(hyp, ref, BLEU_MAX_ORDER)
+    stats = [x for i in range(0, 3 * BLEU_MAX_ORDER, 3) for x in (overlap[i + 2], overlap[i])]
+    return stats + [len(hyp), len(ref)]
 
 
 def bleu(pairs: Sequence[ScorePair], workers: int = 1) -> float:
@@ -142,7 +172,6 @@ def bleu(pairs: Sequence[ScorePair], workers: int = 1) -> float:
 # --- ChrF / ChrF++ ----------------------------------------------------------
 
 _PUNCTS = set(string.punctuation)
-_WS = re.compile(r"\s+")
 
 
 def _separate_punctuation(text: str) -> list[str]:
@@ -161,29 +190,13 @@ def _separate_punctuation(text: str) -> list[str]:
 
 
 def _chrf_pair_stats(pair: ScorePair, config: MetricConfig) -> list[int]:
-    # spaces are removed before character n-gram extraction
-    hyp_chars = _WS.sub("", pair.hypothesis)
-    ref_chars = _WS.sub("", pair.reference)
-    stats = []
-    for n in range(1, CHAR_ORDER + 1):
-        hyp_ngrams = _char_ngrams(hyp_chars, n)
-        ref_ngrams = _char_ngrams(ref_chars, n)
-        stats += [
-            sum(hyp_ngrams.values()),
-            sum(ref_ngrams.values()),
-            sum((hyp_ngrams & ref_ngrams).values()),
-        ]
+    # whitespace is removed before character n-gram extraction
+    hyp, ref = pair.hypothesis, pair.reference
+    stats = _overlap_stats("".join(hyp.split()), "".join(ref.split()), CHAR_ORDER)
     if config.word_order > 0:
-        hyp_words = _separate_punctuation(pair.hypothesis)
-        ref_words = _separate_punctuation(pair.reference)
-        for n in range(1, config.word_order + 1):
-            hyp_ngrams = _word_ngrams(hyp_words, n)
-            ref_ngrams = _word_ngrams(ref_words, n)
-            stats += [
-                sum(hyp_ngrams.values()),
-                sum(ref_ngrams.values()),
-                sum((hyp_ngrams & ref_ngrams).values()),
-            ]
+        stats += _overlap_stats(
+            _separate_punctuation(hyp), _separate_punctuation(ref), config.word_order
+        )
     return stats
 
 

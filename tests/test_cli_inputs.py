@@ -471,6 +471,48 @@ def test_a_failing_run_keeps_what_another_run_wrote_into_a_parent_it_made(tmp_pa
     assert (sibling / "scores.tsv").read_text(encoding="utf-8") == "kept\n"
 
 
+# --- writing into an input directory -----------------------------------------------
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_tag_in_place_digests_the_records_it_read(tmp_path):
+    dataset = tmp_path / "d"
+    write(dataset / "records.tsv", "de\tnl\tHund\thond\nnl\tde\tkat\tKatze\n")
+    read = cli._sha256(dataset / "records.tsv")
+    assert main(["tag", "--dataset", str(dataset), "--tag", "two_tag", "--out", str(dataset)]) == 0
+    digests = json.loads((dataset / "run.json").read_text(encoding="utf-8"))["inputs"]
+    assert digests == {str(dataset / "records.tsv"): read}
+    assert cli._sha256(dataset / "records.tsv") != read
+
+
+def write_bitexts(root):
+    for code, word in (("de", "Hund"), ("nl", "hond")):
+        write(root / "b" / f"{code}.tsv", "".join(f"dog {i}\t{word} {i}\n" for i in range(6)))
+    return root / "b"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-ft", "--corpus", "{c}", "--out", "{c}"],
+    ["build-ft", "--corpus", "{c}", "--format", "split_files", "--out", "{c}"],
+    # buckets writes its dataset into <out>/dataset, here the corpus
+    ["buckets", "--corpus", "{c}", "--num-buckets", "1", "--setting", "multi_parallel",
+     "--out", "{c}/.."],
+])
+def test_a_run_that_would_replace_an_input_file_is_refused(tmp_path, capsys, argv):
+    corpus = tmp_path / "dataset"
+    assert main(["mine", "--bitexts", str(write_bitexts(tmp_path)), "--out", str(corpus)]) == 0
+    before = tree_bytes(tmp_path)
+    envelope = json_error([a.format(c=corpus) for a in argv], capsys)
+    assert envelope["error"] == "ValueError"
+    assert "refusing to replace an input of this run" in envelope["message"]
+    assert tree_bytes(tmp_path) == before
+    # the corpus still loads
+    assert main(["lid-train", "--corpus", str(corpus), "--out", str(tmp_path / "m")]) == 0
+
+
 # --- unwritable records ----------------------------------------------------------
 
 

@@ -1,20 +1,29 @@
 import json
+import re
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multipar.datagen import Direction
 from multipar.metrics import (
+    BLEU_MAX_ORDER,
+    CHAR_ORDER,
     CHRF,
     CHRF_PP,
     MetricConfig,
     MetricError,
     ScorePair,
+    _bleu_pair_stats,
+    _chrf_pair_stats,
     bleu,
     chrf,
     tokenize_13a,
 )
 from multipar.report import ReportError, ScoreMatrix
+from oracles import tokenize_13a_regex
+from oracles.make_metric_fixture import char_ngrams, split_off_punct, word_ngrams
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "data" / "metric_fixture.json").read_text(encoding="utf-8")
@@ -37,6 +46,75 @@ def test_tokenizer_basics():
     assert tokenize_13a("2-3 and a-b") == ["2", "-", "3", "and", "a-b"]
     assert tokenize_13a("&quot;x&quot;") == ['"', "x", '"']
     assert tokenize_13a("") == []
+
+
+# --- exact per-pair statistics ---------------------------------------------------
+
+EVERY_CODE_POINT = "".join(map(chr, range(0x110000)))
+# pieces that stress the tokenizers and the n-gram counts: every character
+# str.isspace accepts, combining marks, non-BMP characters, 13a entities and
+# markers, and digits next to the dot, comma and dash rules
+ADVERSARIAL = sorted(
+    {c for c in EVERY_CODE_POINT if c.isspace()}
+    | set(string.ascii_letters[:6] + string.digits[:3] + string.punctuation)
+    | {"\u0301", "\u0308", "e\u0301", "\U0001F600", "\U0001D518", "\U00020000", "ß", "кот", "猫"}
+    | {"&quot;", "&amp;", "&lt;", "&gt;", "&amp;quot;", "<skipped>", "-\n", "\n"}
+    | {"3.14", "1,000", "2-3", "a.b", "5.", ".5", "x-1", "1-x", "-1", "1,a", "a,1"}
+)
+texts = st.lists(st.sampled_from(ADVERSARIAL), max_size=24).map("".join)
+
+
+def slicing_chrf_stats(hyp, ref, word_order):
+    """Per-pair chrF / chrF++ statistics from the oracle's slicing counters."""
+    stats = []
+    h, r = re.sub(r"\s+", "", hyp), re.sub(r"\s+", "", ref)
+    for n in range(1, CHAR_ORDER + 1):
+        hg, rg = char_ngrams(h, n), char_ngrams(r, n)
+        stats += [sum(hg.values()), sum(rg.values()), sum((hg & rg).values())]
+    hw, rw = split_off_punct(hyp), split_off_punct(ref)
+    for n in range(1, word_order + 1):
+        hg, rg = word_ngrams(hw, n), word_ngrams(rw, n)
+        stats += [sum(hg.values()), sum(rg.values()), sum((hg & rg).values())]
+    return stats
+
+
+def slicing_bleu_stats(hyp, ref):
+    """Per-pair BLEU statistics: matches and hypothesis n-grams per order,
+    then both token counts, over the regex tokenizer's tokens."""
+    h, r = tokenize_13a_regex.tokenize_13a(hyp), tokenize_13a_regex.tokenize_13a(ref)
+    stats = []
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        hg, rg = word_ngrams(h, n), word_ngrams(r, n)
+        stats += [sum((hg & rg).values()), sum(hg.values())]
+    return stats + [len(h), len(r)]
+
+
+def test_str_split_and_regex_whitespace_agree_on_every_code_point():
+    assert "".join(EVERY_CODE_POINT.split()) == re.sub(r"\s+", "", EVERY_CODE_POINT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp=texts, ref=texts, same=st.booleans())
+@example(hyp="a\u3000b\x1cc", ref="ab c", same=False)
+@example(hyp="1.5-2,x &amp; <skipped>y-\nz", ref="", same=True)
+@example(hyp="", ref="\U0001F600\U0001F600", same=False)
+def test_pair_statistics_equal_the_slicing_reference(hyp, ref, same):
+    if same:
+        ref = hyp
+    pair = ScorePair(hyp, ref)
+    chrf_stats = _chrf_pair_stats(pair, CHRF)
+    assert chrf_stats == slicing_chrf_stats(hyp, ref, 0)
+    chrfpp_stats = _chrf_pair_stats(pair, CHRF_PP)
+    assert chrfpp_stats == slicing_chrf_stats(hyp, ref, 2)
+    assert chrfpp_stats[: 3 * CHAR_ORDER] == chrf_stats
+    assert _bleu_pair_stats(pair) == slicing_bleu_stats(hyp, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=texts)
+@example(text="a\x1c.b , 1-2 &lt;x&gt; <skipped>-\nq")
+def test_tokenize_13a_equals_the_regex_tokenizer(text):
+    assert tokenize_13a(text) == tokenize_13a_regex.tokenize_13a(text)
 
 
 # --- frozen corpus-level scores ------------------------------------------------------
