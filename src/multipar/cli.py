@@ -12,9 +12,11 @@ same relative path under ``--out`` and a ``run.json`` manifest is written,
 with the seed, tool version, and SHA-256 digests of the inputs the
 subcommand declares, taken before it runs.  A staged file that would replace
 one of those input files is an error, except in ``tag``, which may retag a
-dataset in place.  On any error the staging directory, ``--out`` if the
-run made it, and each parent made for it that is left empty are removed, so
-``--out`` is left as it was.
+dataset in place, and so is a ``manifest.json`` that would replace a corpus
+manifest (it lists ``languages``) with a dataset manifest (it has a
+``format``) or the reverse.  On any error the staging directory, ``--out``
+if the run made it, and each parent made for it that is left empty are
+removed, so ``--out`` is left as it was.
 Each file is replaced atomically; the directory as a whole is not, so a
 failure while moving can leave some files replaced and others not.
 
@@ -124,15 +126,31 @@ def _write_run_manifest(out_dir: Path, args, inputs: dict[str, str]) -> None:
     _write_json(out_dir / "run.json", manifest, default=str)
 
 
+def _manifest_kind(path: Path) -> str | None:
+    """``corpus`` for a manifest that lists ``languages``, as a corpus
+    manifest must, ``dataset`` for one with a ``format``, else None."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        return None
+    if isinstance(manifest, dict):
+        if "languages" in manifest:
+            return "corpus"
+        if "format" in manifest:
+            return "dataset"
+    return None
+
+
 def _run_staged(args) -> None:
     """Digest the declared inputs, run the subcommand into a staging directory
     inside ``--out``, then move each staged file to its path under ``--out``
     and write ``run.json``.  A staged file that would replace an input file is
     refused before anything moves, unless the subcommand is ``tag``, which
-    rewrites its dataset in place.  On any error, remove the staging
-    directory, ``--out`` if this run made it, and each parent made for it that
-    is left empty, and re-raise.  A parent that another run has written into
-    meanwhile is kept."""
+    rewrites its dataset in place, and so is a staged ``manifest.json`` that
+    would replace a corpus manifest with a dataset one or the reverse.  On any
+    error, remove the staging directory, ``--out`` if this run made it, and
+    each parent made for it that is left empty, and re-raise.  A parent that
+    another run has written into meanwhile is kept."""
     import shutil
     import tempfile
 
@@ -148,10 +166,17 @@ def _run_staged(args) -> None:
             args.func(args, staging)
             # a directory sorts before its contents
             staged = [(p, out / p.relative_to(staging)) for p in sorted(staging.rglob("*"))]
-            if args.subcommand != "tag":
-                for path, target in staged:
-                    if path.is_file() and target.resolve() in input_files:
-                        raise ValueError(f"{target}: refusing to replace an input of this run")
+            for path, target in staged:
+                if not path.is_file():
+                    continue
+                if args.subcommand != "tag" and target.resolve() in input_files:
+                    raise ValueError(f"{target}: refusing to replace an input of this run")
+                if path.name == "manifest.json" and target.is_file():
+                    old, new = _manifest_kind(target), _manifest_kind(path)
+                    if old not in (None, new):
+                        raise ValueError(
+                            f"{target}: refusing to replace a {old} manifest with a {new} manifest"
+                        )
             for path, target in staged:
                 if path.is_dir():
                     target.mkdir(exist_ok=True)
@@ -244,8 +269,7 @@ def cmd_probe_numbers(args, out: Path) -> None:
         seed=args.seed,
     )
     if args.token_budget is not None:
-        budget = match_token_budget(args.token_budget, config.tokens_per_line, len(dirs))
-        lines = budget.lines_per_direction
+        lines = match_token_budget(args.token_budget, config.tokens_per_line, len(dirs))
     else:
         lines = args.lines
     dataset = gen_number_pairs(dirs, lines, config)
@@ -274,29 +298,29 @@ def cmd_probe_words(args, out: Path) -> None:
 def cmd_buckets(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     corpus_codes = args.languages or list(corpus.languages)
-    assignment = partition_buckets(list(corpus.row_ids), args.num_buckets, args.seed)
+    buckets = partition_buckets(corpus.row_ids, args.num_buckets, args.seed)
     _write_json(
         out / "buckets.json",
         {
-            "num_buckets": assignment.num_buckets,
-            "mapping": {str(k): v for k, v in sorted(assignment.mapping.items())},
+            "num_buckets": len(buckets),
+            "mapping": {str(rid): b for b, rows in enumerate(buckets) for rid in rows},
         },
     )
     if args.setting == "multi_parallel":
         dataset = build_multiparallel_setting(
-            corpus, assignment, args.bucket, corpus_codes, seed=args.seed
+            corpus, buckets, args.bucket, corpus_codes, seed=args.seed
         )
         emit_bitext(dataset, args.format, out / "dataset")
     elif args.setting == "multi_directional":
         codes = sorted(set(corpus_codes))
         pairs = [(a, b) for i, a in enumerate(codes) for b in codes[i + 1 :]]
-        if len(pairs) != assignment.num_buckets:
+        if len(pairs) != len(buckets):
             raise DatagenError(
                 f"{len(codes)} languages give {len(pairs)} pairs, but there are "
-                f"{assignment.num_buckets} buckets"
+                f"{len(buckets)} buckets"
             )
         dataset = build_multidirectional_setting(
-            corpus, assignment, dict(enumerate(pairs)), seed=args.seed
+            corpus, buckets, dict(enumerate(pairs)), seed=args.seed
         )
         emit_bitext(dataset, args.format, out / "dataset")
 

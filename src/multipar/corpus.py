@@ -3,7 +3,9 @@
 In memory a corpus is one column per language: ``columns`` maps each
 language code to a tuple of K sentences, where position i of every column
 is row i, and ``row_ids`` names the rows.  An empty sentence ``""`` is a
-missing cell, so rows may be partial.
+missing cell, so rows may be partial.  Two indexes are built on first use and
+kept: ``position`` maps a row id to its position, and ``gaps`` maps a code to
+the positions of its missing cells.
 
 On disk a corpus is a directory with one ``<code>.txt`` file per language
 (one sentence per line, an empty line for a missing cell; written with LF
@@ -18,6 +20,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
+from operator import not_
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -60,6 +65,20 @@ class MultiParallelCorpus:
     @property
     def n_rows(self) -> int:
         return len(self.row_ids)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Row id -> column position, built on first use."""
+        return {rid: i for i, rid in enumerate(self.row_ids)}
+
+    @cached_property
+    def gaps(self) -> dict[str, frozenset[int]]:
+        """Code -> the positions of its missing cells, built on first use."""
+        n = self.n_rows
+        return {
+            code: frozenset(compress(range(n), map(not_, column)))
+            for code, column in self.columns.items()
+        }
 
     @property
     def rows(self) -> tuple[dict[str, str], ...]:

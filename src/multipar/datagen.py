@@ -10,7 +10,11 @@ record k of a block is ``(sources[positions[k]], targets[positions[k]])``.
 ``range`` of positions when no row is skipped and a compact ``array``
 otherwise, shared by a direction and its reverse; the probes give each
 block columns of its own.  Records follow block order, and a direction may
-recur in later blocks.
+recur in later blocks.  Which rows a direction skips comes from the
+corpus's ``position`` and ``gaps`` indexes, built once per corpus.
+
+``partition_buckets`` gives each bucket's sorted row ids, slices of one
+seeded permutation; the two bucketed settings take that list.
 
 A tag strategy is recorded on the dataset by ``apply_tags`` and applied as
 records are written or viewed: each block gets one (source, target) prefix
@@ -36,7 +40,7 @@ import json
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, repeat
-from operator import ne, not_
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -262,24 +266,20 @@ def build_pairwise(
         row_ids = corpus.row_ids
         rows: Sequence[int] = range(n)
     else:
-        index = {rid: i for i, rid in enumerate(corpus.row_ids)}
         try:
-            rows = _position_array(map(index.__getitem__, row_ids), n)
+            rows = _position_array(map(corpus.position.__getitem__, row_ids), n)
         except KeyError as exc:
             raise DatagenError(f"row id {exc.args[0]} not in corpus") from None
 
-    empty: dict[str, set[int]] = {}  # code -> positions of its missing cells
+    gaps = corpus.gaps
     kept_for_pair: dict[frozenset[str], Sequence[int]] = {}
     blocks: list[Block] = []
     skipped: dict[str, int] = {}
     for d in dirs:
         pair = frozenset((d.src, d.tgt))
         if pair not in kept_for_pair:
-            for code in pair:
-                if code not in empty:
-                    empty[code] = set(compress(range(n), map(not_, columns[code])))
-            gaps = empty[d.src] | empty[d.tgt]
-            kept = _position_array(filterfalse(gaps.__contains__, rows), n) if gaps else rows
+            drop = gaps[d.src] | gaps[d.tgt]
+            kept = _position_array(filterfalse(drop.__contains__, rows), n) if drop else rows
             kept_for_pair[pair] = kept if len(kept) < len(rows) else rows
         kept = kept_for_pair[pair]
         if len(kept) < len(rows):
@@ -302,48 +302,20 @@ def _position_array(positions: Iterable[int], n_rows: int) -> array:
     return array("I" if n_rows <= 2 ** (8 * array("I").itemsize) else "Q", positions)
 
 
-@dataclass(frozen=True)
-class BucketAssignment:
-    """Total map row_id -> bucket index; bucket sizes differ by at most one."""
-
-    mapping: Mapping[int, int]
-    num_buckets: int
-
-    def __post_init__(self):
-        if any(not 0 <= b < self.num_buckets for b in self.mapping.values()):
-            raise DatagenError("bucket index out of range")
-        sizes = self.sizes()
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise DatagenError("bucket sizes differ by more than one")
-
-    def bucket_rows(self, bucket: int) -> list[int]:
-        if not 0 <= bucket < self.num_buckets:
-            raise DatagenError(f"invalid bucket index {bucket}")
-        return [rid for rid, b in self.mapping.items() if b == bucket]
-
-    def sizes(self) -> list[int]:
-        counts = [0] * self.num_buckets
-        for b in self.mapping.values():
-            counts[b] += 1
-        return counts
-
-
-def partition_buckets(
-    row_ids: Sequence[int], num_buckets: int, seed: int
-) -> BucketAssignment:
-    """Seeded permutation dealt round-robin into balanced buckets."""
+def partition_buckets(row_ids: Sequence[int], num_buckets: int, seed: int) -> list[list[int]]:
+    """Each bucket's sorted row ids: bucket b deals every ``num_buckets``-th
+    row of a seeded permutation from position b, so sizes differ by at most one."""
     if not 1 <= num_buckets <= len(row_ids):
         raise DatagenError(
             f"bucket count {num_buckets} out of range [1, {len(row_ids)}]"
         )
     perm = stream(seed, "buckets").permutation(row_ids)
-    mapping = {rid: i % num_buckets for i, rid in enumerate(perm)}
-    return BucketAssignment(mapping, num_buckets)
+    return [sorted(perm[b::num_buckets]) for b in range(num_buckets)]
 
 
 def build_multiparallel_setting(
     corpus: MultiParallelCorpus,
-    assignment: BucketAssignment,
+    buckets: Sequence[Sequence[int]],
     chosen_bucket: int,
     codes: Iterable[str],
     seed: int | None = None,
@@ -351,8 +323,9 @@ def build_multiparallel_setting(
     """Pairwise data over all directions of ``codes``, from one bucket's rows."""
     codes = sorted(set(codes))
     dirs = enumerate_directions(codes, include_english_centric=True)
-    rows = sorted(assignment.bucket_rows(chosen_bucket))
-    dataset = build_pairwise(corpus, dirs, rows)
+    if not 0 <= chosen_bucket < len(buckets):
+        raise DatagenError(f"invalid bucket index {chosen_bucket}")
+    dataset = build_pairwise(corpus, dirs, buckets[chosen_bucket])
     manifest = {
         **dataset.manifest,
         "setting": "multi_parallel",
@@ -364,22 +337,21 @@ def build_multiparallel_setting(
 
 def build_multidirectional_setting(
     corpus: MultiParallelCorpus,
-    assignment: BucketAssignment,
+    buckets: Sequence[Sequence[int]],
     pair_for_bucket: Mapping[int, tuple[str, str]],
     seed: int | None = None,
 ) -> FtDataset:
     """Per bucket, records in exactly the 2 directions of that bucket's pair."""
-    if set(pair_for_bucket) != set(range(assignment.num_buckets)):
-        missing = set(range(assignment.num_buckets)) - set(pair_for_bucket)
+    if set(pair_for_bucket) != set(range(len(buckets))):
+        missing = set(range(len(buckets))) - set(pair_for_bucket)
         raise DatagenError(f"buckets without a pair: {sorted(missing)}")
     blocks: list[Block] = []
     skipped: dict[str, int] = {}
-    for bucket in range(assignment.num_buckets):
+    for bucket, rows in enumerate(buckets):
         a, b = pair_for_bucket[bucket]
         if a == b:
             raise DatagenError(f"bucket {bucket} maps to identical languages {a!r}")
         dirs = DirectionSet((Direction(*sorted((a, b))), Direction(*sorted((a, b), reverse=True))))
-        rows = sorted(assignment.bucket_rows(bucket))
         part = build_pairwise(corpus, dirs, rows)
         blocks.extend(part.blocks)
         for key, n in part.manifest["skipped"].items():

@@ -74,7 +74,7 @@ def gen_number_pairs(
     ``stream(seed, f"numbers/{d}/{i}")``, a function of (direction, line
     index, seed) alone.  A direction's lines are drawn _LANES at a time with
     :func:`~multipar.rng.draws`; a line with a draw that ``randint`` would
-    reject is drawn again alone by ``Stream.randints``.
+    reject is drawn again alone by ``k`` calls of ``Stream.randint``.
     """
     if lines_per_direction < 1:
         raise ProbeError("lines_per_direction must be >= 1")
@@ -101,7 +101,8 @@ def gen_number_pairs(
             lines += map(" ".join, zip(*[iter(tokens)] * k))
             if screen in values.tobytes() and max(values) >= limit:
                 for i in {j // k for j, v in enumerate(values) if v >= limit}:
-                    lines[a + i] = " ".join(map(str, Stream(chunk[i]).randints(lo, hi, k)))
+                    rng = Stream(chunk[i])
+                    lines[a + i] = " ".join(str(rng.randint(lo, hi)) for _ in range(k))
         lines = tuple(lines)
         blocks.append((d, lines, lines, range(lines_per_direction)))
     manifest = {
@@ -204,18 +205,11 @@ def build_word_pair_dataset(
     return FtDataset(tuple(blocks), manifest)
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    lines_per_direction: int
-    target_tokens: int
-    achieved_tokens: int
-
-
 def match_token_budget(
     target_total_tokens: int,
     tokens_per_line: int,
     num_directions: int,
-) -> BudgetReport:
+) -> int:
     """Lines per direction so total token mass approximates a reference budget.
 
     Rounds to the nearest line count (half away from zero), minimum one line;
@@ -225,13 +219,6 @@ def match_token_budget(
     if target_total_tokens < 0:
         raise ProbeError(f"token budget must be >= 0, got {target_total_tokens}")
     if target_total_tokens < tokens_per_line:
-        lines = 1
-    else:
-        exact = target_total_tokens / (tokens_per_line * num_directions)
-        lines = max(1, int(exact + 0.5))
-    return BudgetReport(
-        lines_per_direction=lines,
-        target_tokens=target_total_tokens,
-        achieved_tokens=lines * tokens_per_line * num_directions,
-    )
-
+        return 1
+    exact = target_total_tokens / (tokens_per_line * num_directions)
+    return max(1, int(exact + 0.5))

@@ -131,29 +131,6 @@ class Stream:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.randbelow(hi - lo + 1)
 
-    def randints(self, lo: int, hi: int, k: int) -> list[int]:
-        """The k values of k successive ``randint(lo, hi)`` calls, leaving the
-        stream where those calls would; SplitMix64 and the rejection loop run
-        inline."""
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        n = hi - lo + 1
-        limit = _rejection_limit(n)
-        state = self._state
-        out = []
-        append = out.append
-        for _ in range(k):
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-                z ^= z >> 31
-                if z < limit:
-                    break
-            append(lo + z % n)
-        self._state = state
-        return out
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

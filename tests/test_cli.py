@@ -1,10 +1,11 @@
+import hashlib
 import json
 import tracemalloc
 
 import pytest
 
 from multipar.cli import main
-from multipar.corpus import save_corpus
+from multipar.corpus import MultiParallelCorpus, save_corpus
 from multipar.registry import ec30
 from multipar.textio import CHUNK_CHARS
 
@@ -703,6 +704,74 @@ def test_buckets_multi_parallel(tmp_path):
     lines = (out / "dataset" / "records.tsv").read_text().splitlines()
     # a full_corpus cell is "<code> r <row> alpha beta"
     assert {int(line.split("\t")[2].split()[2]) for line in lines} == set(bucket_rows)
+
+
+BUCKETS_JSON = "df1c2e60cde83112039731780bd07c9a8075fc770109c9c73ee4357c8d6f7a1a"
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        ([], {}),
+        (["--setting", "multi_parallel", "--bucket", "1"], {
+            "dataset/manifest.json": "3aec5ac7731098185c66fac134b9e9a2d61e94c776e9827c0715d9f7bc6d6168",
+            "dataset/records.tsv": "b6f32cf7d9c2603e1a4b3b538c8aa6cca7b5fb33a33adb0a1c9db3118610b3e0",
+        }),
+        (["--setting", "multi_directional"], {
+            "dataset/manifest.json": "705e1e06b31645b234ab6c59d030fdac301685e5f0135fe0f8771c87d172f303",
+            "dataset/records.tsv": "c9cf8c5720cd8ba5b1a5ecedf522d52f71c64b6657599325ba667e1e3e87a227",
+        }),
+        (["--setting", "multi_directional", "--format", "split_files"], {
+            "dataset/manifest.json": "9cdb2d75d12a949d61d274b90743789cb1fe52a5ce38a71aaefded664fd38d10",
+            "dataset/de-en.src": "2d54d6d0d757caa001a1d1014ec8ea8227e3b5c4ed6e7eede27662a89f626f00",
+            "dataset/de-en.tgt": "4b9719912ec8ee5a79ee7365006dca3e13435910378d317bcdc1ff19116f3108",
+            "dataset/de-fr.src": "d6a709e31fb9af5bd6559cff253a5e437b60496fa26e652df3453877b648345c",
+            "dataset/de-fr.tgt": "4add20370bc992aba9442c00dc47696cd3a0efc7366aab15a7f09b038d216556",
+            "dataset/de-nl.src": "38b7e90df491bee9616b08b5a72867b702d384cd626c7d00a3776eb6237924b7",
+            "dataset/de-nl.tgt": "2e83b042768cab75da3633ba99ca97e54453e5ee244cc3bd4bc1bdd049d81844",
+            "dataset/en-de.src": "4b9719912ec8ee5a79ee7365006dca3e13435910378d317bcdc1ff19116f3108",
+            "dataset/en-de.tgt": "2d54d6d0d757caa001a1d1014ec8ea8227e3b5c4ed6e7eede27662a89f626f00",
+            "dataset/en-fr.src": "7b4691d745f12f7d7e262a3e447e0e576377e0ce43a1a591c4a5c50d5c261df4",
+            "dataset/en-fr.tgt": "c08823209e42fed2ff0eaae5552fc2596012d243a1fe3b7948896e8f3923bf79",
+            "dataset/en-nl.src": "d9bbfea0886dc913f8f5a09ffdca644cf71cbfece2e4b803d91baef880970143",
+            "dataset/en-nl.tgt": "62994fb5ccb8dce9c2667167885fd5dea4edc4e29c63e33d523303bf21defcb8",
+            "dataset/fr-de.src": "4add20370bc992aba9442c00dc47696cd3a0efc7366aab15a7f09b038d216556",
+            "dataset/fr-de.tgt": "d6a709e31fb9af5bd6559cff253a5e437b60496fa26e652df3453877b648345c",
+            "dataset/fr-en.src": "c08823209e42fed2ff0eaae5552fc2596012d243a1fe3b7948896e8f3923bf79",
+            "dataset/fr-en.tgt": "7b4691d745f12f7d7e262a3e447e0e576377e0ce43a1a591c4a5c50d5c261df4",
+            "dataset/fr-nl.src": "b65858d7b4f38f5fa11622c1f6bea50aeedeb0f6f0ca3156e511ac51312ab076",
+            "dataset/fr-nl.tgt": "54e0f754c37e664cc12d36ced71635e811ca2a3a313913e32f458ae148bb56f3",
+            "dataset/nl-de.src": "2e83b042768cab75da3633ba99ca97e54453e5ee244cc3bd4bc1bdd049d81844",
+            "dataset/nl-de.tgt": "38b7e90df491bee9616b08b5a72867b702d384cd626c7d00a3776eb6237924b7",
+            "dataset/nl-en.src": "62994fb5ccb8dce9c2667167885fd5dea4edc4e29c63e33d523303bf21defcb8",
+            "dataset/nl-en.tgt": "d9bbfea0886dc913f8f5a09ffdca644cf71cbfece2e4b803d91baef880970143",
+            "dataset/nl-fr.src": "54e0f754c37e664cc12d36ced71635e811ca2a3a313913e32f458ae148bb56f3",
+            "dataset/nl-fr.tgt": "b65858d7b4f38f5fa11622c1f6bea50aeedeb0f6f0ca3156e511ac51312ab076",
+        }),
+    ],
+    ids=["none", "multi_parallel", "multi_directional", "multi_directional-split_files"],
+)
+def test_bucket_bytes_are_pinned(tmp_path, argv, digests):
+    # 4 languages with gaps give 6 pairs, one per bucket; the row ids are not
+    # positions and are not consecutive
+    codes = ("de", "en", "fr", "nl")
+    columns = {
+        c: tuple(
+            "" if (c == "de" and i % 7 == 3) or (c == "nl" and i % 5 == 1) else f"{c} row {i} ünï"
+            for i in range(45)
+        )
+        for c in codes
+    }
+    row_ids = tuple(1000 - 7 * i for i in range(45))
+    save_corpus(MultiParallelCorpus(columns, row_ids, {"source": "golden"}), tmp_path / "corpus")
+    out = tmp_path / "buckets"
+    assert main(["buckets", "--corpus", str(tmp_path / "corpus"), "--num-buckets", "6",
+                 *argv, "--seed", "3", "--out", str(out)]) == 0
+    written = {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*")) if p.is_file() and p.name != "run.json"
+    }
+    assert written == {"buckets.json": BUCKETS_JSON, **digests}
 
 
 def test_family_flag_restricts_build_ft_and_probe_numbers(tmp_path):

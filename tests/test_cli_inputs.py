@@ -513,6 +513,40 @@ def test_a_run_that_would_replace_an_input_file_is_refused(tmp_path, capsys, arg
     assert main(["lid-train", "--corpus", str(corpus), "--out", str(tmp_path / "m")]) == 0
 
 
+@pytest.mark.parametrize("argv, replaced", [
+    # probe-numbers reads nothing, so no input file guards the corpus
+    (["probe-numbers", "--languages", "de", "nl", "--lines", "2", "--out", "{c}"], "corpus"),
+    (["mine", "--bitexts", "{b}", "--out", "{d}"], "dataset"),
+], ids=["probe-numbers-into-corpus", "mine-into-dataset"])
+def test_a_manifest_of_the_other_kind_is_not_replaced(tmp_path, capsys, argv, replaced):
+    corpus, dataset = tmp_path / "c", tmp_path / "d"
+    bitexts = write_bitexts(tmp_path)
+    assert main(["mine", "--bitexts", str(bitexts), "--out", str(corpus)]) == 0
+    assert main(["build-ft", "--corpus", str(corpus), "--out", str(dataset)]) == 0
+    before = tree_bytes(tmp_path)
+    envelope = json_error([a.format(b=bitexts, c=corpus, d=dataset) for a in argv], capsys)
+    target = (corpus if replaced == "corpus" else dataset) / "manifest.json"
+    assert envelope["error"] == "ValueError"
+    assert envelope["message"].startswith(f"{target}: refusing to replace a {replaced} manifest")
+    assert tree_bytes(tmp_path) == before
+    assert main(["lid-train", "--corpus", str(corpus), "--out", str(tmp_path / "m")]) == 0
+    # a rerun of the same kind still replaces its own manifest
+    assert main(["build-ft", "--corpus", str(corpus), "--out", str(dataset)]) == 0
+    assert main(["mine", "--bitexts", str(bitexts), "--out", str(corpus)]) == 0
+
+
+def test_a_corpus_manifest_without_row_ids_is_not_replaced(tmp_path, capsys):
+    # the manifest load_corpus_dir needs lists only the languages
+    write(tmp_path / "c" / "de.txt", "a\nb\n")
+    write(tmp_path / "c" / "nl.txt", "c\nd\n")
+    write(tmp_path / "c" / "manifest.json", '{"languages": ["de", "nl"]}\n')
+    before = tree_bytes(tmp_path)
+    envelope = json_error(["probe-numbers", "--languages", "de", "nl", "--lines", "2",
+                           "--out", str(tmp_path / "c")], capsys)
+    assert envelope["message"].startswith(f"{tmp_path / 'c' / 'manifest.json'}: refusing")
+    assert tree_bytes(tmp_path) == before
+
+
 # --- unwritable records ----------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from multipar.datagen import (
 )
 from multipar.registry import ec30
 from multipar.report import ScoreMatrix
+from multipar.rng import stream
 
 from helpers import full_corpus
 
@@ -224,16 +225,40 @@ def test_bitext_size_parity_across_row_and_direction_tradeoff():
 
 
 def test_partition_buckets_sizes_1997_into_10():
-    assignment = partition_buckets(list(range(1997)), 10, seed=0)
-    assert sorted(assignment.sizes()) == [199] * 3 + [200] * 7
+    buckets = partition_buckets(list(range(1997)), 10, seed=0)
+    assert sorted(map(len, buckets)) == [199] * 3 + [200] * 7
 
 
 def test_partition_buckets_total_and_determinism():
     rows = list(range(50))
     a = partition_buckets(rows, 7, seed=9)
     b = partition_buckets(rows, 7, seed=9)
-    assert a.mapping == b.mapping
-    assert sorted(rid for bucket in range(7) for rid in a.bucket_rows(bucket)) == rows
+    assert a == b
+    assert sorted(rid for bucket in a for rid in bucket) == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**9), max_value=10**9), min_size=1, max_size=80,
+             unique=True),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.data(),
+)
+def test_partition_buckets_deals_one_permutation_round_robin(row_ids, seed, data):
+    num_buckets = data.draw(st.integers(min_value=1, max_value=len(row_ids)))
+    buckets = partition_buckets(row_ids, num_buckets, seed)
+    # a partition of the row ids into sorted buckets whose sizes differ by at most one
+    assert len(buckets) == num_buckets
+    assert sorted(rid for bucket in buckets for rid in bucket) == sorted(row_ids)
+    assert all(bucket == sorted(bucket) for bucket in buckets)
+    sizes = [len(bucket) for bucket in buckets]
+    assert max(sizes) - min(sizes) <= 1
+    # the row -> bucket map that the buckets were once stored as
+    perm = stream(seed, "buckets").permutation(row_ids)
+    mapping = {rid: i % num_buckets for i, rid in enumerate(perm)}
+    assert buckets == [
+        sorted(rid for rid, b in mapping.items() if b == bucket) for bucket in range(num_buckets)
+    ]
 
 
 def test_partition_buckets_validates():
@@ -246,10 +271,10 @@ def test_partition_buckets_validates():
 def test_settings_have_equal_record_counts_with_equal_buckets():
     codes = ["de", "en", "fr", "nl", "pt"]  # 5 languages, 10 unordered pairs
     corpus = full_corpus(codes, 2000)
-    assignment = partition_buckets(list(corpus.row_ids), 10, seed=4)
-    multi_par = build_multiparallel_setting(corpus, assignment, 0, codes, seed=4)
+    buckets = partition_buckets(list(corpus.row_ids), 10, seed=4)
+    multi_par = build_multiparallel_setting(corpus, buckets, 0, codes, seed=4)
     pairs = dict(enumerate(itertools.combinations(codes, 2)))
-    multi_dir = build_multidirectional_setting(corpus, assignment, pairs, seed=4)
+    multi_dir = build_multidirectional_setting(corpus, buckets, pairs, seed=4)
     assert len(multi_par) == len(multi_dir) == 4000
     # each bucket contributes exactly its two directions, one block each,
     # over that bucket's rows
@@ -257,17 +282,25 @@ def test_settings_have_equal_record_counts_with_equal_buckets():
         str(d) for a, b in pairs.values() for d in (Direction(a, b), Direction(b, a))
     ]
     for bucket, (a, b) in pairs.items():
-        rows = sorted(assignment.bucket_rows(bucket))
+        rows = sorted(buckets[bucket])
         _d, sources, targets, positions = multi_dir.blocks[2 * bucket]
         assert [sources[i] for i in positions] == [corpus.columns[a][r] for r in rows]
         assert [targets[i] for i in positions] == [corpus.columns[b][r] for r in rows]
 
 
+@pytest.mark.parametrize("bucket", [-1, 3])
+def test_multiparallel_rejects_a_bucket_out_of_range(bucket):
+    corpus = full_corpus(["en", "de"], 9)
+    buckets = partition_buckets(corpus.row_ids, 3, seed=0)
+    with pytest.raises(DatagenError, match=f"invalid bucket index {bucket}"):
+        build_multiparallel_setting(corpus, buckets, bucket, ["en", "de"])
+
+
 def test_multidirectional_requires_total_pair_map():
     corpus = full_corpus(["en", "de", "nl"], 9)
-    assignment = partition_buckets(list(corpus.row_ids), 3, seed=0)
+    buckets = partition_buckets(list(corpus.row_ids), 3, seed=0)
     with pytest.raises(DatagenError):
-        build_multidirectional_setting(corpus, assignment, {0: ("en", "de")})
+        build_multidirectional_setting(corpus, buckets, {0: ("en", "de")})
 
 
 # --- tags ------------------------------------------------------------------------

@@ -291,29 +291,27 @@ def test_build_word_pair_dataset_missing_dictionary():
 
 
 def test_match_token_budget_rounds_to_nearest_line():
-    report = match_token_budget(1000, tokens_per_line=10, num_directions=10)
-    assert report.lines_per_direction == 10
-    assert report.achieved_tokens == 1000
-    report = match_token_budget(1049, tokens_per_line=10, num_directions=10)
-    assert report.lines_per_direction == 10
-    report = match_token_budget(1050, tokens_per_line=10, num_directions=10)
-    assert report.lines_per_direction == 11
+    lines = match_token_budget(1000, tokens_per_line=10, num_directions=10)
+    assert lines == 10
+    assert lines * 10 * 10 == 1000
+    assert match_token_budget(1049, tokens_per_line=10, num_directions=10) == 10
+    assert match_token_budget(1050, tokens_per_line=10, num_directions=10) == 11
 
 
 def test_match_token_budget_minimum_one_line():
-    report = match_token_budget(3, tokens_per_line=10, num_directions=56)
-    assert report.lines_per_direction == 1
+    assert match_token_budget(3, tokens_per_line=10, num_directions=56) == 1
 
 
 def test_budget_then_generate_hits_budget(tmp_path):
     # 6 directions: 597 tokens round to 10 lines of 10 tokens each
-    report = match_token_budget(597, tokens_per_line=10, num_directions=6)
+    lines = match_token_budget(597, tokens_per_line=10, num_directions=6)
     out = tmp_path / "numbers"
     argv = ["probe-numbers", "--languages", "en", "de", "nl", "--token-budget", "597",
             "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
     records = [line.split("\t") for line in (out / "records.tsv").read_text().splitlines()]
-    assert sum(len(src.split()) for _s, _t, src, _tgt in records) == report.achieved_tokens == 600
+    achieved = lines * 10 * 6
+    assert sum(len(src.split()) for _s, _t, src, _tgt in records) == achieved == 600
     assert sum(len(tgt.split()) for _s, _t, _src, tgt in records) == 600
 
 

@@ -109,30 +109,7 @@ def test_draws_wider_than_64_bits_are_rejected(n):
     with pytest.raises(ValueError, match=r"2\*\*64"):
         Stream(0).randbelow(n)
     with pytest.raises(ValueError, match=r"2\*\*64"):
-        Stream(0).randints(0, n - 1, 1)
-
-
-# spans n = hi - lo + 1 with no, rare and frequent (n = 2**63 + 1: about half
-# of all raw draws) rejections, up to the widest, 2**64
-SPANS = st.one_of(
-    st.integers(min_value=1, max_value=10_000),
-    st.integers(min_value=1, max_value=2**64),
-    st.sampled_from([2**63 + 1, 2**63 + 2**62, 2**64 - 1, 2**64]),
-)
-
-
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=-(2**70),
-       max_value=2**70), SPANS, st.integers(min_value=0, max_value=40))
-def test_randints_equals_successive_randint_calls(seed, lo, n, k):
-    batched, single = Stream(seed), Stream(seed)
-    assert batched.randints(lo, lo + n - 1, k) == [single.randint(lo, lo + n - 1) for _ in range(k)]
-    assert batched._state == single._state
-    assert batched.next_u64() == single.next_u64()
-
-
-def test_randints_rejects_an_empty_range():
-    with pytest.raises(ValueError):
-        Stream(0).randints(5, 4, 3)
+        Stream(0).randint(0, n - 1)
 
 
 # label counts that cross the 10 / 100 / 1,000 digit-count groups and a lane chunk

@@ -19,7 +19,6 @@ ALLOWED = {
     "MultiParallelCorpus.rows": "the acceptance gate and perfbench read corpora row by row",
     "FtDataset.records": "the acceptance gate and perfbench count and read datasets by record",
     "count_boosted": "tested, and to be wired into report as its count of improved directions",
-    "Stream.randint": "the reference that Stream.randints is tested against",
     "LidModel.log_score": "the seam that pins every LID score to the direct formula",
 }
 
