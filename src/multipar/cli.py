@@ -53,6 +53,7 @@ from .datagen import (
     build_pairwise,
     emit_bitext,
     enumerate_directions,
+    json_text,
     partition_buckets,
     restrict_directions_to_family,
     sample_directions,
@@ -299,13 +300,11 @@ def cmd_buckets(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     corpus_codes = args.languages or list(corpus.languages)
     buckets = partition_buckets(corpus.row_ids, args.num_buckets, args.seed)
-    _write_json(
-        out / "buckets.json",
-        {
-            "num_buckets": len(buckets),
-            "mapping": {str(rid): b for b, rows in enumerate(buckets) for rid in rows},
-        },
-    )
+    # the C encoder writes the flat mapping; its keys are ASCII digits, so
+    # the bytes are those of _write_json
+    mapping = {str(rid): b for b, rows in enumerate(buckets) for rid in rows}
+    text = json_text({"num_buckets": len(buckets), "mapping": mapping})
+    (out / "buckets.json").write_text(text + "\n", encoding="utf-8")
     if args.setting == "multi_parallel":
         dataset = build_multiparallel_setting(
             corpus, buckets, args.bucket, corpus_codes, seed=args.seed

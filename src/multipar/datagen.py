@@ -456,21 +456,32 @@ def _write_tsv(fh, blocks: Iterable[Block], tags: TagStrategy) -> dict[str, int]
     return per_direction
 
 
-def _json_text(value, indent: str = "") -> str:
+def _scalars(values) -> bool:
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)``,
     continued at ``indent``, with each non-empty list of scalars (such as a
-    manifest's row ids) encoded by the C encoder, which ``indent`` disables."""
+    manifest's row ids) and each non-empty dict of scalars with string keys
+    (such as ``buckets.json``'s mapping) encoded by the C encoder, which
+    ``indent`` disables."""
     inner = indent + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        return "{\n" + ",\n".join(
-            f"{inner}{json.dumps(k, ensure_ascii=False)}: {_json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        ) + f"\n{indent}}}"
-    if isinstance(value, (list, tuple)) and value:
-        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
-            body = f",\n{inner}".join(_json_text(v, inner) for v in value)
+        if _scalars(value.values()):
+            body = json.dumps(value, ensure_ascii=False, sort_keys=True,
+                              separators=(f",\n{inner}", ": "))[1:-1]
         else:
+            body = f",\n{inner}".join(
+                f"{json.dumps(k, ensure_ascii=False)}: {json_text(v, inner)}"
+                for k, v in sorted(value.items())
+            )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if _scalars(value):
             body = json.dumps(value, ensure_ascii=False, separators=(f",\n{inner}", ": "))[1:-1]
+        else:
+            body = f",\n{inner}".join(json_text(v, inner) for v in value)
         return f"[\n{inner}{body}\n{indent}]"
     # a raw newline only ever comes from the indentation
     text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
@@ -482,7 +493,7 @@ def _write_manifest(
 ) -> None:
     """Write ``manifest.json``: the manifest with the format and record counts."""
     counts = {"records": sum(per_direction.values()), "per_direction": per_direction}
-    text = _json_text({**manifest, "format": mode, "counts": counts})
+    text = json_text({**manifest, "format": mode, "counts": counts})
     (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 

@@ -7,18 +7,27 @@ to carve out per-direction on-target subsets.  A saved model is checked field
 by field when loaded, so a malformed ``lid_model.json`` is a ``LidError``
 naming the file.
 
-Scores come from log-probability tables built from the counts on a model's
-first score: per language the log prior and, per order, a ``gram ->
-log-probability`` dict with one constant for unseen grams.  A text's n-grams
-are extracted once per order and looked up in every language's tables; the
-terms are added one at a time, in n-gram order, so every score is the float
-the direct formula gives.
+Training counts only the top order's n-grams, in one pass over each
+language's sentences joined by LFs, and drops the grams that span an LF.
+Each lower order k is derived from the order above: a k-gram occurrence is
+either the prefix of a (k+1)-gram occurrence or its sentence's last k-gram.
+The counts are integers, so the derived tables are the counted ones.
+
+Scoring looks each n-gram of a text up once, in a per-order memo of gram ->
+the vector of its log-probabilities in every language, in ``languages``
+order.  A vector is built from per-language log-probability tables the first
+time its gram is scored, and only for grams some language has counted; every
+other gram shares one vector of unseen log-probabilities, so the memo never
+outgrows the model's vocabulary.  Each language's score adds its column of
+the vectors to its log prior one term at a time, in n-gram order, so every
+score is the float the direct formula gives.
 
 Each language is counted, and each text classified, on its own, so
 ``lid_train``, ``off_target_rate`` and ``on_target_subset`` run over
 contiguous slices in up to ``workers`` processes of :mod:`multipar.pool`:
 the slices' counts and labels, concatenated, are the serial ones.  The
-tables are built before the workers fork, which inherit them.
+tables are built before the workers fork, which inherit them; each worker
+fills its own memo.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, islice, repeat
-from operator import add
+from operator import add, neg
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,9 +48,12 @@ from .textio import read_json
 LID_SCHEMA_VERSION = 1
 UNKNOWN = "unknown"
 # what a worker process must get to pay for itself, timed on 2 cores over the
-# lid bench's inputs (11 runs per size): two workers classify faster than one
-# process from 256 lines, not always at 128-192; and count faster from 4
-# languages of about 470 sentences each, not always at 2-3
+# lid bench's inputs (sets of 11 runs per size, alternating 1 and 2 workers):
+# two workers classify faster than one process from 256 lines in every set,
+# and lose at 128-192 in two of three; they count faster from 8 languages of
+# about 470 sentences each in every set, and at 4-6 in some sets and not in
+# others, where counting 4 languages takes 57 ms against 4 ms to pickle two
+# languages' counts back, so both minimums stay
 MIN_LINES_PER_WORKER = 128
 MIN_LANGUAGES_PER_WORKER = 2
 # the JSON types each model field may take
@@ -120,14 +132,29 @@ def _check_unseen_probability(tables, vocab_sizes, alpha: float) -> None:
 
 
 def _ngrams(text: str, n: int) -> Iterable[str]:
-    """The character n-grams of ``text``, left to right."""
-    if n == 1:
-        return iter(text)
-    return map("".join, zip(*(text[k:] for k in range(n))))
+    """The character n-grams of ``text``, left to right: each order's grow
+    by one character from the order below."""
+    grams = iter(text)
+    for k in range(1, n):
+        grams = map(add, grams, text[k:])
+    return grams
 
 
-def _text_grams(text: str, max_order: int) -> list[list[str]]:
-    return [list(_ngrams(text, order)) for order in range(1, max_order + 1)]
+def _count_orders(sentences: Sequence[str], max_order: int) -> list[dict[str, int]]:
+    """The n-gram counts of ``sentences``, one table per order from 1 to
+    ``max_order``: the top order's counted, each lower order's derived from
+    the order above by prefix, plus each sentence's last k-gram."""
+    text = "\n".join(sentences)
+    if text.count("\n") != len(sentences) - 1:
+        raise LidError("a training sentence holds a line feed")
+    top = Counter(_ngrams(text, max_order))
+    tables = [{gram: c for gram, c in top.items() if "\n" not in gram}]
+    for k in range(max_order - 1, 0, -1):
+        lower = Counter(s[-k:] for s in sentences if len(s) >= k)
+        for gram, c in tables[0].items():
+            lower[gram[:k]] += c
+        tables.insert(0, dict(lower))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -141,35 +168,49 @@ class LidModel:
     vocab_sizes: tuple[int, ...] = field(default=())
 
     @cached_property
-    def _log_tables(self) -> dict[str, tuple[float, list[tuple[dict[str, float], float]]]]:
-        """Per language, the log prior and, per order, the log-probability of
-        each counted gram with that of an unseen one; built on first use."""
+    def _vectors(self) -> tuple[tuple[float, ...], list[tuple[dict, list[dict], tuple]]]:
+        """The log priors in ``languages`` order and, per order, a memo of
+        gram -> the vector of its log-probabilities in every language, the
+        per-language ``gram -> log-probability`` tables that fill it, and the
+        vector of an unseen gram.  Built on first use; the memo fills as
+        grams are scored, and holds only grams some language has counted."""
         alpha = self.config.alpha
-        tables = {}
-        for lang, orders in self.counts.items():
-            per_order = []
-            for table, vocab in zip(orders, self.vocab_sizes):
+        orders = []
+        for order, vocab in enumerate(self.vocab_sizes):
+            tables, unseen = [], []
+            for lang in self.languages:
+                table = self.counts[lang][order]
                 denom = sum(table.values()) + alpha * vocab
                 # one float per distinct count, shared by the grams that have it
                 by_count = {c: math.log((c + alpha) / denom) for c in set(table.values())}
-                logs = dict(zip(table, map(by_count.__getitem__, table.values())))
-                per_order.append((logs, math.log(alpha / denom)))
-            tables[lang] = (math.log(self.priors[lang]), per_order)
-        return tables
+                tables.append(dict(zip(table, map(by_count.__getitem__, table.values()))))
+                unseen.append(math.log(alpha / denom))
+            orders.append(({}, tables, tuple(unseen)))
+        return tuple(math.log(self.priors[lang]) for lang in self.languages), orders
 
-    def _score_grams(self, grams: Sequence[Sequence[str]], language: str) -> float:
-        log_prior, per_order = self._log_tables[language]
-        # reduce(add) is `score += term` in C, term by term in n-gram order;
-        # sum() would round differently on Python 3.12+
-        return reduce(add, chain.from_iterable(
-            map(logs.get, order_grams, repeat(unseen))
-            for (logs, unseen), order_grams in zip(per_order, grams)
-        ), log_prior)
+    def _scores(self, text: str) -> list[float]:
+        """The log-score of ``text`` in each language, in ``languages`` order.
+
+        Each n-gram is looked up once, for its vector; each language's score
+        then adds its column of the vectors to its log prior one term at a
+        time, in n-gram order, as ``score += term`` would: ``sum()`` would
+        round differently on Python 3.12+."""
+        log_priors, orders = self._vectors
+        terms = [log_priors]
+        grams = text
+        for n, (memo, tables, unseen) in enumerate(orders):
+            if n:
+                grams = list(map(add, grams, text[n:]))
+            for gram in set(grams).difference(memo):
+                if any(map(dict.__contains__, tables, repeat(gram))):
+                    memo[gram] = tuple(map(dict.get, tables, repeat(gram), unseen))
+            terms += map(memo.get, grams, repeat(unseen))
+        return [reduce(add, column) for column in zip(*terms)]
 
     def log_score(self, text: str, language: str) -> float:
         if language not in self.counts:
             raise LidError(f"language {language!r} not in model")
-        return self._score_grams(_text_grams(text, self.config.max_order), language)
+        return self._scores(text)[self.languages.index(language)]
 
     def to_json_dict(self) -> dict:
         """The model as JSON data.  The count tables are the model's own, not
@@ -227,13 +268,7 @@ def lid_train(
     languages = tuple(sorted(samples))
 
     def count(start: int, stop: int) -> list[list[dict[str, int]]]:
-        return [
-            [
-                dict(Counter(chain.from_iterable(_ngrams(s, order) for s in samples[lang])))
-                for order in range(1, config.max_order + 1)
-            ]
-            for lang in languages[start:stop]
-        ]
+        return [_count_orders(samples[lang], config.max_order) for lang in languages[start:stop]]
 
     slices = map_slices(
         count, len(languages), workers, MIN_LANGUAGES_PER_WORKER,
@@ -266,20 +301,16 @@ def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
     """
     if not text.strip():
         return UNKNOWN, 0.0
-    grams = _text_grams(text, model.config.max_order)
-    scored = sorted(
-        ((model._score_grams(grams, lang), lang) for lang in model.languages),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    best_score, best_lang = scored[0]
-    margin = best_score - scored[1][0] if len(scored) > 1 else math.inf
-    return best_lang, margin
+    # ascending negated scores: a tie goes to the smallest code
+    scored = sorted(zip(map(neg, model._scores(text)), model.languages))
+    margin = scored[1][0] - scored[0][0] if len(scored) > 1 else math.inf
+    return scored[0][1], margin
 
 
 def _labels(texts: Sequence[str], model: LidModel, workers: int) -> list[str]:
     """``lid_classify``'s label for each text, classified in contiguous
     slices in up to ``workers`` processes."""
-    model._log_tables  # built here once, not once in every worker
+    model._vectors  # built here once, not once in every worker
 
     def classify(start: int, stop: int) -> list[str]:
         return [lid_classify(text, model)[0] for text in texts[start:stop]]

@@ -39,6 +39,28 @@ def test_rejects_embedded_newline():
         MultiParallelCorpus({"en": ("a\nb",), "de": ("c",)}, (0,))
 
 
+def test_an_embedded_line_end_names_the_first_bad_row():
+    def rejected(column):
+        good = tuple(f"en {i}" for i in range(len(column)))
+        with pytest.raises(CorpusError) as info:
+            MultiParallelCorpus({"en": good, "xx": column}, tuple(range(100, 100 + len(column))))
+        return str(info.value)
+
+    column = [f"xx {i}" for i in range(9)]
+    column[4] = "a\rb"
+    assert rejected(column) == "embedded newline in 'xx' sentence (row 104)"
+    column[7] = "c\nd"
+    assert rejected(column) == "embedded newline in 'xx' sentence (row 104)"
+    long = [f"xx {i}" for i in range(10_000)]
+    long[9_999] = "\r"
+    assert rejected(long) == "embedded newline in 'xx' sentence (row 10099)"
+    long[9_000] = "\n"
+    assert rejected(long) == "embedded newline in 'xx' sentence (row 9100)"
+    # the columns are checked in order
+    with pytest.raises(CorpusError, match=r"^embedded newline in 'de' sentence \(row 1\)$"):
+        MultiParallelCorpus({"en": ("a", "b"), "de": ("c", "d\n"), "nl": ("\r", "")}, (0, 1))
+
+
 def test_rejects_ragged_columns():
     with pytest.raises(CorpusError):
         MultiParallelCorpus({"en": ("a", "b"), "de": ("c",)}, (0, 1))

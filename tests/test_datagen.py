@@ -16,7 +16,7 @@ from multipar.datagen import (
     DirectionSet,
     FtDataset,
     TagStrategy,
-    _json_text,
+    json_text,
     apply_tags,
     build_multidirectional_setting,
     build_multiparallel_setting,
@@ -442,10 +442,12 @@ def test_json_text_is_the_indented_json_dumps():
          "pair_for_bucket": {"0": ["de", "ü"]}},
         {"nested": [[], {}, [1, [2.5, True]], {"b": "\t\"\\", "a": (1, "x")}],
          "int_keys": {2: 1, 1: 0}},
+        {"mapping": {str(1000 - 7 * i): i % 6 for i in range(2_000)}, "num_buckets": 6},
+        {"mapping": {}, "flat": {"b": 1.5, "a": None, "ü": True, "c": "x\ty"}},
         [], {}, "plain", 3,
     ]
     for value in cases:
-        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 # --- emitted bytes ------------------------------------------------------------------

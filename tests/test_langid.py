@@ -3,7 +3,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multipar.cli import main
 from multipar.langid import (
@@ -83,6 +83,32 @@ def test_classify_tie_breaks_lexicographically():
     label, margin = lid_classify("xy", model)
     assert label == "aa"
     assert margin == pytest.approx(0.0, abs=1e-12)
+
+
+def hand_model(tmp_path, languages, priors):
+    """A saved and reloaded order-2 model whose languages share one count table."""
+    tables = [{"x": 2, "y": 1}, {"xy": 1}]
+    data = {
+        "schema_version": 1, "languages": languages, "max_order": 2, "alpha": 0.1,
+        "empty_is_off_target": True, "priors": priors, "vocab_sizes": [3, 2],
+        "counts": {lang: tables for lang in languages},
+    }
+    (tmp_path / "lid_model.json").write_text(json.dumps(data), encoding="utf-8")
+    return LidModel.load(tmp_path / "lid_model.json")
+
+
+def test_a_tie_in_a_model_listing_its_languages_unsorted_goes_to_the_smallest_code(tmp_path):
+    model = hand_model(tmp_path, ["bb", "aa"], {"aa": 0.5, "bb": 0.5})
+    assert model.languages == ("bb", "aa")
+    for text in ["xy", "yx x", "zz"]:
+        assert lid_classify(text, model) == ("aa", 0.0)
+
+
+def test_the_empty_text_scores_its_log_prior(tmp_path, disjoint_model):
+    model = hand_model(tmp_path, ["bb", "aa"], {"aa": 0.25, "bb": 0.75})
+    assert model.log_score("", "aa") == math.log(0.25)
+    assert model.log_score("", "bb") == math.log(0.75)
+    assert disjoint_model.log_score("", "bb") == math.log(0.5)
 
 
 def test_off_target_rate_exact_hand_counts(disjoint_model):
@@ -262,3 +288,50 @@ def test_trained_counts_equal_slicing_counts():
     assert data["vocab_sizes"] == [
         len(set(expected["aa"][n]) | set(expected["bb"][n])) + 1 for n in range(4)
     ]
+
+
+# sentence lists with "", 1-character sentences, sentences shorter than the
+# top order, and non-BMP or combining characters
+SENTENCES = st.lists(st.one_of(TEXT, st.sampled_from(["", "a", "\u0301", "\U0001f600"])),
+                     min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(aa=SENTENCES, bb=SENTENCES, max_order=st.integers(1, 5))
+def test_trained_counts_equal_slicing_counts_for_any_sentences(aa, bb, max_order):
+    train = {"aa": aa, "bb": bb}
+    data = lid_train(train, LidConfig(max_order=max_order)).to_json_dict()
+    assert data["counts"] == {
+        lang: [
+            dict(Counter(g for s in sentences for g in slice_ngrams(s, n)))
+            for n in range(1, max_order + 1)
+        ]
+        for lang, sentences in train.items()
+    }
+
+
+def test_a_training_sentence_holding_a_line_feed_is_rejected():
+    for sentences in (["ab", "c\nd"], ["\n"], ["", "\n", ""]):
+        with pytest.raises(LidError, match="a training sentence holds a line feed"):
+            lid_train({"aa": sentences, "bb": ["xy"]})
+
+
+def memo_sizes(model):
+    return [len(memo) for memo, _, _ in model._vectors[1]]
+
+
+def test_the_memo_holds_only_grams_some_language_has_counted():
+    train = {"aa": synthetic_sentences(ALPHA_A, 30, seed=1), "bb": synthetic_sentences(ALPHA_B, 30, seed=2)}
+    model = lid_train(train)
+    # no language has counted any gram of these texts
+    for text in ["zzz", "\U0001f600\u4e2d9", "y\u0301y"]:
+        lid_classify(text, model)
+    assert memo_sizes(model) == [0, 0, 0]
+    texts = [s + "zz\U0001f600" for s in synthetic_sentences(ALPHA_A + ALPHA_B, 20, seed=41)]
+    for text in texts:
+        lid_classify(text, model)
+    counts = model.to_json_dict()["counts"]
+    for n, (memo, _, _) in enumerate(model._vectors[1], 1):
+        counted = set(counts["aa"][n - 1]) | set(counts["bb"][n - 1])
+        seen = {g for text in texts for g in slice_ngrams(text, n)}
+        assert set(memo) == seen & counted
