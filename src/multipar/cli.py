@@ -4,7 +4,7 @@ Every subcommand is a pure function of its inputs and the seed: reruns are
 byte-identical.  ``--threads`` bounds the processes, this one included, that
 ``score``, ``lid-train``, ``lid-eval`` and ``ontarget`` work in (default: the
 CPUs this process may run on); the other subcommands do not take it.  It never changes
-the output.
+the output, nor the error a run exits with.
 
 ``main()`` owns ``--out``: a subcommand writes its files into a hidden
 staging directory inside it.  On success each staged file is moved to the
@@ -62,7 +62,6 @@ from .datagen import (
 )
 from .langid import LidConfig, LidError, LidModel, lid_train, off_target_rate, on_target_subset
 from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
-from .pool import available_cpus
 from .probes import (
     ProbeConfig,
     ProbeError,
@@ -195,10 +194,6 @@ def _run_staged(args) -> None:
             except OSError:
                 pass
         raise
-
-
-def _workers(args) -> int:
-    return available_cpus() if args.threads is None else args.threads
 
 
 def _registry(args) -> LanguageRegistry:
@@ -349,12 +344,11 @@ def cmd_score(args, out: Path) -> None:
     if not hyps:
         raise MetricError(f"no lines to score in {args.hypotheses} and {args.references}")
     pairs = [ScorePair(h, r) for h, r in zip(hyps, refs)]
-    workers = _workers(args)
     if args.metric == "bleu":
-        value = bleu(pairs, workers)
+        value = bleu(pairs, args.threads)
     else:
         word_order = 2 if args.metric == "chrfpp" else 0
-        value = chrf(pairs, MetricConfig(word_order=word_order), workers)
+        value = chrf(pairs, MetricConfig(word_order=word_order), args.threads)
     matrix = ScoreMatrix()
     matrix.set(Direction(args.src_lang, args.tgt_lang), args.metric, value, len(pairs))
     matrix.save_tsv(out / "scores.tsv")
@@ -364,7 +358,7 @@ def cmd_lid_train(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     samples = {code: [s for s in column if s] for code, column in corpus.columns.items()}
     model = lid_train(
-        samples, LidConfig(max_order=args.max_order, alpha=args.alpha), _workers(args)
+        samples, LidConfig(max_order=args.max_order, alpha=args.alpha), args.threads
     )
     model.save(out / "lid_model.json")
 
@@ -373,13 +367,13 @@ def cmd_lid_eval(args, out: Path) -> None:
     model = LidModel.load(args.model)
     languages = set(model.languages)
     hyps = []
-    for lineno, (code, text) in read_records(args.hypotheses, 2, ValueError):
+    for lineno, (code, text) in read_records(args.hypotheses, 2, LidError):
         if code not in languages:
             raise LidError(f"{args.hypotheses}:{lineno}: expected code {code!r} absent from model")
         hyps.append((text, code))
     if not hyps:
         raise LidError(f"{args.hypotheses}: no hypotheses")
-    report = off_target_rate(hyps, model, _workers(args))
+    report = off_target_rate(hyps, model, args.threads)
     _write_json(
         out / "off_target.json",
         {
@@ -397,22 +391,26 @@ def cmd_ontarget(args, out: Path) -> None:
     model = LidModel.load(args.model)
     languages = set(model.languages)
     per_direction: dict[str, dict[int, str]] = {}
-    for lineno, (direction, row_id, text) in read_records(args.hypotheses, 3, ValueError):
+    for lineno, (direction, row_id, text) in read_records(args.hypotheses, 3, LidError):
         where = f"{args.hypotheses}:{lineno}"
         try:
             rid = int(row_id)
         except ValueError:
-            raise ValueError(f"{where}: row id {row_id!r} is not an integer") from None
-        target = direction.rpartition("-")[2]
+            raise LidError(f"{where}: row id {row_id!r} is not an integer") from None
+        source, _, target = direction.rpartition("-")
         if target not in languages:
             raise LidError(f"{where}: target {target!r} of {direction!r} absent from model")
+        try:
+            Direction(source, target)
+        except DatagenError as exc:
+            raise LidError(f"{where}: {exc}") from None
         rows = per_direction.setdefault(direction, {})
         if rid in rows:
             raise LidError(f"{where}: duplicate row id {rid} in direction {direction!r}")
         rows[rid] = text
     if not per_direction:
         raise LidError(f"{args.hypotheses}: no hypotheses")
-    subsets = on_target_subset(per_direction, model, _workers(args))
+    subsets = on_target_subset(per_direction, model, args.threads)
     _write_json(out / "on_target.json", {k: sorted(v) for k, v in subsets.items()})
 
 

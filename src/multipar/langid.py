@@ -99,6 +99,9 @@ def _check_model_json(data) -> LidConfig:
         set(languages) == set(data["priors"]) == set(data["counts"])
     ):
         raise LidError("languages, priors and counts name different languages")
+    twice = [code for i, code in enumerate(languages) if code in languages[:i]]
+    if twice:
+        raise LidError(f"language code {twice[0]!r} is listed twice in languages")
     # `0 < p < inf` is also false for NaN, and compares a huge int exactly
     if any(type(p) not in (float, int) or not 0 < p < math.inf for p in data["priors"].values()):
         raise LidError("priors must be positive finite numbers")
@@ -253,7 +256,8 @@ class LidModel:
 
 
 def lid_train(
-    samples: Mapping[str, Sequence[str]], config: LidConfig = LidConfig(), workers: int = 1
+    samples: Mapping[str, Sequence[str]], config: LidConfig = LidConfig(),
+    workers: int | None = 1,
 ) -> LidModel:
     """Count character n-grams per language into smoothed profiles.
 
@@ -307,7 +311,7 @@ def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
     return scored[0][1], margin
 
 
-def _labels(texts: Sequence[str], model: LidModel, workers: int) -> list[str]:
+def _labels(texts: Sequence[str], model: LidModel, workers: int | None) -> list[str]:
     """``lid_classify``'s label for each text, classified in contiguous
     slices in up to ``workers`` processes."""
     model._vectors  # built here once, not once in every worker
@@ -334,7 +338,7 @@ class OffTargetReport:
 
 
 def off_target_rate(
-    hyps: Sequence[tuple[str, str]], model: LidModel, workers: int = 1
+    hyps: Sequence[tuple[str, str]], model: LidModel, workers: int | None = 1
 ) -> OffTargetReport:
     """Fraction of hypotheses not classified as their expected language.
 
@@ -366,7 +370,7 @@ def off_target_rate(
 def on_target_subset(
     baseline_hyps: Mapping[str, Mapping[int, str]],
     model: LidModel,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> dict[str, set[int]]:
     """Per direction, the row ids whose baseline hypothesis is already in the
     target language.  Keys are ``src-tgt`` direction strings whose target is

@@ -142,7 +142,7 @@ def _bleu_pair_stats(pair: ScorePair) -> list[int]:
     return stats + [len(hyp), len(ref)]
 
 
-def bleu(pairs: Sequence[ScorePair], workers: int = 1) -> float:
+def bleu(pairs: Sequence[ScorePair], workers: int | None = 1) -> float:
     """Corpus BLEU: orders 1..4, exponential smoothing, brevity penalty."""
     if not pairs:
         raise MetricError("empty pair list")
@@ -221,7 +221,9 @@ def _f_score_from_stats(stats: Sequence[int]) -> float:
     return 100.0 * f
 
 
-def chrf(pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP, workers: int = 1) -> float:
+def chrf(
+    pairs: Sequence[ScorePair], config: MetricConfig = CHRF_PP, workers: int | None = 1
+) -> float:
     """Corpus ChrF (word_order 0) or ChrF++ (word_order 2) on a 0-100 scale."""
     if not pairs:
         raise MetricError("empty pair list")
@@ -236,7 +238,7 @@ def _column_sums(rows) -> list[int]:
     return [sum(column) for column in zip(*rows)]
 
 
-def _pooled_stats(pairs, pair_stats, workers: int = 1) -> list[int]:
+def _pooled_stats(pairs, pair_stats, workers: int | None = 1) -> list[int]:
     """Sum the per-pair integer statistics, column by column.
 
     Contiguous slices of the pairs are summed in up to ``workers`` processes

@@ -3,7 +3,8 @@
 ``map_slices(fn, n, workers, min_per_worker, error)`` cuts ``range(n)`` into
 contiguous slices and returns ``[fn(start, stop), ...]`` in slice order.  A
 caller whose slice results concatenate or add up therefore gets what
-``fn(0, n)`` gives, whatever the worker count.
+``fn(0, n)`` gives, whatever the worker count, and, if ``fn`` maps item by
+item, what it raises: the exception of the lowest slice that faulted.
 
 With more than one worker, the calling process works too, next to
 ``workers - 1`` processes forked with ``os.fork``, so ``fn`` and everything it
@@ -11,9 +12,11 @@ reads are inherited as they are.  There are ``SLICES_PER_WORKER`` slices per
 process.  Process ``p`` maps slice ``p`` first, then draws the slices left
 from a queue until it is empty: a process that the machine runs slower, or
 whose slices cost more, maps fewer of them, instead of holding up the rest.
-Each forked worker pickles its results into a pipe and exits; the parent
-reads the pipes in order and raises ``error`` if a worker exits with any
-status but 0, or if ``fn`` raises in any process.
+A process in which ``fn`` raises empties the queue, so no slice is drawn
+after the fault, and every slice below it was drawn before; each forked
+worker pickles its results, or its fault, into a pipe.  ``error`` is raised
+only for a worker that exits without reporting: with a status but 0,
+killed, or with a fault that does not survive pickling.
 
 No thread is started, and neither ``multiprocessing`` nor
 ``concurrent.futures`` is imported: a ``ProcessPoolExecutor`` cost the parent
@@ -26,9 +29,8 @@ processes.
 from __future__ import annotations
 
 import os
-import sys
 import threading
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -51,18 +53,20 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(workers: int, n: int, min_per_worker: int) -> int:
-    """Processes used for ``n`` items with at most ``workers``, where each
-    process must get at least ``min_per_worker`` items to pay for itself."""
-    return max(1, min(workers, available_cpus(), n // min_per_worker))
+def worker_count(workers: int | None, n: int, min_per_worker: int) -> int:
+    """Processes used for ``n`` items with at most ``workers``, or every CPU
+    if None, where each must get ``min_per_worker`` items to pay for itself."""
+    cpus = available_cpus()
+    return max(1, min(cpus if workers is None else workers, cpus, n // min_per_worker))
 
 
 def map_slices(
-    fn: Callable[[int, int], T], n: int, workers: int, min_per_worker: int, error: Exception
+    fn: Callable[[int, int], T], n: int, workers: int | None, min_per_worker: int,
+    error: Exception,
 ) -> list[T]:
     """``fn(start, stop)`` for each contiguous slice of ``range(n)``, in order,
-    mapped by up to ``workers`` processes; ``error`` is raised if a worker
-    dies, or if ``fn`` raises while more than one process maps."""
+    mapped by up to ``workers`` processes; raises what ``fn(0, n)`` raises,
+    or ``error`` if a worker exits without reporting."""
     workers = worker_count(workers, n, min_per_worker)
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         slices = min(n, workers * SLICES_PER_WORKER, workers + MAX_QUEUED)
@@ -87,19 +91,18 @@ def _forked_map(fn, bounds, workers, error):
             pipes.append(open(read_end, "rb"))
             with open(write_end, "wb") as pipe:  # closed in the parent once forked
                 pid = os.fork()
-                if pid == 0:
-                    for read in pipes:  # the parent's alone, so its close breaks the pipe
-                        read.close()
-                    _work(fn, bounds, first, queue, pipe)
+                if pid == 0:  # a worker: it exits 0 once its report is written, else 1
+                    try:
+                        for read in pipes:  # the parent's alone, so its close breaks the pipe
+                            read.close()
+                        report = _drain(fn, bounds, first, queue)
+                        pickle.dump(report, pipe, pickle.HIGHEST_PROTOCOL)
+                        pipe.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
             pids.append(pid)
-        try:
-            done = _drain(fn, bounds, 0, queue)
-        except Exception as exc:  # a fault in fn: shown, as in a worker
-            import traceback
-
-            traceback.print_exc()
-            sys.stderr.flush()
-            raise error from exc
+        reports = [_drain(fn, bounds, 0, queue)]
         payloads = [read.read() for read in pipes]
     finally:
         # the queue is emptied and every read end closed before the first
@@ -113,40 +116,32 @@ def _forked_map(fn, bounds, workers, error):
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(statuses):
         raise error
-    results = dict(done)
-    for payload in payloads:
-        results.update(pickle.loads(payload))
+    try:
+        reports += map(pickle.loads, payloads)
+    except Exception:  # a fault whose exception does not unpickle
+        raise error from None
+    fault = min((fault for _, fault in reports if fault), default=None)
+    if fault:
+        raise fault[1]
+    results = {i: result for done, _ in reports for i, result in done}
     return [results[i] for i in range(len(bounds) - 1)]
 
 
-def _drain(fn, bounds, first: int, queue: int) -> list[tuple[int, object]]:
-    """``(i, fn(bounds[i], bounds[i + 1]))`` for slice ``first``, then for each
-    slice index read from ``queue`` until it is empty."""
+def _drain(fn, bounds, first: int, queue: int):
+    """``([(i, fn(bounds[i], bounds[i + 1])), ...], fault)`` for slice ``first``,
+    then each slice index read from ``queue`` until it is empty or ``fn``
+    raises; ``fault`` is None, or ``(i, the exception)``."""
     done, i = [], first
     while True:
-        done.append((i, fn(bounds[i], bounds[i + 1])))
+        try:
+            done.append((i, fn(bounds[i], bounds[i + 1])))
+        except Exception as exc:  # no process draws another slice
+            while os.read(queue, MAX_QUEUED * _INDEX_BYTES):
+                pass
+            return done, (i, exc)
         # all of the queue was written before any read, in whole indices, and
         # a read of a pipe is atomic, so each index goes to one process
         index = os.read(queue, _INDEX_BYTES)
         if not index:
-            return done
+            return done, None
         i = int.from_bytes(index, "little")
-
-
-def _work(fn, bounds, first: int, queue: int, pipe) -> NoReturn:
-    """In a forked worker: write its ``_drain`` results, pickled, to ``pipe``,
-    then exit, with status 0 only if all of it was written."""
-    import pickle
-
-    status = 1
-    try:
-        pickle.dump(_drain(fn, bounds, first, queue), pipe, pickle.HIGHEST_PROTOCOL)
-        pipe.flush()
-        status = 0
-    except Exception:  # a fault in fn: show it, and the parent raises error
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(status)

@@ -84,9 +84,15 @@ def save_weights(weights: MixtureWeights, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> dict[str, float]:
-    """Read ``key<TAB>number`` records; each number must be finite."""
-    table = {}
+    """Read ``key<TAB>number`` records; each number must be finite, and each
+    key listed once."""
+    table, first = {}, {}
     for lineno, (key, number) in read_records(path, 2, SamplingError):
+        if key in first:
+            raise SamplingError(
+                f"{path}:{lineno}: duplicate key {key!r} (first at line {first[key]})"
+            )
+        first[key] = lineno
         try:
             value = float(number)
             if not math.isfinite(value):

@@ -154,6 +154,16 @@ def test_sizes_record_with_empty_fields_is_an_error(tmp_path, lid_model, capsys)
     assert f"{path}:2: could not convert" in capsys.readouterr().err
 
 
+def test_a_sizes_key_listed_twice_is_an_error(tmp_path, lid_model, capsys):
+    argv, path, _ = stage("sizes", tmp_path, lid_model)
+    path.write_text("de\t10\nnl\t5\nde\t20\n", encoding="utf-8")
+    assert main(argv + ["--json-errors"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SamplingError", "message": f"{path}:3: duplicate key 'de' (first at line 1)",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 # --- config --------------------------------------------------------------------
 
 
@@ -283,9 +293,11 @@ def test_bad_dataset_manifest_is_a_datagen_error(tmp_path, capsys, manifest, mes
         (lambda m: {**m, "counts": {**m["counts"], "bb": [{"a": 10**400}, {}, {}]}},
          "an unseen n-gram gets probability 0"),
         (lambda m: {**m, "alpha": 5e-324}, "an unseen n-gram gets probability 0"),
+        (lambda m: {**m, "languages": ["aa", "bb", "aa"]}, "language code 'aa' is listed twice"),
     ],
     ids=["empty", "list", "max_order", "priors", "prior", "vocab", "tables", "count",
-         "infinite-prior", "zero-vocab", "negative-count", "huge-count", "tiny-alpha"],
+         "infinite-prior", "zero-vocab", "negative-count", "huge-count", "tiny-alpha",
+         "duplicate-language"],
 )
 def test_bad_lid_model_is_a_lid_error(tmp_path, lid_model, capsys, command, edit, message):
     argv, hyps, first = stage(command, tmp_path, lid_model)
@@ -295,6 +307,26 @@ def test_bad_lid_model_is_a_lid_error(tmp_path, lid_model, capsys, command, edit
     envelope = json_error([a if a != str(lid_model) else str(model) for a in argv], capsys)
     assert envelope["error"] == "LidError"
     assert envelope["message"].startswith(f"{model}: ") and message in envelope["message"]
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("lid-eval", b"aa\tabc\tx", "expected 2 fields, got 3"),
+        ("ontarget", b"aa-bb\tabc", "expected 3 fields, got 2"),
+        ("ontarget", b"aa-bb\tx\tabc", "row id 'x' is not an integer"),
+        ("ontarget", b"bb\t0\tabc", "direction with an empty language code ''-'bb'"),
+        ("ontarget", b"-bb\t1\tabc", "direction with an empty language code ''-'bb'"),
+        ("ontarget", b"bb-bb\t0\tabc", "direction with identical endpoints 'bb'"),
+    ],
+    ids=["lid-eval-fields", "ontarget-fields", "row-id", "no-source", "empty-source",
+         "same-sides"],
+)
+def test_a_bad_lid_input_line_is_a_lid_error(tmp_path, lid_model, capsys, command, line, message):
+    argv, path, first = stage(command, tmp_path, lid_model)
+    path.write_bytes(first + b"\n" + line + b"\n")
+    assert json_error(argv, capsys) == {"error": "LidError", "message": f"{path}:2: {message}"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_lid_train_alpha_too_small_for_the_counts_is_a_lid_error(tmp_path, lid_model, capsys):

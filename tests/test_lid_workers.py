@@ -13,7 +13,7 @@ import pytest
 
 from multipar import langid, pool
 from multipar.cli import main
-from multipar.langid import MIN_LANGUAGES_PER_WORKER, MIN_LINES_PER_WORKER, LidConfig
+from multipar.langid import MIN_LANGUAGES_PER_WORKER, MIN_LINES_PER_WORKER, LidConfig, LidError
 
 from helpers import synthetic_sentences
 
@@ -129,6 +129,27 @@ def test_another_running_thread_keeps_lid_in_process(monkeypatch):
     assert not other.is_alive()
     assert pooled == serial
     assert forked == []
+
+
+def test_a_fault_in_a_training_worker_is_the_serial_error(monkeypatch, capfd):
+    forked = []
+    real = pool._forked_map
+
+    def spy(fn, bounds, workers, error):
+        forked.append(workers)
+        return real(fn, bounds, workers, error)
+
+    monkeypatch.setattr(pool, "_forked_map", spy)
+    monkeypatch.setattr(pool, "available_cpus", lambda: 2)
+    # one sentence per language; the forked worker counts the second first
+    codes = sorted(ALPHABETS)[: 2 * MIN_LANGUAGES_PER_WORKER]
+    samples = {code: [ALPHABETS[code]] for code in codes}
+    samples[codes[1]] = ["efgh\nijkl"]
+    for workers in (1, 2):
+        with pytest.raises(LidError, match="^a training sentence holds a line feed$"):
+            langid.lid_train(samples, LidConfig(), workers)
+    assert forked == [2]
+    assert capfd.readouterr().err == ""
 
 
 DYING_WORKER = """

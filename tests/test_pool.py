@@ -1,6 +1,7 @@
 """``multipar.pool``: contiguous slices over forked workers, whose results
-concatenate to the serial map, drawn from a queue so a slow worker holds
-none back, and the ways a worker can fail."""
+concatenate to the serial map and whose faults are the serial map's, drawn
+from a queue so a slow worker holds none back, and the ways a worker can
+fail."""
 
 import os
 import subprocess
@@ -48,16 +49,79 @@ def test_a_slow_worker_leaves_its_share_to_the_others():
     assert owners[:1] + owners[2:] == [parent] * (2 * pool.SLICES_PER_WORKER - 1)
 
 
-def test_a_slice_that_raises_in_a_worker_is_the_given_error(capfd):
-    def second_slice_fails(start, stop):
-        if start:
+def test_a_slice_that_raises_in_a_worker_raises_its_own_exception(capfd):
+    parent = os.getpid()
+
+    def worker_fails(start, stop):
+        if os.getpid() != parent:
             raise KeyError("boom")
         return [start, stop]
 
     with mock.patch.object(pool, "available_cpus", lambda: 2):
+        with pytest.raises(KeyError) as raised:
+            pool.map_slices(worker_fails, 4, 2, 1, RuntimeError("died"))
+    assert raised.value.args == ("boom",)
+    assert capfd.readouterr().err == ""
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type and args of what it raises."""
+    try:
+        return "returned", run()
+    except Exception as exc:
+        return "raised", type(exc), exc.args
+
+
+@st.composite
+def items_and_faults(draw):
+    """``n``, and the exception type to raise at each of some items below it."""
+    n = draw(st.integers(0, 40))
+    kinds = st.sampled_from([KeyError, ValueError, ZeroDivisionError])
+    return n, draw(st.dictionaries(st.integers(0, max(n - 1, 0)), kinds, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=items_and_faults(), workers=st.integers(1, 6))
+def test_the_slices_return_or_raise_what_the_serial_map_does(case, workers):
+    n, faults = case
+
+    def squares(start, stop):
+        out = []
+        for i in range(start, stop):
+            if i in faults:
+                raise faults[i](i)
+            out.append(i * i)
+        return out
+
+    def pooled():
+        slices = pool.map_slices(squares, n, workers, 1, RuntimeError("died"))
+        return [x for part in slices for x in part]
+
+    with mock.patch.object(pool, "available_cpus", lambda: 4):
+        assert outcome(pooled) == outcome(lambda: squares(0, n))
+
+
+class Unloadable(Exception):
+    def __init__(self, message, detail):  # unpickling calls Unloadable(message)
+        super().__init__(message)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda: KeyError(lambda: 0),  # a lambda does not pickle
+    lambda: Unloadable("boom", 0),
+], ids=["unpicklable", "unloadable"])
+def test_a_fault_that_does_not_survive_pickling_is_the_given_error(capfd, fault):
+    parent = os.getpid()
+
+    def worker_fails(start, stop):
+        if os.getpid() != parent:
+            raise fault()
+        return [start, stop]
+
+    with mock.patch.object(pool, "available_cpus", lambda: 2):
         with pytest.raises(RuntimeError, match="died"):
-            pool.map_slices(second_slice_fails, 4, 2, 1, RuntimeError("died"))
-    assert "KeyError: 'boom'" in capfd.readouterr().err
+            pool.map_slices(worker_fails, 4, 2, 1, RuntimeError("died"))
+    assert capfd.readouterr().err == ""
 
 
 FORK_FAILS = """

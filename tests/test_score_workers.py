@@ -85,6 +85,7 @@ def test_summed_slice_statistics_equal_the_serial_sums(texts, cuts):
 def test_worker_count_is_bounded_by_cpus_and_pairs():
     cpus = pool.available_cpus()
     assert pool.worker_count(1_000_000, 10**9, MIN_PAIRS_PER_WORKER) == cpus
+    assert pool.worker_count(None, 10**9, MIN_PAIRS_PER_WORKER) == cpus
     assert pool.worker_count(1_000_000, 2 * MIN_PAIRS_PER_WORKER - 1, MIN_PAIRS_PER_WORKER) == 1
     assert pool.worker_count(1, 10**9, MIN_PAIRS_PER_WORKER) == 1
 

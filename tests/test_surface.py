@@ -84,3 +84,24 @@ def test_no_subcommand_writes_outside_its_staging_directory():
         or (isinstance(node, ast.Name) and node.id == "_write_run_manifest")
     ]
     assert bypasses == []
+
+
+def test_only_the_pool_starts_processes():
+    # pool's docstring calls it the only module that starts processes, and
+    # its fault path reports a fault instead of printing a traceback
+    starts = {"fork", "_exit", "waitpid"}
+    trees = _trees()
+    assert {name for name in starts if _names(trees[PACKAGE / "pool.py"])[name]} == starts
+    elsewhere = [
+        f"{path.name}: {name}"
+        for path, tree in sorted(trees.items()) if path.name != "pool.py"
+        for name in sorted(starts) if _names(tree)[name]
+    ]
+    tracebacks = [
+        path.name
+        for path, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "traceback" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "traceback")
+    ]
+    assert elsewhere == [] and tracebacks == []
