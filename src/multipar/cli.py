@@ -20,10 +20,10 @@ removed, so ``--out`` is left as it was.
 Each file is replaced atomically; the directory as a whole is not, so a
 failure while moving can leave some files replaced and others not.
 
-A config file (``key = value`` lines, ``#`` comments) can pre-set any long
-flag; command-line flags override it, in any spelling.  Every text input is
-read through :mod:`multipar.textio`, so a bad input, config file included,
-exits 1 with a message naming ``<file>:<line>``.
+A config file (``key = value`` lines, ``#`` comments, each key set once) can
+pre-set any optional long flag; command-line flags override it, in any
+spelling.  Every text input is read through :mod:`multipar.textio`, so a bad
+input, config file included, exits 1 with a message naming ``<file>:<line>``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .probes import (
     pivot_dictionaries,
 )
 from .registry import LanguageRegistry, ec30
-from .report import GroupingScheme, ScoreMatrix, delta, emit_report
+from .report import ScoreMatrix, delta, emit_report
 from .sampling import load_table, sample_schedule, save_weights, temperature_weights
 from .textio import read_lines, read_records
 
@@ -419,13 +419,7 @@ def cmd_report(args, out: Path) -> None:
     matrix = ScoreMatrix.load_tsv(args.scores)
     if args.baseline:
         matrix = delta(matrix, ScoreMatrix.load_tsv(args.baseline))
-    schemes = []
-    for name in args.scheme:
-        if name.startswith("family:"):
-            schemes.append(GroupingScheme("family", family=name.split(":", 1)[1]))
-        else:
-            schemes.append(GroupingScheme(name))
-    emit_report(matrix, schemes, registry, args.format, out)
+    emit_report(matrix, args.scheme, registry, args.format, out)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -434,8 +428,9 @@ def cmd_report(args, out: Path) -> None:
 def _config_flags(path, options: dict[str, argparse.Action]) -> list[str]:
     """The ``key = value`` entries of a config file as flags of a subcommand
     whose flags, by key, are ``options``; other keys are ignored.  The value
-    of a flag that takes a list is split on whitespace, as a shell splits it."""
-    values = {}
+    of a flag that takes a list is split on whitespace, as a shell splits it.
+    A key set twice, in any spelling, is an error."""
+    values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(read_lines(path, ValueError), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -443,9 +438,14 @@ def _config_flags(path, options: dict[str, argparse.Action]) -> list[str]:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        values[key.strip().replace("-", "_")] = value.strip()
+        name = key.strip().replace("-", "_")
+        if name in values:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key {key.strip()!r} (first at line {values[name][0]})"
+            )
+        values[name] = (lineno, value.strip())
     flags: list[str] = []
-    for key, raw in values.items():
+    for key, (_, raw) in values.items():
         if key not in options:
             continue
         flag = "--" + key.replace("_", "-")

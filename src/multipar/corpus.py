@@ -87,13 +87,6 @@ class MultiParallelCorpus:
             for code, column in self.columns.items()
         }
 
-    @property
-    def rows(self) -> tuple[dict[str, str], ...]:
-        """Row view, built on request: each row maps only its non-empty cells."""
-        return tuple(
-            {c: col[i] for c, col in self.columns.items() if col[i]} for i in range(self.n_rows)
-        )
-
 
 def save_corpus(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     """Write ``<code>.txt`` per language plus ``manifest.json``.

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import chain, compress, filterfalse, repeat
 from operator import ne
 from pathlib import Path
@@ -121,13 +122,14 @@ def enumerate_directions(
 
 
 def sample_directions(dirs: DirectionSet, fraction: float, seed: int) -> DirectionSet:
-    """Prefix of a seeded uniform permutation, floor(fraction * |dirs|) long.
+    """Prefix of a seeded uniform permutation, floor(fraction * |dirs|) long,
+    taking the fraction as the decimal it prints as, so 0.57 of 100 is 57.
 
     Samples are nested across fractions under the same seed.
     """
     if not 0.0 < fraction <= 1.0:
         raise DatagenError(f"fraction must be in (0, 1], got {fraction}")
-    count = int(fraction * len(dirs))
+    count = int(Fraction(str(fraction)) * len(dirs))
     if count == 0:
         raise DatagenError(f"fraction {fraction} of {len(dirs)} directions selects none")
     perm = stream(seed, "directions").permutation(sorted(dirs.directions))

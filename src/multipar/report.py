@@ -1,5 +1,8 @@
 """Per-direction score matrices, grouping schemes, deltas, and report emission.
 
+A grouping scheme is its name: ``resource_grid``, ``english_centric`` or
+``family:<name>``.
+
 Group values are unweighted arithmetic means over member directions.  Any
 "AVG" column produced here is the mean of group means; the direction-weighted
 grand mean is emitted alongside under a separate, clearly labeled key,
@@ -12,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .datagen import Direction
 from .registry import LanguageRegistry
@@ -133,20 +137,6 @@ class ScoreMatrix:
         }
 
 
-@dataclass(frozen=True)
-class GroupingScheme:
-    kind: str  # "resource_grid" | "english_centric" | "family"
-    family: str | None = None
-
-    KINDS = ("resource_grid", "english_centric", "family")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ReportError(f"unknown grouping scheme {self.kind!r}")
-        if self.kind == "family" and not self.family:
-            raise ReportError("family scheme requires a family name")
-
-
 def resource_grid_group(direction: Direction, registry: LanguageRegistry) -> str:
     """Zero-shot grid cell label, e.g. ``H-M`` for High-source, Medium-target."""
     if direction.is_english_centric(registry.english_code):
@@ -167,61 +157,54 @@ def _mean(values: Iterable[float]) -> float | None:
     return mean
 
 
-def _group(
-    matrix: ScoreMatrix, scheme: GroupingScheme, registry: LanguageRegistry, metric: str
-) -> dict[str, list[float]]:
-    """Values of the matrix's directions under each label the scheme gives;
-    directions the scheme excludes are left out.  An unknown family is an
-    error even when no direction would be classified by it."""
-    if scheme.kind == "family":
-        registry.members_of_family(scheme.family)
-    groups: dict[str, list[float]] = {}
-    for direction in matrix.directions(metric):
-        label = classify(direction, scheme, registry)
-        if label is not None:
-            groups.setdefault(label, []).append(matrix.get(direction, metric).value)
-    return groups
-
-
-def classify(
-    direction: Direction, scheme: GroupingScheme, registry: LanguageRegistry
-) -> str | None:
-    """Group label for one direction, or None when the scheme excludes it."""
+def _labeler(scheme: str, registry: LanguageRegistry) -> Callable[[Direction], str | None]:
+    """The function that labels a direction under the scheme named
+    ``resource_grid``, ``english_centric`` or ``family:<name>``; it returns
+    None for a direction the scheme leaves out.  An unknown scheme or family
+    is an error even when no direction would be labelled by it."""
     english = registry.english_code
-    if direction.src not in registry or direction.tgt not in registry:
-        raise ReportError(f"direction {direction} has languages outside the registry")
-    if scheme.kind == "resource_grid":
-        if direction.is_english_centric(english):
+    if scheme == "resource_grid":
+        return lambda d: (
+            None if d.is_english_centric(english) else resource_grid_group(d, registry)
+        )
+    if scheme == "english_centric":
+        def english_centric(d: Direction) -> str | None:
+            if d.src == english:
+                return f"EN-X/{registry.tier_of(d.tgt)}"
+            if d.tgt == english:
+                return f"X-EN/{registry.tier_of(d.src)}"
             return None
-        return resource_grid_group(direction, registry)
-    if scheme.kind == "english_centric":
-        if direction.src == english:
-            return f"EN-X/{registry.tier_of(direction.tgt)}"
-        if direction.tgt == english:
-            return f"X-EN/{registry.tier_of(direction.src)}"
+        return english_centric
+    kind, _, family = scheme.partition(":")
+    if kind != "family":
+        raise ReportError(f"unknown grouping scheme {scheme!r}")
+    if not family:
+        raise ReportError("family scheme requires a family name")
+    members = set(registry.members_of_family(family, include_english=False))
+
+    def family_role(d: Direction) -> str | None:
+        # zero-shot directions only
+        if d.is_english_centric(english):
+            return None
+        src_in, tgt_in = d.src in members, d.tgt in members
+        if src_in and tgt_in:
+            return "within"
+        if src_in:
+            return "out_of"
+        if tgt_in:
+            return "into"
         return None
-    # family scheme: zero-shot directions only
-    if direction.is_english_centric(english):
-        return None
-    members = set(registry.members_of_family(scheme.family, include_english=False))
-    src_in, tgt_in = direction.src in members, direction.tgt in members
-    if src_in and tgt_in:
-        return "within"
-    if src_in:
-        return "out_of"
-    if tgt_in:
-        return "into"
-    return None
+    return family_role
 
 
-def _summarize(scheme: GroupingScheme, groups: Mapping[str, list[float]]) -> dict | None:
+def _summarize(scheme: str, groups: Mapping[str, list[float]]) -> dict | None:
     """The summary of one scheme's groups; None when a resource-grid or
     english-centric scheme has no group, while a family keeps its keys."""
-    if scheme.kind == "family":
+    if scheme.startswith("family:"):
         return {key: _mean(groups.get(key, ())) for key in ("within", "out_of", "into")}
     if not groups:
         return None
-    if scheme.kind == "resource_grid":
+    if scheme == "resource_grid":
         result = {label: _mean(vals) for label, vals in sorted(groups.items())}
         result["AVG"] = _mean(result.values())
         result["GRAND_MEAN"] = _mean(v for vals in groups.values() for v in vals)
@@ -313,25 +296,34 @@ def _markdown_english_centric(summary: dict, metric: str) -> str:
 
 def emit_report(
     matrix: ScoreMatrix,
-    schemes: Iterable[GroupingScheme],
+    schemes: Iterable[str],
     registry: LanguageRegistry,
     fmt: str,
     path: str | Path,
 ) -> None:
-    """Write the matrix and per-scheme aggregations in a stable, sorted form."""
+    """Write the matrix and its aggregation under each named scheme in a
+    stable, sorted form.  Directions a scheme leaves out are not grouped."""
+    labelers = {scheme: _labeler(scheme, registry) for scheme in schemes}
     if not len(matrix):
         raise ReportError("refusing to report an empty matrix")
     if fmt not in ("tsv", "json", "markdown"):
         raise ReportError(f"unknown report format {fmt!r}")
-    schemes = list(schemes)
 
-    summaries: dict[str, dict] = {}
-    for metric in matrix.metrics():
-        per_metric: dict[str, object] = {}
-        for scheme in schemes:
-            key = scheme.kind if scheme.kind != "family" else f"family:{scheme.family}"
-            per_metric[key] = _summarize(scheme, _group(matrix, scheme, registry, metric))
-        summaries[metric] = per_metric
+    # metric -> scheme -> label -> values, each in sorted direction order
+    groups = {metric: {scheme: {} for scheme in labelers} for metric in matrix.metrics()}
+    cells = sorted(matrix.cells().items())
+    for direction, direction_cells in groupby(cells, key=lambda item: item[0][0]):
+        if direction.src not in registry or direction.tgt not in registry:
+            raise ReportError(f"direction {direction} has languages outside the registry")
+        labels = [(scheme, label_of(direction)) for scheme, label_of in labelers.items()]
+        for (_, metric), cell in direction_cells:
+            for scheme, label in labels:
+                if label is not None:
+                    groups[metric][scheme].setdefault(label, []).append(cell.value)
+    summaries = {
+        metric: {scheme: _summarize(scheme, by_label) for scheme, by_label in per_metric.items()}
+        for metric, per_metric in groups.items()
+    }
 
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,8 @@ def brute_force_mine(bitexts, english_code="en"):
 
     A pivot is usable in one bitext iff its trimmed form occurs exactly once
     there; a row exists iff the pivot is usable in every bitext.  Rows follow
-    the first-occurrence order of usable pivots in the first bitext.
+    the first-occurrence order of usable pivots in the first bitext.  Returns
+    one tuple of cells per language, English first.
     """
     codes = list(bitexts)
     usable = {}
@@ -34,7 +35,7 @@ def brute_force_mine(bitexts, english_code="en"):
             for (en, foreign), key in zip(bitexts[code], trimmed)
             if counts[key] == 1
         }
-    rows = []
+    keys = []
     seen = set()
     for en, _ in bitexts[codes[0]]:
         key = _trim(en)
@@ -42,8 +43,8 @@ def brute_force_mine(bitexts, english_code="en"):
             continue
         seen.add(key)
         if all(key in usable[c] for c in codes):
-            rows.append({english_code: key, **{c: usable[c][key] for c in codes}})
-    return rows
+            keys.append(key)
+    return {english_code: tuple(keys), **{c: tuple(usable[c][k] for k in keys) for c in codes}}
 
 
 def make_mining_fixture(n_lines=1000, codes=("de", "nl", "fr"), seed=99):

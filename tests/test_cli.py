@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -681,6 +682,45 @@ def test_report_markdown_renders_the_resource_grid(tmp_path):
         "| 15.0 | null | null | null | null | null | null | null | 40.0 | 27.5 |\n\n"
         "AVG is the mean of group means; direction-weighted mean: 23.33\n"
     )
+
+
+def write_ec30_scores(path, seed):
+    """A seeded chrf and bleu score for every one of EC30's 930 directions."""
+    rnd = random.Random(seed)
+    codes = ec30().codes
+    lines = [SCORE_HEADER]
+    for src in codes:
+        for tgt in codes:
+            if src != tgt:
+                for metric in ("bleu", "chrf"):
+                    lines.append(f"{src}\t{tgt}\t{metric}\t{rnd.uniform(0, 60):.3f}\t100\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "fmt, digests",
+    [
+        ("tsv", {
+            "scores.tsv": "75b6009eb956cbf7a86fa900d1b52d34743fafe6f2ed8032ab4c3a2de229d2d7",
+            "summary.tsv": "d549c0a09cb434837423b50bca4d1dce47cf6c10dd01fca99ae92c38776cc782",
+        }),
+        ("json", {"report.json": "4b9081b9b336709263cd3d519707caf6dcbddad50f28f3bd5631acd1255055c6"}),
+        ("markdown", {"report.md": "032ad1370b00a7705f462753056a4b7623c9b5f8aae6ea5102bda91eace5955b"}),
+    ],
+)
+def test_report_bytes_are_pinned(tmp_path, fmt, digests):
+    write_ec30_scores(tmp_path / "scores.tsv", seed=21)
+    write_ec30_scores(tmp_path / "baseline.tsv", seed=12)
+    out = tmp_path / "report"
+    assert main(["report", "--scores", str(tmp_path / "scores.tsv"),
+                 "--baseline", str(tmp_path / "baseline.tsv"),
+                 "--scheme", "resource_grid", "english_centric", "family:Germanic",
+                 "family:Romance", "--format", fmt, "--out", str(out)]) == 0
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.iterdir()) if p.name != "run.json"
+    }
+    assert written == digests
 
 
 def test_buckets_multi_parallel(tmp_path):

@@ -170,8 +170,11 @@ def test_a_sizes_key_listed_twice_is_an_error(tmp_path, lid_model, capsys):
 @pytest.mark.parametrize(
     "content, message",
     [(None, "cannot read {cfg}: "), (b"seed = 1\nseed 2\n", "{cfg}:2: expected key = value"),
-     (b"seed = 1\n\xff\n", "{cfg}:2: invalid UTF-8")],
-    ids=["missing", "no-equals", "undecodable"],
+     (b"seed = 1\n\xff\n", "{cfg}:2: invalid UTF-8"),
+     (b"seed = 2\nseed = 9\n", "{cfg}:2: duplicate key 'seed' (first at line 1)"),
+     (b"schedule_length = 5\n# spelt with a dash\nschedule-length = 7\n",
+      "{cfg}:3: duplicate key 'schedule-length' (first at line 1)")],
+    ids=["missing", "no-equals", "undecodable", "duplicate", "duplicate-spelling"],
 )
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_config_errors_exit_1_naming_the_file(
@@ -190,6 +193,17 @@ def test_invalid_config_value_stays_a_usage_error(tmp_path, lid_model):
     argv, cfg, _ = stage("config", tmp_path, lid_model)
     cfg.write_text("seed = x\n", encoding="utf-8")
     assert run(argv) == 2
+
+
+def test_config_cannot_set_a_required_flag(tmp_path, lid_model, capsys):
+    # argparse checks required flags before the config file is read
+    _, cfg, _ = stage("config", tmp_path, lid_model)
+    cfg.write_text("temperature = 1\n", encoding="utf-8")
+    argv = ["mix", "--sizes", str(tmp_path / "sizes.tsv"), "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert "required: --temperature" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_keys_that_name_no_flag_are_ignored(tmp_path, lid_model):

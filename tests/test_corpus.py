@@ -72,7 +72,7 @@ def test_partial_rows_allowed():
         (0, 1),
     )
     assert not fully_parallel(corpus)
-    assert corpus.rows == ({"en": "a", "de": "b"}, {"en": "c", "de": "d", "nl": "e"})
+    assert corpus.columns["nl"] == ("", "e")  # row 0 lacks nl
 
 
 # --- file loading ----------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_load_corpus_aligns_lines(tmp_path):
     (tmp_path / "de.txt").write_text("eins\nzwei\n", encoding="utf-8")
     corpus = load_corpus_dir(tmp_path)
     assert corpus.n_rows == 2 and corpus.row_ids == (0, 1)
-    assert corpus.rows[1] == {"en": "two", "de": "zwei"}
+    assert corpus.columns == {"en": ("one", "two"), "de": ("eins", "zwei")}
 
 
 def test_load_corpus_line_count_mismatch_names_files(tmp_path):
@@ -107,7 +107,7 @@ def test_save_load_round_trip(tmp_path):
     save_corpus(corpus, tmp_path / "c")
     loaded = load_corpus_dir(tmp_path / "c")
     assert loaded.languages == corpus.languages
-    assert loaded.rows == corpus.rows
+    assert loaded.columns == corpus.columns
     assert loaded.row_ids == corpus.row_ids
 
 
@@ -120,7 +120,7 @@ def test_save_load_preserves_nonconsecutive_row_ids(tmp_path):
     save_corpus(corpus, tmp_path / "c")
     loaded = load_corpus_dir(tmp_path / "c")
     assert loaded.row_ids == (8, 3, 5)
-    assert loaded.rows == corpus.rows
+    assert loaded.columns == corpus.columns
 
 
 _CELL = st.one_of(st.just(""), st.text(st.characters(exclude_characters="\n\r"), max_size=6))
@@ -213,8 +213,8 @@ def test_mine_small_example():
     corpus, stats = mine_pivot_aligned(bitexts)
     assert corpus.languages == ("en", "de", "nl")
     # row order follows the first bitext
-    assert [r["en"] for r in corpus.rows] == ["Good morning", "Thanks"]
-    assert corpus.rows[0]["nl"] == "Goedemorgen"
+    assert corpus.columns["en"] == ("Good morning", "Thanks")
+    assert corpus.columns["nl"][0] == "Goedemorgen"
     assert stats.yield_rows == 2
     assert fully_parallel(corpus)
 
@@ -225,7 +225,7 @@ def test_mine_drops_ambiguous_pivots():
         "nl": [("Hi", "Hoi"), ("Bye", "Doei")],
     }
     corpus, stats = mine_pivot_aligned(bitexts)
-    assert [r["en"] for r in corpus.rows] == ["Bye"]
+    assert corpus.columns["en"] == ("Bye",)
     assert stats.duplicate_pivots_dropped == {"de": 1, "nl": 0}
 
 
@@ -235,12 +235,12 @@ def test_mine_joins_on_trimmed_pivot():
         "nl": [("Hello", "Hoi")],
     }
     corpus, _ = mine_pivot_aligned(bitexts)
-    assert corpus.rows[0] == {"en": "Hello", "de": "Hallo", "nl": "Hoi"}
+    assert corpus.columns == {"en": ("Hello",), "de": ("Hallo",), "nl": ("Hoi",)}
 
 
 def test_mine_empty_foreign_side_is_a_missing_cell():
     corpus, _ = mine_pivot_aligned({"de": [("Hi", "")], "nl": [("Hi", "Hoi")]})
-    assert corpus.rows[0] == {"en": "Hi", "nl": "Hoi"}
+    assert corpus.columns == {"en": ("Hi",), "de": ("",), "nl": ("Hoi",)}
     assert not fully_parallel(corpus)
 
 
@@ -258,6 +258,6 @@ def test_mine_matches_brute_force_on_large_fixture():
     bitexts = make_mining_fixture(n_lines=1000)
     corpus, _ = mine_pivot_aligned(bitexts)
     expected = brute_force_mine(bitexts)
-    assert list(corpus.rows) == expected
-    assert corpus.row_ids == tuple(range(len(expected)))
-    assert len(expected) > 0  # fixture must actually exercise the join
+    assert corpus.columns == expected
+    assert corpus.row_ids == tuple(range(len(expected["en"])))
+    assert len(expected["en"]) > 0  # fixture must actually exercise the join

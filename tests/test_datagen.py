@@ -109,6 +109,15 @@ def test_sample_directions_uses_floor():
     assert len(sample_directions(dirs, 0.999, seed=1)) == 869
 
 
+@pytest.mark.parametrize("fraction, count", [(0.57, 57), (0.29, 29), (0.01, 1)])
+def test_sample_directions_floors_the_written_fraction(fraction, count):
+    # 0.57 * 100 is 56.99999999999999 in binary floating point
+    dirs = DirectionSet(enumerate_directions(EC30_CODES).directions[:100])
+    sample = sample_directions(dirs, fraction, seed=1)
+    assert len(sample) == count
+    assert set(sample) <= set(sample_directions(dirs, 0.9, seed=1))
+
+
 def test_sample_directions_nested_across_fractions():
     dirs = enumerate_directions(EC30_CODES)
     small = set(sample_directions(dirs, 0.1, seed=5))

@@ -7,10 +7,9 @@ from multipar.datagen import Direction, enumerate_directions
 from multipar.registry import ec30
 from multipar.report import (
     RESOURCE_GRID_GROUPS,
-    GroupingScheme,
     ReportError,
     ScoreMatrix,
-    classify,
+    _labeler,
     count_boosted,
     delta,
     emit_report,
@@ -100,26 +99,31 @@ def test_grid_cell_counts_are_90_diagonal_100_off_diagonal():
     assert sum(counts.values()) == 870
 
 
-def test_classify_english_centric_and_family():
-    ec = GroupingScheme("english_centric")
-    assert classify(Direction("en", "de"), ec, REG) == "EN-X/High"
-    assert classify(Direction("mt", "en"), ec, REG) == "X-EN/Medium"
-    assert classify(Direction("de", "nl"), ec, REG) is None
-    fam = GroupingScheme("family", family="Germanic")
-    assert classify(Direction("de", "nl"), fam, REG) == "within"
-    assert classify(Direction("de", "fr"), fam, REG) == "out_of"
-    assert classify(Direction("fr", "de"), fam, REG) == "into"
-    assert classify(Direction("fr", "it"), fam, REG) is None
-    assert classify(Direction("en", "de"), fam, REG) is None
-    with pytest.raises(ReportError):
-        classify(Direction("de", "zz"), fam, REG)
+def test_label_english_centric_and_family(tmp_path):
+    ec = _labeler("english_centric", REG)
+    assert ec(Direction("en", "de")) == "EN-X/High"
+    assert ec(Direction("mt", "en")) == "X-EN/Medium"
+    assert ec(Direction("de", "nl")) is None
+    fam = _labeler("family:Germanic", REG)
+    assert fam(Direction("de", "nl")) == "within"
+    assert fam(Direction("de", "fr")) == "out_of"
+    assert fam(Direction("fr", "de")) == "into"
+    assert fam(Direction("fr", "it")) is None
+    assert fam(Direction("en", "de")) is None
+    outside = ScoreMatrix()
+    outside.set(Direction("de", "zz"), "chrf", 1.0)
+    with pytest.raises(ReportError, match="de-zz has languages outside the registry"):
+        emit_report(outside, ["family:Germanic"], REG, "json", tmp_path)
 
 
-def test_scheme_validation():
-    with pytest.raises(ReportError):
-        GroupingScheme("by_vibes")
-    with pytest.raises(ReportError):
-        GroupingScheme("family")
+def test_scheme_validation(tmp_path):
+    for scheme, message in (
+        ("by_vibes", "unknown grouping scheme 'by_vibes'"),
+        ("family", "family scheme requires a family name"),
+        ("family:", "family scheme requires a family name"),
+    ):
+        with pytest.raises(ReportError, match=message):
+            emit_report(stable_matrix(), [scheme], REG, "json", tmp_path)
 
 
 # --- aggregation -----------------------------------------------------------------
@@ -227,11 +231,7 @@ def stable_matrix():
 
 def test_emit_report_tsv_and_json_and_markdown(tmp_path):
     matrix = stable_matrix()
-    schemes = [
-        GroupingScheme("resource_grid"),
-        GroupingScheme("english_centric"),
-        GroupingScheme("family", family="Germanic"),
-    ]
+    schemes = ["resource_grid", "english_centric", "family:Germanic"]
     for fmt, filename in (
         ("tsv", "summary.tsv"),
         ("json", "report.json"),
@@ -251,7 +251,7 @@ def test_emit_report_tsv_and_json_and_markdown(tmp_path):
 
 def test_emit_report_is_deterministic(tmp_path):
     matrix = stable_matrix()
-    schemes = [GroupingScheme("resource_grid"), GroupingScheme("english_centric")]
+    schemes = ["resource_grid", "english_centric"]
     emit_report(matrix, schemes, REG, "tsv", tmp_path / "a")
     emit_report(matrix, schemes, REG, "tsv", tmp_path / "b")
     for name in ("scores.tsv", "summary.tsv"):
@@ -260,6 +260,6 @@ def test_emit_report_is_deterministic(tmp_path):
 
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ReportError):
-        emit_report(ScoreMatrix(), [GroupingScheme("resource_grid")], REG, "tsv", tmp_path)
+        emit_report(ScoreMatrix(), ["resource_grid"], REG, "tsv", tmp_path)
     with pytest.raises(ReportError):
         emit_report(stable_matrix(), [], REG, "pdf", tmp_path)

@@ -16,8 +16,7 @@ import multipar
 PACKAGE = Path(multipar.__file__).parent
 
 ALLOWED = {
-    "MultiParallelCorpus.rows": "the acceptance gate and perfbench read corpora row by row",
-    "FtDataset.records": "the acceptance gate and perfbench count and read datasets by record",
+    "FtDataset.records": "perfbench/tracing.py counts datasets by record",
     "count_boosted": "tested, and to be wired into report as its count of improved directions",
     "LidModel.log_score": "the seam that pins every LID score to the direct formula",
 }
