@@ -46,6 +46,7 @@ from .corpus import (
 from .datagen import (
     DatagenError,
     Direction,
+    FtDataset,
     TagStrategy,
     apply_tags,
     build_multidirectional_setting,
@@ -65,7 +66,6 @@ from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
 from .probes import (
     ProbeConfig,
     ProbeError,
-    build_word_pair_dataset,
     gen_number_pairs,
     load_muse_dictionary,
     match_token_budget,
@@ -282,13 +282,14 @@ def cmd_probe_words(args, out: Path) -> None:
         en_dicts[code] = load_muse_dictionary(f)
     if len(en_dicts) < 2:
         raise ProbeError(f"need at least two {en}-*.txt dictionaries in {dict_dir}")
-    en_centric, pivoted = pivot_dictionaries(en_dicts, args.seed, english_code=en)
-    codes = [en, *sorted(en_dicts)]
-    dirs = _direction_set(args, codes, registry)
-    dataset = build_word_pair_dataset(
-        list(en_centric.values()) + list(pivoted.values()), dirs
-    )
-    emit_bitext(dataset, args.format, out)
+    corpus = pivot_dictionaries(en_dicts, args.seed, english_code=en)
+    dirs = _direction_set(args, corpus.languages, registry)
+    manifest = {
+        "corpus_id": "word_pairs",
+        "directions": [str(d) for d in dirs],
+        "tag_strategy": "none",
+    }
+    emit_bitext(FtDataset(build_pairwise(corpus, dirs).blocks, manifest), args.format, out)
 
 
 def cmd_buckets(args, out: Path) -> None:
@@ -428,8 +429,10 @@ def cmd_report(args, out: Path) -> None:
 def _config_flags(path, options: dict[str, argparse.Action]) -> list[str]:
     """The ``key = value`` entries of a config file as flags of a subcommand
     whose flags, by key, are ``options``; other keys are ignored.  The value
-    of a flag that takes a list is split on whitespace, as a shell splits it.
-    A key set twice, in any spelling, is an error."""
+    of a flag that takes a list is split on whitespace, as a shell splits it;
+    a flag that takes no value is set by ``1``, ``true`` or ``yes`` and left
+    unset by ``0``, ``false`` or ``no``, in any case, and any other value is
+    an error.  A key set twice, in any spelling, is an error."""
     values: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(read_lines(path, ValueError), 1):
         stripped = line.strip()
@@ -445,13 +448,17 @@ def _config_flags(path, options: dict[str, argparse.Action]) -> list[str]:
             )
         values[name] = (lineno, value.strip())
     flags: list[str] = []
-    for key, (_, raw) in values.items():
+    for key, (lineno, raw) in values.items():
         if key not in options:
             continue
         flag = "--" + key.replace("_", "-")
         if options[key].nargs == 0:
             if raw.lower() in ("1", "true", "yes"):
                 flags.append(flag)
+            elif raw.lower() not in ("0", "false", "no"):
+                raise ValueError(
+                    f"{path}:{lineno}: {flag} takes 1/true/yes or 0/false/no, got {raw!r}"
+                )
         elif options[key].nargs in ("*", "+"):
             flags += [flag, *raw.split()]
         else:

@@ -46,7 +46,8 @@ from .pool import map_slices
 from .textio import read_json
 
 LID_SCHEMA_VERSION = 1
-UNKNOWN = "unknown"
+# the label of empty text: None, which no language code can equal
+UNKNOWN = None
 # what a worker process must get to pay for itself, timed on 2 cores over the
 # lid bench's inputs (sets of 11 runs per size, alternating 1 and 2 workers):
 # two workers classify faster than one process from 256 lines in every set,
@@ -297,11 +298,12 @@ def lid_train(
     )
 
 
-def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
+def lid_classify(text: str, model: LidModel) -> tuple[str | None, float]:
     """Most likely language and its log-score margin over the runner-up.
 
-    Empty or whitespace-only text classifies as the designated unknown
-    outcome.  Ties break towards the lexicographically smallest code.
+    Empty or whitespace-only text classifies as ``UNKNOWN`` (None), a label
+    no language code equals.  Ties break towards the lexicographically
+    smallest code.
     """
     if not text.strip():
         return UNKNOWN, 0.0
@@ -311,12 +313,12 @@ def lid_classify(text: str, model: LidModel) -> tuple[str, float]:
     return scored[0][1], margin
 
 
-def _labels(texts: Sequence[str], model: LidModel, workers: int | None) -> list[str]:
+def _labels(texts: Sequence[str], model: LidModel, workers: int | None) -> list[str | None]:
     """``lid_classify``'s label for each text, classified in contiguous
     slices in up to ``workers`` processes."""
     model._vectors  # built here once, not once in every worker
 
-    def classify(start: int, stop: int) -> list[str]:
+    def classify(start: int, stop: int) -> list[str | None]:
         return [lid_classify(text, model)[0] for text in texts[start:stop]]
 
     slices = map_slices(
@@ -352,7 +354,7 @@ def off_target_rate(
     for (_, expected), label in zip(hyps, labels):
         entry = per.setdefault(expected, {"total": 0, "off_target": 0})
         entry["total"] += 1
-        if label == UNKNOWN:
+        if label is UNKNOWN:
             off = model.config.empty_is_off_target
         else:
             off = label != expected

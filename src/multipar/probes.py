@@ -2,8 +2,11 @@
 
 Number pairs carry no semantics beyond digits: each line is a space-joined
 sequence of integers replicated on both sides.  Word pairs come from
-English-centric dictionaries joined on shared English headwords, so a
-DE entry and an NL entry for the same English word yield a DE-NL pair.
+English-centric dictionaries pivoted into a multi-parallel corpus: only the
+English headwords shared by every dictionary are kept, one row each, with
+one seeded choice per (headword, language), so a DE entry and an NL entry
+for the same English word yield a DE-NL pair.  Its records are built with
+:func:`~multipar.datagen.build_pairwise`, exactly as for a mined corpus.
 Token budgets can be matched against a reference dataset so the probe
 corpora carry comparable surface mass.  MUSE dictionaries are read through
 :mod:`multipar.textio` as two whitespace-separated words per line.
@@ -12,40 +15,17 @@ corpora carry comparable surface mass.  MUSE dictionaries are read through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .datagen import Direction, DirectionSet, FtDataset
+from .corpus import MultiParallelCorpus
+from .datagen import DirectionSet, FtDataset
 from .rng import _LANES, Stream, _rejection_limit, draws, stream, stream_states
 from .textio import read_records
 
 
 class ProbeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Word-level translation entries for one (unordered) language pair."""
-
-    pair: tuple[str, str]
-    entries: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        if self.pair[0] == self.pair[1]:
-            raise ProbeError("dictionary pair with identical languages")
-        for a, b in self.entries:
-            if not a or not b or any(ch.isspace() for ch in a + b):
-                raise ProbeError(f"bad dictionary entry ({a!r}, {b!r})")
-
-    def oriented(self, direction: Direction) -> tuple[tuple[str, str], ...]:
-        """Entries with the first element in ``direction.src``."""
-        if (direction.src, direction.tgt) == self.pair:
-            return self.entries
-        if (direction.tgt, direction.src) == self.pair:
-            return tuple((b, a) for a, b in self.entries)
-        raise ProbeError(f"dictionary {self.pair} does not cover {direction}")
 
 
 @dataclass(frozen=True)
@@ -129,80 +109,43 @@ def pivot_dictionaries(
     en_dicts: Mapping[str, Iterable[tuple[str, str]]],
     seed: int,
     english_code: str = "en",
-) -> tuple[dict[str, Dictionary], dict[tuple[str, str], Dictionary]]:
+) -> MultiParallelCorpus:
     """Join English-centric dictionaries on shared English headwords.
 
     Only headwords present in every input dictionary survive.  For each
     (headword, language) one translation is chosen uniformly at random among
-    the candidates, once and globally, so every pivoted pair involving that
-    language reuses the same choice and transitivity holds.  Returns the
-    restricted English-centric dictionaries and one dictionary per unordered
-    non-English pair; all have exactly |shared headwords| entries.
+    the candidates, once and globally, so every direction involving that
+    language reuses the same choice and transitivity holds.  Returns a
+    corpus whose English column holds the shared headwords in sorted order,
+    followed by one column of choices per language in code order, with rows
+    numbered ``0..H-1``.
     """
     if len(en_dicts) < 2:
         raise ProbeError("pivoting needs at least two English-centric dictionaries")
-    candidates: dict[str, dict[str, list[str]]] = {}
+    if english_code in en_dicts:
+        raise ProbeError("dictionary pair with identical languages")
+    candidates: dict[str, dict[str, set[str]]] = {}
     for code, entries in en_dicts.items():
-        per_word: dict[str, list[str]] = {}
+        per_word: dict[str, set[str]] = {}
         for en_word, foreign in entries:
-            per_word.setdefault(en_word, []).append(foreign)
+            # an empty word or one holding whitespace does not split back
+            if f"{en_word} {foreign}".split() != [en_word, foreign]:
+                raise ProbeError(f"bad dictionary entry ({en_word!r}, {foreign!r})")
+            per_word.setdefault(en_word, set()).add(foreign)
         candidates[code] = per_word
 
-    shared = None
-    for per_word in candidates.values():
-        keys = set(per_word)
-        shared = keys if shared is None else shared & keys
-    headwords = sorted(shared)
-
+    headwords = sorted(set.intersection(*map(set, candidates.values())))
     # one global choice per (headword, language)
-    chosen: dict[str, dict[str, str]] = {}
+    columns = {english_code: tuple(headwords)}
     for code in sorted(candidates):
         rng = stream(seed, f"pivot/{code}")
-        chosen[code] = {
-            w: sorted(set(candidates[code][w]))[rng.randbelow(len(set(candidates[code][w])))]
-            for w in headwords
-        }
-
-    en_centric = {
-        code: Dictionary(
-            pair=(english_code, code),
-            entries=tuple((w, chosen[code][w]) for w in headwords),
-        )
-        for code in sorted(candidates)
-    }
-    pivoted = {}
-    for a, b in combinations(sorted(candidates), 2):
-        pivoted[(a, b)] = Dictionary(
-            pair=(a, b),
-            entries=tuple((chosen[a][w], chosen[b][w]) for w in headwords),
-        )
-    return en_centric, pivoted
-
-
-def build_word_pair_dataset(
-    dicts: Iterable[Dictionary], dirs: DirectionSet
-) -> FtDataset:
-    """One single-word record per (direction, dictionary entry).
-
-    Both orientations of a pair draw from the same entry set, so (a, b) and
-    (b, a) produce mirrored records.
-    """
-    by_pair = {tuple(sorted(d.pair)): d for d in dicts}
-    blocks = []
-    for direction in dirs:
-        key = tuple(sorted((direction.src, direction.tgt)))
-        if key not in by_pair:
-            raise ProbeError(f"no dictionary for direction {direction}")
-        entries = by_pair[key].oriented(direction)
-        if entries:
-            sources, targets = zip(*entries)
-            blocks.append((direction, sources, targets, range(len(sources))))
-    manifest = {
-        "corpus_id": "word_pairs",
-        "directions": [str(d) for d in dirs],
-        "tag_strategy": "none",
-    }
-    return FtDataset(tuple(blocks), manifest)
+        options = [sorted(candidates[code][w]) for w in headwords]
+        columns[code] = tuple(o[rng.randbelow(len(o))] for o in options)
+    return MultiParallelCorpus(
+        columns=columns,
+        row_ids=tuple(range(len(headwords))),
+        provenance={"source": "pivot_dictionaries"},
+    )
 
 
 def match_token_budget(

@@ -186,24 +186,24 @@ def test_criterion_dictionary_pivoting_oracle():
                    ("tree", "boom")],
             "fr": [("dog", "chien"), ("walk", "marcher"), ("tree", "arbre")],
         }
-        en_centric, pivoted = pivot_dictionaries(dicts, seed=1)
-        for (a, b), d in pivoted.items():
+        corpus = pivot_dictionaries(dicts, seed=1)
+        columns = corpus.columns
+        for a, b in itertools.combinations(sorted(dicts), 2):
             # the pivoted pair is exactly the brute-force join of the chosen
             # per-language restrictions, and lies inside the raw closure
-            assert set(d.entries) == brute_force_join(
-                en_centric[a].entries, en_centric[b].entries
+            pivoted = set(zip(columns[a], columns[b]))
+            assert pivoted == brute_force_join(
+                list(zip(columns["en"], columns[a])), list(zip(columns["en"], columns[b]))
             )
-            assert set(d.entries) <= brute_force_join(dicts[a], dicts[b])
+            assert pivoted <= brute_force_join(dicts[a], dicts[b])
 
         codes = ["de", "nl", "fr", "es", "it", "pt", "ro"]
         headwords = [f"w{i}" for i in range(25)]
         seven = {c: [(w, f"{w}_{c}") for w in headwords] for c in codes}
-        en_centric7, pivoted7 = pivot_dictionaries(seven, seed=0)
-        assert len(en_centric7) + len(pivoted7) == 28
-        sizes = {
-            len(d.entries)
-            for d in list(en_centric7.values()) + list(pivoted7.values())
-        }
+        corpus7 = pivot_dictionaries(seven, seed=0)
+        pairs = list(itertools.combinations(corpus7.languages, 2))
+        assert len(pairs) == 28
+        sizes = {len(set(zip(corpus7.columns[a], corpus7.columns[b]))) for a, b in pairs}
         assert sizes == {25}
 
 

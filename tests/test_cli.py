@@ -68,6 +68,13 @@ def test_build_ft_direction_flags(corpus_dir, tmp_path):
     assert sorted(manifest["counts"]["per_direction"]) == ["de-nl", "nl-de"]
 
 
+def test_build_ft_family_without_directions_exits_1(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "ft"
+    assert main(["build-ft", "--corpus", str(corpus_dir), "--family", "Romance",
+                 "--out", str(out)]) == 1
+    assert "no directions fall within family 'Romance'" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_probe_numbers_with_budget(tmp_path):
     out = tmp_path / "numbers"
     rc = main(
@@ -348,6 +355,17 @@ def test_score_single_pair_in_range_and_scale(tmp_path):
     assert score("same text", "same text") == pytest.approx(100.0)
 
 
+def test_score_chrf_of_all_empty_hypotheses_is_zero(tmp_path):
+    # no character n-gram order has a hypothesis n-gram to average over
+    (tmp_path / "hyp.txt").write_text("\n\n", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text("the cat\nsat\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["score", "--hypotheses", str(tmp_path / "hyp.txt"), "--references",
+                 str(tmp_path / "ref.txt"), "--metric", "chrf", "--src-lang", "de",
+                 "--tgt-lang", "en", "--out", str(out)]) == 0
+    _, _, metric, value, count = (out / "scores.tsv").read_text().splitlines()[1].split("\t")
+    assert (metric, float(value), count) == ("chrf", 0.0, "2")
+
 def test_score_line_count_mismatch(tmp_path):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"
@@ -494,6 +512,24 @@ def test_config_values_parse_like_flags(corpus_dir, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["counts"]["per_direction"]) == ["en-nl", "nl-en"]
+
+
+
+@pytest.mark.parametrize(
+    "value, directions",
+    [("1", ["de-nl", "nl-de"]), ("TRUE", ["de-nl", "nl-de"]), ("Yes", ["de-nl", "nl-de"]),
+     ("0", ["de-en", "de-nl", "en-de", "en-nl", "nl-de", "nl-en"]),
+     ("False", ["de-en", "de-nl", "en-de", "en-nl", "nl-de", "nl-en"])],
+)
+def test_config_switch_takes_true_or_false_in_any_case(corpus_dir, tmp_path, value, directions):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"no_english_centric = {value}\n", encoding="utf-8")
+    out = tmp_path / "ft"
+    assert main(["build-ft", "--corpus", str(corpus_dir), "--config", str(config),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["counts"]["per_direction"]) == directions
+
 
 
 SCORE_HEADER = "src_lang\ttgt_lang\tmetric\tvalue\tcount\n"

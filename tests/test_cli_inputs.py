@@ -173,8 +173,12 @@ def test_a_sizes_key_listed_twice_is_an_error(tmp_path, lid_model, capsys):
      (b"seed = 1\n\xff\n", "{cfg}:2: invalid UTF-8"),
      (b"seed = 2\nseed = 9\n", "{cfg}:2: duplicate key 'seed' (first at line 1)"),
      (b"schedule_length = 5\n# spelt with a dash\nschedule-length = 7\n",
-      "{cfg}:3: duplicate key 'schedule-length' (first at line 1)")],
-    ids=["missing", "no-equals", "undecodable", "duplicate", "duplicate-spelling"],
+      "{cfg}:3: duplicate key 'schedule-length' (first at line 1)"),
+     # a switch set to anything but true or false was once left unset
+     (b"seed = 1\njson_errors = ture\n",
+      "{cfg}:2: --json-errors takes 1/true/yes or 0/false/no, got 'ture'")],
+    ids=["missing", "no-equals", "undecodable", "duplicate", "duplicate-spelling",
+         "mistyped-switch"],
 )
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_config_errors_exit_1_naming_the_file(
@@ -366,8 +370,10 @@ def test_lid_train_alpha_too_small_for_the_counts_is_a_lid_error(tmp_path, lid_m
         ('{"languages": {}}', ': "languages" must be a list'),
         ("[]", ": expected a JSON object"),
         ('{"languages": [\n  {"code": "en",}\n]}', ":2:17: Expecting property name"),
+        ('{"languages": [{"code": "", "family": "G", "tier": "High", "script": "Latn"}]}',
+         ": language code must be nonempty"),
     ],
-    ids=["no-family", "int-script", "languages-object", "list", "malformed"],
+    ids=["no-family", "int-script", "languages-object", "list", "malformed", "empty-code"],
 )
 def test_bad_registry_is_a_registry_error(tmp_path, capsys, registry, message):
     path = tmp_path / "registry.json"
@@ -591,6 +597,18 @@ def test_a_corpus_manifest_without_row_ids_is_not_replaced(tmp_path, capsys):
                            "--out", str(tmp_path / "c")], capsys)
     assert envelope["message"].startswith(f"{tmp_path / 'c' / 'manifest.json'}: refusing")
     assert tree_bytes(tmp_path) == before
+
+
+
+@pytest.mark.parametrize(
+    "manifest", ["{", "[1]", '{"note": "neither kind"}'], ids=["malformed", "list", "kind-less"]
+)
+def test_a_manifest_of_no_kind_is_replaced(tmp_path, manifest):
+    write(tmp_path / "out" / "manifest.json", manifest)
+    assert main(["probe-numbers", "--languages", "de", "nl", "--lines", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    written = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert written["corpus_id"] == "number_pairs"
 
 
 # --- unwritable records ----------------------------------------------------------

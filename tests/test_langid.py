@@ -78,6 +78,21 @@ def test_classify_empty_text_is_unknown(disjoint_model):
     assert lid_classify("   \t", disjoint_model) == (UNKNOWN, 0.0)
 
 
+def test_a_language_coded_unknown_is_not_empty_text():
+    # "unknown" is a legal code: its text is on target, and empty text is
+    # never on target for it
+    model = lid_train({
+        "unknown": synthetic_sentences(ALPHA_A, 200, seed=1),
+        "de": synthetic_sentences(ALPHA_B, 200, seed=2),
+    })
+    text = synthetic_sentences(ALPHA_A, 1, seed=3)[0]
+    assert lid_classify(text, model)[0] == "unknown"
+    report = off_target_rate([(text, "unknown"), ("", "unknown")], model)
+    assert report.per_direction["unknown"] == {"total": 2, "off_target": 1, "rate": 0.5}
+    subsets = on_target_subset({"de-unknown": {0: "", 1: text}}, model)
+    assert subsets == {"de-unknown": {1}}
+
+
 def test_classify_tie_breaks_lexicographically():
     model = lid_train({"bb": ["xy"], "aa": ["xy"]}, LidConfig(max_order=1))
     label, margin = lid_classify("xy", model)

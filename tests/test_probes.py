@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,10 @@ from hypothesis import given, settings, strategies as st
 import multipar
 from multipar import probes
 from multipar.cli import main
-from multipar.datagen import Direction, enumerate_directions
+from multipar.datagen import Direction, DirectionSet, build_pairwise, enumerate_directions
 from multipar.probes import (
-    Dictionary,
     ProbeConfig,
     ProbeError,
-    build_word_pair_dataset,
     gen_number_pairs,
     load_muse_dictionary,
     match_token_budget,
@@ -173,14 +172,14 @@ def test_number_probe_bytes_are_pinned(tmp_path, argv, digest):
 
 
 def test_dictionary_validation():
-    with pytest.raises(ProbeError):
-        Dictionary(("de", "de"), (("a", "b"),))
-    with pytest.raises(ProbeError):
-        Dictionary(("en", "de"), (("two words", "x"),))
-    d = Dictionary(("en", "de"), (("dog", "Hund"),))
-    assert d.oriented(Direction("de", "en")) == (("Hund", "dog"),)
-    with pytest.raises(ProbeError):
-        d.oriented(Direction("en", "fr"))
+    with pytest.raises(ProbeError, match="dictionary pair with identical languages"):
+        pivot_dictionaries({"en": [("a", "b")], "de": [("a", "c")]}, seed=0)
+    for bad in [("two words", "x"), ("dog", ""), ("", "Hund"), ("dog", "Hu\u00a0nd")]:
+        with pytest.raises(ProbeError, match=r"bad dictionary entry"):
+            pivot_dictionaries({"de": [("dog", "Hund"), bad], "nl": [("dog", "hond")]}, seed=0)
+    corpus = pivot_dictionaries({"de": [("dog", "Hund")], "nl": [("dog", "hond")]}, seed=0)
+    ds = build_pairwise(corpus, DirectionSet((Direction("de", "en"),)))
+    assert [(r.src_text, r.tgt_text) for r in ds.records] == [("Hund", "dog")]
 
 
 def test_load_muse_dictionary(tmp_path):
@@ -193,6 +192,11 @@ def test_load_muse_dictionary(tmp_path):
         load_muse_dictionary(bad)
 
 
+def chosen_entries(corpus, code, english_code="en"):
+    """The (headword, choice) entries of one language, in row order."""
+    return tuple(zip(corpus.columns[english_code], corpus.columns[code]))
+
+
 UNIQUE_DICTS = {
     "de": [("dog", "Hund"), ("cat", "Katze"), ("house", "Haus")],
     "nl": [("dog", "hond"), ("cat", "kat"), ("tree", "boom")],
@@ -201,15 +205,16 @@ UNIQUE_DICTS = {
 
 
 def test_pivoting_unique_translations_equals_brute_force_closure():
-    en_centric, pivoted = pivot_dictionaries(UNIQUE_DICTS, seed=0)
+    corpus = pivot_dictionaries(UNIQUE_DICTS, seed=0)
     # shared headwords: dog, cat
-    assert en_centric["de"].entries == (("cat", "Katze"), ("dog", "Hund"))
-    for (a, b), d in pivoted.items():
+    assert chosen_entries(corpus, "de") == (("cat", "Katze"), ("dog", "Hund"))
+    assert corpus.row_ids == (0, 1)
+    for a, b in itertools.combinations(sorted(UNIQUE_DICTS), 2):
         expected = brute_force_join(
             [(e, w) for e, w in UNIQUE_DICTS[a] if e in ("cat", "dog")],
             [(e, w) for e, w in UNIQUE_DICTS[b] if e in ("cat", "dog")],
         )
-        assert set(d.entries) == expected
+        assert set(zip(corpus.columns[a], corpus.columns[b])) == expected
 
 
 AMBIGUOUS_DICTS = {
@@ -220,34 +225,32 @@ AMBIGUOUS_DICTS = {
 
 
 def test_pivoting_one_to_many_consistent_with_chosen_en_centric():
-    en_centric, pivoted = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
+    corpus = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
     # every chosen translation is one of the input candidates
     candidates = {
         code: {en: {w for e, w in entries if e == en} for en in ("dog", "walk")}
         for code, entries in AMBIGUOUS_DICTS.items()
     }
-    for code, d in en_centric.items():
-        for en_word, foreign in d.entries:
+    for code in AMBIGUOUS_DICTS:
+        for en_word, foreign in chosen_entries(corpus, code):
             assert foreign in candidates[code][en_word]
     # pivoted pairs equal the brute-force join of the chosen restrictions,
     # so one choice per (headword, language) is reused everywhere
-    for (a, b), d in pivoted.items():
-        expected = brute_force_join(en_centric[a].entries, en_centric[b].entries)
-        assert set(d.entries) == expected
+    pairs = list(itertools.combinations(sorted(AMBIGUOUS_DICTS), 2))
+    for a, b in pairs:
+        expected = brute_force_join(chosen_entries(corpus, a), chosen_entries(corpus, b))
+        assert set(zip(corpus.columns[a], corpus.columns[b])) == expected
     # within the full brute-force closure of the raw inputs
-    for (a, b), d in pivoted.items():
+    for a, b in pairs:
         closure = brute_force_join(AMBIGUOUS_DICTS[a], AMBIGUOUS_DICTS[b])
-        assert set(d.entries) <= closure
+        assert set(zip(corpus.columns[a], corpus.columns[b])) <= closure
 
 
 def test_pivoting_deterministic_and_seed_sensitive():
     a = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
     b = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
     assert a == b
-    outcomes = {
-        tuple(pivot_dictionaries(AMBIGUOUS_DICTS, seed=s)[0]["de"].entries)
-        for s in range(20)
-    }
+    outcomes = {pivot_dictionaries(AMBIGUOUS_DICTS, seed=s).columns["de"] for s in range(20)}
     assert len(outcomes) > 1  # both walk candidates get chosen across seeds
 
 
@@ -255,12 +258,15 @@ def test_pivoting_seven_languages_yields_28_equal_size_dictionaries():
     codes = ["de", "nl", "fr", "es", "it", "pt", "ro"]
     headwords = [f"word{i}" for i in range(10)]
     dicts = {c: [(w, f"{w}_{c}") for w in headwords] for c in codes}
-    en_centric, pivoted = pivot_dictionaries(dicts, seed=0)
-    assert len(en_centric) == 7
-    assert len(pivoted) == 21
-    sizes = {len(d.entries) for d in list(en_centric.values()) + list(pivoted.values())}
-    assert sizes == {10}
-    assert set(pivoted) == set(itertools.combinations(sorted(codes), 2))
+    corpus = pivot_dictionaries(dicts, seed=0)
+    assert corpus.languages == ("en", *sorted(codes))
+    pairs = list(itertools.combinations(corpus.languages, 2))
+    assert len(pairs) == 28
+    assert sum("en" in pair for pair in pairs) == 7
+    assert {len(set(zip(corpus.columns[a], corpus.columns[b]))) for a, b in pairs} == {10}
+    ds = build_pairwise(corpus, enumerate_directions(corpus.languages))
+    assert {len(positions) for _d, _s, _t, positions in ds.blocks} == {10}
+    assert len(ds.blocks) == 56
 
 
 def test_pivoting_needs_two_dictionaries():
@@ -271,20 +277,59 @@ def test_pivoting_needs_two_dictionaries():
 # --- word-pair datasets ---------------------------------------------------------------
 
 
-def test_build_word_pair_dataset_mirrors_orientations():
-    en_centric, pivoted = pivot_dictionaries(UNIQUE_DICTS, seed=0)
+def test_word_pairs_mirror_orientations():
+    corpus = pivot_dictionaries(UNIQUE_DICTS, seed=0)
     dirs = enumerate_directions(["de", "nl"], include_english_centric=False)
-    ds = build_word_pair_dataset(list(pivoted.values()), dirs)
+    ds = build_pairwise(corpus, dirs)
     assert len(ds) == 4  # 2 entries x 2 orientations
     forward = {(r.src_text, r.tgt_text) for r in ds.records if str(r.direction) == "de-nl"}
     backward = {(r.tgt_text, r.src_text) for r in ds.records if str(r.direction) == "nl-de"}
     assert forward == backward
 
 
-def test_build_word_pair_dataset_missing_dictionary():
-    dirs = enumerate_directions(["de", "fr"], include_english_centric=False)
-    with pytest.raises(ProbeError):
-        build_word_pair_dataset([Dictionary(("de", "nl"), (("a", "b"),))], dirs)
+def write_word_dictionaries(directory, seed):
+    """Seeded en-<code>.txt files: 60 candidate headwords per language, each
+    kept with probability 0.8 and given one to three translations, written
+    with tabs or spaces in a shuffled line order."""
+    rnd = random.Random(seed)
+    directory.mkdir()
+    for code in ("de", "nl", "sv", "fr", "es", "ru"):
+        lines = []
+        for i in range(60):
+            if rnd.random() < 0.8:
+                for j in range(rnd.randint(1, 3)):
+                    sep = rnd.choice(["\t", " "])
+                    lines.append(f"word{i}{sep}{code}{i}_{rnd.randint(0, 9)}{'x' * j}\n")
+        rnd.shuffle(lines)
+        (directory / f"en-{code}.txt").write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], "d0b75014443e28381b7e85127791b23f142d3c0709bbc40cb978a6a0b3773167"),
+        (["--format", "split_files"],
+         "31c7d1e1285c892e183e61c7ca52d2b5340bf40d865e7efa2f7a6e14af3cf3cc"),
+        (["--exclude", "nl", "ru"],
+         "3dedc717616f663074b8f5e336a697d4050437d8fcc094c7494084c004fb847e"),
+        (["--fraction", "0.3"],
+         "d3c4687b1c989748d48006c95e54092a19e070d2b1970b1779094cbb748c5eea"),
+        (["--family", "Germanic", "--no-english-centric"],
+         "52d84b41fa59297b6dc313a8e0147d7e1476b46bc03c8953f9b766eec50847fc"),
+    ],
+    ids=["tsv", "split_files", "exclude", "fraction", "family"],
+)
+def test_word_probe_bytes_are_pinned(tmp_path, argv, digest):
+    write_word_dictionaries(tmp_path / "dicts", seed=22)
+    out = tmp_path / "words"
+    assert main(["probe-words", "--dictionaries", str(tmp_path / "dicts"), *argv,
+                 "--seed", "5", "--out", str(out)]) == 0
+    # a sha256sum listing of every output file but run.json
+    listing = "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+        for p in sorted(out.iterdir()) if p.name != "run.json"
+    )
+    assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
 
 # --- token budgets -----------------------------------------------------------------
