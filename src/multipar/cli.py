@@ -44,10 +44,10 @@ from .corpus import (
     save_corpus,
 )
 from .datagen import (
+    TAGS,
     DatagenError,
     Direction,
     FtDataset,
-    TagStrategy,
     apply_tags,
     build_multidirectional_setting,
     build_multiparallel_setting,
@@ -103,9 +103,9 @@ def _digest_inputs(paths) -> dict[str, str]:
     return digests
 
 
-def _write_json(path: Path, obj, default=None) -> None:
+def _write_json(path: Path, obj) -> None:
     """Write ``obj`` as indented, key-sorted JSON with a trailing newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -123,7 +123,7 @@ def _write_run_manifest(out_dir: Path, args, inputs: dict[str, str]) -> None:
             if k not in ("func", "inputs", "config", "json_errors", "threads")
         },
     }
-    _write_json(out_dir / "run.json", manifest, default=str)
+    _write_json(out_dir / "run.json", manifest)
 
 
 def _manifest_kind(path: Path) -> str | None:
@@ -248,10 +248,7 @@ def cmd_build_ft(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     dirs = _direction_set(args, corpus.languages, registry)
     row_ids = None if args.rows is None else sample_rows(corpus, args.rows, args.seed)
-    dataset = build_pairwise(corpus, dirs, row_ids)
-    if args.tag != "none":
-        dataset = apply_tags(dataset, TagStrategy(kind=args.tag))
-    emit_bitext(dataset, args.format, out)
+    emit_bitext(apply_tags(build_pairwise(corpus, dirs, row_ids), args.tag), args.format, out)
 
 
 def cmd_probe_numbers(args, out: Path) -> None:
@@ -279,6 +276,10 @@ def cmd_probe_words(args, out: Path) -> None:
     en_dicts = {}
     for f in sorted(dict_dir.glob(f"{en}-*.txt")):
         code = f.stem.split("-", 1)[1]
+        if not code:
+            raise ProbeError(f"{f}: dictionary with an empty language code")
+        if code == en:
+            raise ProbeError(f"{f}: dictionary pair with identical languages")
         en_dicts[code] = load_muse_dictionary(f)
     if len(en_dicts) < 2:
         raise ProbeError(f"need at least two {en}-*.txt dictionaries in {dict_dir}")
@@ -307,21 +308,12 @@ def cmd_buckets(args, out: Path) -> None:
         )
         emit_bitext(dataset, args.format, out / "dataset")
     elif args.setting == "multi_directional":
-        codes = sorted(set(corpus_codes))
-        pairs = [(a, b) for i, a in enumerate(codes) for b in codes[i + 1 :]]
-        if len(pairs) != len(buckets):
-            raise DatagenError(
-                f"{len(codes)} languages give {len(pairs)} pairs, but there are "
-                f"{len(buckets)} buckets"
-            )
-        dataset = build_multidirectional_setting(
-            corpus, buckets, dict(enumerate(pairs)), seed=args.seed
-        )
+        dataset = build_multidirectional_setting(corpus, buckets, corpus_codes, seed=args.seed)
         emit_bitext(dataset, args.format, out / "dataset")
 
 
 def cmd_tag(args, out: Path) -> None:
-    tag_bitext(args.dataset, TagStrategy(kind=args.tag), out)
+    tag_bitext(args.dataset, args.tag, out)
 
 
 def cmd_mix(args, out: Path) -> None:
@@ -518,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-ft", help="build pairwise fine-tuning bitext")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--rows", type=int, help="sample this many rows (default: all)")
-    p.add_argument("--tag", choices=TagStrategy.KINDS, default="none")
+    p.add_argument("--tag", choices=TAGS, default="none")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
     _add_common(p)
@@ -558,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tag", help="apply a language-tag strategy to an emitted dataset")
     p.add_argument("--dataset", required=True, help="directory holding records.tsv")
-    p.add_argument("--tag", choices=TagStrategy.KINDS, required=True)
+    p.add_argument("--tag", choices=TAGS, required=True)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_tag, inputs=("dataset",))
 

@@ -162,7 +162,7 @@ def load_corpus_dir(directory: str | Path) -> MultiParallelCorpus:
     return MultiParallelCorpus(
         columns=columns,
         row_ids=tuple(row_ids),
-        provenance={"source": "load_corpus", "files": {c: str(p) for c, p in paths.items()}},
+        provenance={"source": "load_corpus"},
     )
 
 

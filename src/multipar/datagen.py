@@ -14,12 +14,16 @@ recur in later blocks.  Which rows a direction skips comes from the
 corpus's ``position`` and ``gaps`` indexes, built once per corpus.
 
 ``partition_buckets`` gives each bucket's sorted row ids, slices of one
-seeded permutation; the two bucketed settings take that list.
+seeded permutation; the two bucketed settings take that list.  The
+multi-parallel setting builds every direction of the codes from one bucket;
+the multi-directional one gives each bucket one pair of the codes.
 
-A tag strategy is recorded on the dataset by ``apply_tags`` and applied as
-records are written or viewed: each block gets one (source, target) prefix
-pair, and no prefixed copy of any sentence is made.  Counts are computed
-from the blocks, and ``records`` is a per-record view built on request.
+A tag strategy is a name in ``TAGS`` (``none``, ``one_tag``, ``two_tag``).
+``apply_tags`` records it as the manifest's ``tag_strategy``, and the tags
+are added as records are written or viewed: each block gets one (source,
+target) prefix pair, and no prefixed copy of any sentence is made.  Counts
+are computed from the blocks, and ``records`` is a per-record view built on
+request.
 ``emit_bitext`` checks every cell it will write before it creates anything,
 then writes the on-disk formats in chunks of joined lines.
 
@@ -40,7 +44,7 @@ import json
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, combinations, compress, filterfalse, repeat
 from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -169,35 +173,25 @@ def sample_rows(corpus: MultiParallelCorpus, count: int, seed: int) -> list[int]
     return perm[:count]
 
 
-TARGET_TAG = "<2{code}>"
-SOURCE_TAG = "<src:{code}>"
-TWO_TAG_TARGET = "<tgt:{code}>"
+# tag strategy -> (source, target) prefix templates: one_tag puts the target
+# tag before the source side only, two_tag puts the source tag before the
+# source side and the target tag before the target side
+TAGS = {
+    "none": ("", ""),
+    "one_tag": ("<2{tgt}> ", ""),
+    "two_tag": ("<src:{src}> ", "<tgt:{tgt}> "),
+}
 
 
-@dataclass(frozen=True)
-class TagStrategy:
-    """Language-tag serialization applied to finished datasets.
+def _templates(tag: str) -> tuple[str, str]:
+    if tag not in TAGS:
+        raise DatagenError(f"unknown tag strategy {tag!r}")
+    return TAGS[tag]
 
-    ``one_tag`` prepends the target-language tag (``TARGET_TAG``) to the
-    source side only; ``two_tag`` prepends the source tag (``SOURCE_TAG``) to
-    the source side and the target tag (``TWO_TAG_TARGET``) to the target side.
-    """
 
-    kind: str  # "none" | "one_tag" | "two_tag"
-
-    KINDS = ("none", "one_tag", "two_tag")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise DatagenError(f"unknown tag strategy {self.kind!r}")
-
-    def prefixes(self, d: Direction) -> tuple[str, str]:
-        """The (source, target) text put before every record of direction ``d``."""
-        if self.kind == "one_tag":
-            return TARGET_TAG.format(code=d.tgt) + " ", ""
-        if self.kind == "two_tag":
-            return SOURCE_TAG.format(code=d.src) + " ", TWO_TAG_TARGET.format(code=d.tgt) + " "
-        return "", ""
+def _prefixes(templates: tuple[str, str], d: Direction) -> tuple[str, str]:
+    """The (source, target) text put before every record of direction ``d``."""
+    return templates[0].format(src=d.src, tgt=d.tgt), templates[1].format(src=d.src, tgt=d.tgt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,17 +208,16 @@ Block = tuple[Direction, Sequence[str], Sequence[str], Sequence[int]]
 
 @dataclass(frozen=True)
 class FtDataset:
-    """Direction blocks, a manifest, and the tags added to the records.
+    """Direction blocks of untagged text and a manifest.
 
-    ``tags`` is applied when records are emitted or viewed; the manifest's
-    ``tag_strategy`` says which tags the emitted text carries.  ``row_ids``
+    The manifest's ``tag_strategy`` (``"none"`` when absent) names the tags
+    added to the records when they are emitted or viewed.  ``row_ids``
     names the row of each column position when the columns are a corpus's;
     when it is None, a position names itself.
     """
 
     blocks: tuple[Block, ...]
     manifest: Mapping[str, object] = field(default_factory=dict)
-    tags: TagStrategy = TagStrategy("none")
     row_ids: Sequence[int] | None = None
 
     def __post_init__(self):
@@ -239,9 +232,10 @@ class FtDataset:
     def records(self) -> tuple[BitextRecord, ...]:
         """Record view, built on request: one record per aligned sentence pair,
         with the tags applied."""
+        templates = _templates(self.manifest.get("tag_strategy", "none"))
         records = []
         for d, sources, targets, positions in self.blocks:
-            sp, tp = self.tags.prefixes(d)
+            sp, tp = _prefixes(templates, d)
             records.extend(BitextRecord(d, sp + sources[i], tp + targets[i]) for i in positions)
         return tuple(records)
 
@@ -340,28 +334,30 @@ def build_multiparallel_setting(
 def build_multidirectional_setting(
     corpus: MultiParallelCorpus,
     buckets: Sequence[Sequence[int]],
-    pair_for_bucket: Mapping[int, tuple[str, str]],
+    codes: Iterable[str],
     seed: int | None = None,
 ) -> FtDataset:
-    """Per bucket, records in exactly the 2 directions of that bucket's pair."""
-    if set(pair_for_bucket) != set(range(len(buckets))):
-        missing = set(range(len(buckets))) - set(pair_for_bucket)
-        raise DatagenError(f"buckets without a pair: {sorted(missing)}")
+    """Per bucket, records in exactly the 2 directions of one language pair:
+    bucket b takes the b-th pair of the sorted codes, in ``combinations``
+    order, so there must be as many pairs as buckets."""
+    codes = sorted(set(codes))
+    pairs = list(combinations(codes, 2))
+    if len(pairs) != len(buckets):
+        raise DatagenError(
+            f"{len(codes)} languages give {len(pairs)} pairs, but there are "
+            f"{len(buckets)} buckets"
+        )
     blocks: list[Block] = []
     skipped: dict[str, int] = {}
-    for bucket, rows in enumerate(buckets):
-        a, b = pair_for_bucket[bucket]
-        if a == b:
-            raise DatagenError(f"bucket {bucket} maps to identical languages {a!r}")
-        dirs = DirectionSet((Direction(*sorted((a, b))), Direction(*sorted((a, b), reverse=True))))
-        part = build_pairwise(corpus, dirs, rows)
+    for rows, (a, b) in zip(buckets, pairs):
+        part = build_pairwise(corpus, DirectionSet((Direction(a, b), Direction(b, a))), rows)
         blocks.extend(part.blocks)
         for key, n in part.manifest["skipped"].items():
             skipped[key] = skipped.get(key, 0) + n
     manifest = {
         "corpus_id": corpus.provenance.get("source", "unknown"),
         "setting": "multi_directional",
-        "pair_for_bucket": {str(k): list(v) for k, v in pair_for_bucket.items()},
+        "pair_for_bucket": {str(k): list(pair) for k, pair in enumerate(pairs)},
         "tag_strategy": "none",
         "skipped": skipped,
         "seed": seed,
@@ -369,28 +365,25 @@ def build_multidirectional_setting(
     return FtDataset(tuple(blocks), manifest, row_ids=corpus.row_ids)
 
 
-def apply_tags(dataset: FtDataset, strategy: TagStrategy) -> FtDataset:
-    """The dataset with language tags per the strategy, added to each record
-    as it is emitted or viewed."""
-    manifest = _tagged_manifest(dataset.manifest, strategy)
-    if strategy.kind == "none":
-        return dataset
-    return replace(dataset, manifest=manifest, tags=strategy)
+def apply_tags(dataset: FtDataset, tag: str) -> FtDataset:
+    """The dataset with the manifest's ``tag_strategy`` set to ``tag``, whose
+    tags are added to each record as it is emitted or viewed."""
+    manifest = _tagged_manifest(dataset.manifest, tag)
+    return dataset if tag == "none" else replace(dataset, manifest=manifest)
 
 
-def _tagged_manifest(
-    manifest: Mapping[str, object], strategy: TagStrategy
-) -> Mapping[str, object]:
-    """The manifest of a dataset tagged per the strategy.
+def _tagged_manifest(manifest: Mapping[str, object], tag: str) -> Mapping[str, object]:
+    """The manifest of a dataset tagged with ``tag``.
 
     Tagging an already-tagged dataset is an error (detected via the
     manifest), since tags are plain text once emitted.
     """
-    if strategy.kind == "none":
+    _templates(tag)
+    if tag == "none":
         return manifest
     if manifest.get("tag_strategy", "none") != "none":
         raise DatagenError("dataset is already tagged")
-    return {**manifest, "tag_strategy": strategy.kind}
+    return {**manifest, "tag_strategy": tag}
 
 
 # records written per chunk: one joined string per chunk
@@ -447,12 +440,12 @@ def _write_lines(fh, positions: Sequence[int], *layout: str | Sequence[str]) -> 
         fh.write("".join(chain.from_iterable(zip(*parts))))
 
 
-def _write_tsv(fh, blocks: Iterable[Block], tags: TagStrategy) -> dict[str, int]:
+def _write_tsv(fh, blocks: Iterable[Block], templates: tuple[str, str]) -> dict[str, int]:
     """Write one ``src_lang<TAB>tgt_lang<TAB>src<TAB>tgt`` line per record of
     the blocks, tagged; return the records written per direction."""
     per_direction: dict[str, int] = {}
     for d, sources, targets, positions in blocks:
-        sp, tp = tags.prefixes(d)
+        sp, tp = _prefixes(templates, d)
         _write_lines(fh, positions, f"{d.src}\t{d.tgt}\t{sp}", sources, f"\t{tp}", targets, "\n")
         per_direction[str(d)] = per_direction.get(str(d), 0) + len(positions)
     return per_direction
@@ -504,25 +497,27 @@ def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
 
     ``tsv``: one ``src_lang<TAB>tgt_lang<TAB>src<TAB>tgt`` line per record in
     ``records.tsv``.  ``split_files``: aligned ``<src>-<tgt>.src`` /
-    ``<src>-<tgt>.tgt`` pairs per direction.
+    ``<src>-<tgt>.tgt`` pairs per direction.  The records carry the tags the
+    manifest's ``tag_strategy`` names.
     """
     if not dataset.blocks:
         raise DatagenError("refusing to emit an empty dataset")
     if mode not in ("tsv", "split_files"):
         raise DatagenError(f"unknown emit mode {mode!r}")
+    templates = _templates(dataset.manifest.get("tag_strategy", "none"))
     _check_writable(dataset)
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     if mode == "tsv":
         with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            per_direction = _write_tsv(fh, dataset.blocks, dataset.tags)
+            per_direction = _write_tsv(fh, dataset.blocks, templates)
     else:
         runs: dict[Direction, list[Block]] = {}
         for block in dataset.blocks:
             runs.setdefault(block[0], []).append(block)
         for d, blocks in runs.items():
             base = out / str(d)
-            sp, tp = dataset.tags.prefixes(d)
+            sp, tp = _prefixes(templates, d)
             with open(f"{base}.src", "w", encoding="utf-8", newline="\n") as sfh, \
                     open(f"{base}.tgt", "w", encoding="utf-8", newline="\n") as tfh:
                 for _d, sources, targets, positions in blocks:
@@ -575,11 +570,11 @@ def read_bitext_tsv(directory: str | Path) -> Iterator[Block]:
             raise DatagenError(f"{path}:{first + bad}: expected 4 fields, got {tabs[bad] + 1}")
 
 
-def tag_bitext(directory: str | Path, strategy: TagStrategy, path: str | Path) -> None:
+def tag_bitext(directory: str | Path, tag: str, path: str | Path) -> None:
     """Write the ``tsv`` dataset in ``directory`` to the existing directory
-    ``path`` with the strategy's tags, streaming chunk by chunk in bounded
-    memory.  ``path`` must not be ``directory``: ``records.tsv`` is written
-    as the input is read.
+    ``path`` with the tags of strategy ``tag``, streaming chunk by chunk in
+    bounded memory.  ``path`` must not be ``directory``: ``records.tsv`` is
+    written as the input is read.
 
     ``manifest.json`` in ``directory`` gives the manifest, which is
     ``{"tag_strategy": "none"}`` when the file is absent.
@@ -589,9 +584,9 @@ def tag_bitext(directory: str | Path, strategy: TagStrategy, path: str | Path) -
     manifest = {"tag_strategy": "none"}
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
-    manifest = _tagged_manifest(manifest, strategy)
+    manifest = _tagged_manifest(manifest, tag)
     with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        per_direction = _write_tsv(fh, read_bitext_tsv(directory), strategy)
+        per_direction = _write_tsv(fh, read_bitext_tsv(directory), TAGS[tag])
     if not per_direction:
         raise DatagenError("refusing to emit an empty dataset")
     _write_manifest(out, manifest, "tsv", per_direction)

@@ -298,19 +298,17 @@ def lid_train(
     )
 
 
-def lid_classify(text: str, model: LidModel) -> tuple[str | None, float]:
-    """Most likely language and its log-score margin over the runner-up.
+def lid_classify(text: str, model: LidModel) -> str | None:
+    """Most likely language.
 
     Empty or whitespace-only text classifies as ``UNKNOWN`` (None), a label
     no language code equals.  Ties break towards the lexicographically
     smallest code.
     """
     if not text.strip():
-        return UNKNOWN, 0.0
-    # ascending negated scores: a tie goes to the smallest code
-    scored = sorted(zip(map(neg, model._scores(text)), model.languages))
-    margin = scored[1][0] - scored[0][0] if len(scored) > 1 else math.inf
-    return scored[0][1], margin
+        return UNKNOWN
+    # the least negated score: a tie goes to the smallest code
+    return min(zip(map(neg, model._scores(text)), model.languages))[1]
 
 
 def _labels(texts: Sequence[str], model: LidModel, workers: int | None) -> list[str | None]:
@@ -319,7 +317,7 @@ def _labels(texts: Sequence[str], model: LidModel, workers: int | None) -> list[
     model._vectors  # built here once, not once in every worker
 
     def classify(start: int, stop: int) -> list[str | None]:
-        return [lid_classify(text, model)[0] for text in texts[start:stop]]
+        return [lid_classify(text, model) for text in texts[start:stop]]
 
     slices = map_slices(
         classify, len(texts), workers, MIN_LINES_PER_WORKER,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .corpus import MultiParallelCorpus
 from .datagen import DirectionSet, FtDataset
@@ -100,17 +100,22 @@ def gen_number_pairs(
     return FtDataset(tuple(blocks), manifest)
 
 
-def load_muse_dictionary(path: str | Path) -> set[tuple[str, str]]:
-    """MUSE-style input: one ``english<TAB or space>foreign`` entry per line."""
-    return {(en, foreign) for _, (en, foreign) in read_records(path, 2, ProbeError, sep=None)}
+def load_muse_dictionary(path: str | Path) -> dict[str, set[str]]:
+    """MUSE-style input, one ``english<TAB or space>foreign`` entry per line,
+    as each English headword's set of translations."""
+    entries: dict[str, set[str]] = {}
+    for _, (en, foreign) in read_records(path, 2, ProbeError, sep=None):
+        entries.setdefault(en, set()).add(foreign)
+    return entries
 
 
 def pivot_dictionaries(
-    en_dicts: Mapping[str, Iterable[tuple[str, str]]],
+    en_dicts: Mapping[str, Mapping[str, set[str]]],
     seed: int,
     english_code: str = "en",
 ) -> MultiParallelCorpus:
-    """Join English-centric dictionaries on shared English headwords.
+    """Join English-centric dictionaries, each mapping an English headword to
+    its set of translations, on shared English headwords.
 
     Only headwords present in every input dictionary survive.  For each
     (headword, language) one translation is chosen uniformly at random among
@@ -124,22 +129,19 @@ def pivot_dictionaries(
         raise ProbeError("pivoting needs at least two English-centric dictionaries")
     if english_code in en_dicts:
         raise ProbeError("dictionary pair with identical languages")
-    candidates: dict[str, dict[str, set[str]]] = {}
-    for code, entries in en_dicts.items():
-        per_word: dict[str, set[str]] = {}
-        for en_word, foreign in entries:
-            # an empty word or one holding whitespace does not split back
-            if f"{en_word} {foreign}".split() != [en_word, foreign]:
-                raise ProbeError(f"bad dictionary entry ({en_word!r}, {foreign!r})")
-            per_word.setdefault(en_word, set()).add(foreign)
-        candidates[code] = per_word
+    for per_word in en_dicts.values():
+        for en_word, words in per_word.items():
+            for foreign in words:
+                # an empty word or one holding whitespace does not split back
+                if f"{en_word} {foreign}".split() != [en_word, foreign]:
+                    raise ProbeError(f"bad dictionary entry ({en_word!r}, {foreign!r})")
 
-    headwords = sorted(set.intersection(*map(set, candidates.values())))
+    headwords = sorted(set.intersection(*map(set, en_dicts.values())))
     # one global choice per (headword, language)
     columns = {english_code: tuple(headwords)}
-    for code in sorted(candidates):
+    for code in sorted(en_dicts):
         rng = stream(seed, f"pivot/{code}")
-        options = [sorted(candidates[code][w]) for w in headwords]
+        options = [sorted(en_dicts[code][w]) for w in headwords]
         columns[code] = tuple(o[rng.randbelow(len(o))] for o in options)
     return MultiParallelCorpus(
         columns=columns,

@@ -87,6 +87,17 @@ def brute_force_join(entries_a, entries_b):
     return out
 
 
+def grouped(dicts):
+    """Dictionaries of (headword, word) entries as ``pivot_dictionaries``
+    takes them: each headword's set of words, per language."""
+    out = {}
+    for code, entries in dicts.items():
+        out[code] = {}
+        for en, word in entries:
+            out[code].setdefault(en, set()).add(word)
+    return out
+
+
 # --- corpus builders ------------------------------------------------------------
 
 

@@ -45,6 +45,7 @@ from helpers import (
     brute_force_join,
     brute_force_mine,
     full_corpus,
+    grouped,
     make_mining_fixture,
     synthetic_sentences,
 )
@@ -143,8 +144,7 @@ def test_criterion_bitext_size_parity():
         small = full_corpus(few, 2000)
         assignment = partition_buckets(list(small.row_ids), 10, seed=0)
         multi_par = build_multiparallel_setting(small, assignment, 0, few)
-        pairs = dict(enumerate(itertools.combinations(few, 2)))
-        multi_dir = build_multidirectional_setting(small, assignment, pairs)
+        multi_dir = build_multidirectional_setting(small, assignment, few)
         assert len(multi_par) == len(multi_dir) == 4000
 
 
@@ -186,7 +186,7 @@ def test_criterion_dictionary_pivoting_oracle():
                    ("tree", "boom")],
             "fr": [("dog", "chien"), ("walk", "marcher"), ("tree", "arbre")],
         }
-        corpus = pivot_dictionaries(dicts, seed=1)
+        corpus = pivot_dictionaries(grouped(dicts), seed=1)
         columns = corpus.columns
         for a, b in itertools.combinations(sorted(dicts), 2):
             # the pivoted pair is exactly the brute-force join of the chosen
@@ -200,7 +200,7 @@ def test_criterion_dictionary_pivoting_oracle():
         codes = ["de", "nl", "fr", "es", "it", "pt", "ro"]
         headwords = [f"w{i}" for i in range(25)]
         seven = {c: [(w, f"{w}_{c}") for w in headwords] for c in codes}
-        corpus7 = pivot_dictionaries(seven, seed=0)
+        corpus7 = pivot_dictionaries(grouped(seven), seed=0)
         pairs = list(itertools.combinations(corpus7.languages, 2))
         assert len(pairs) == 28
         sizes = {len(set(zip(corpus7.columns[a], corpus7.columns[b]))) for a, b in pairs}
@@ -221,7 +221,7 @@ def test_criterion_language_identification():
         correct = total = 0
         for lang, sentences in heldout.items():
             for s in sentences:
-                correct += lid_classify(s, model)[0] == lang
+                correct += lid_classify(s, model) == lang
                 total += 1
         assert correct / total >= 0.99
 

@@ -877,3 +877,78 @@ def test_probe_numbers_defaults_to_the_registry_languages(tmp_path):
     assert len(codes) == 31
     assert manifest["directions"] == [f"{a}-{b}" for a in sorted(codes) for b in sorted(codes)
                                       if a != b]
+
+
+def gapped_corpus_dir(directory):
+    """A seeded 4-language corpus of 24 rows with four empty cells."""
+    codes = ["en", "de", "nl", "fr"]
+    columns = {c: synthetic_sentences("abcdefghij", 24, seed=i, words=3)
+               for i, c in enumerate(codes)}
+    for code, row in (("de", 3), ("nl", 5), ("nl", 17), ("fr", 11)):
+        columns[code][row] = ""
+    corpus = MultiParallelCorpus({c: tuple(v) for c, v in columns.items()},
+                                 tuple(range(10, 82, 3)))
+    save_corpus(corpus, directory)
+    return directory
+
+
+def tree_digest(out):
+    """sha256 of a sorted sha256sum listing of every file under ``out`` but run.json."""
+    listing = "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(out).as_posix()}\n"
+        for p in sorted(out.rglob("*")) if p.is_file() and p.name != "run.json"
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        pytest.param(case, digest, id=case.replace(" ", "-"))
+        for case, digest in [
+            ("build-ft tsv none",
+             "2a234da38ddcc0fbdec62a05995abd73fc5d5972da6ffdc1c4a2db387d009723"),
+            ("build-ft tsv one_tag",
+             "2270a83a4f06d3a7308716090b6dc07fab9e99f736a273658d1d199de38f77ad"),
+            ("build-ft tsv two_tag",
+             "d6aeb6cf88d28697df6533ad790ec20c45e095261d64edd9fac8e1f60d1df713"),
+            ("build-ft split_files none",
+             "8aad5ccd9c58c61f77398068509d5cde585a6cd7f78a752c19cf231e5bc80457"),
+            ("build-ft split_files one_tag",
+             "ee994d7a994b7cbc0858536705985d67ce585a399c18eb370a7830a1d681e35b"),
+            ("build-ft split_files two_tag",
+             "9c4df916d5795cef419d9bc833a18b3ef3ac22cb528e88574689c3786bdf39b1"),
+            ("tag new",
+             "17350154cffcfc803ff6e0e40cef5de381854edbfe62b3d748c3045f8c1d473b"),
+            ("tag in_place",
+             "9f1cbb2a9f194f1425df831d30b80cf2b5ba8d73929c7af87d5382e56559771c"),
+            ("buckets multi_parallel",
+             "89659f062dfd20e5960ae87b34f6b5774206e21c36bab117681aaad47e9fd32e"),
+            ("buckets multi_directional",
+             "863d07c00d5858524467ed8389ac70983ef0d2bd1b77bfa4ae9bf0fcf203ed9f"),
+        ]
+    ],
+)
+def test_dataset_bytes_are_pinned(tmp_path, case, digest):
+    corpus = gapped_corpus_dir(tmp_path / "corpus")
+    out = tmp_path / "out"
+    command, setting, *tag = case.split()
+    if command == "build-ft":
+        assert main(["build-ft", "--corpus", str(corpus), "--format", setting, "--tag", *tag,
+                     "--rows", "16", "--fraction", "0.5", "--seed", "7", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["skipped"]
+    elif command == "tag":
+        plain = tmp_path / "plain"
+        assert main(["build-ft", "--corpus", str(corpus), "--out", str(plain)]) == 0
+        if setting == "new":
+            assert main(["tag", "--dataset", str(plain), "--tag", "two_tag", "--out", str(out)]) == 0
+        else:
+            out = plain
+            assert main(["tag", "--dataset", str(out), "--tag", "one_tag", "--out", str(out)]) == 0
+    else:
+        extra = ["--num-buckets", "3", "--bucket", "2"] if setting == "multi_parallel" else [
+            "--num-buckets", "6"]
+        assert main(["buckets", "--corpus", str(corpus), "--setting", setting, *extra,
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "dataset" / "manifest.json").read_text())["skipped"]
+    assert tree_digest(out) == digest

@@ -430,6 +430,22 @@ def test_score_on_empty_files_names_both(tmp_path, capsys):
     }
 
 
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("en-.txt", "dictionary with an empty language code"),
+     ("en-en.txt", "dictionary pair with identical languages")],
+    ids=["empty", "english"],
+)
+def test_probe_words_names_a_dictionary_file_with_a_bad_code(tmp_path, capsys, name, message):
+    dicts = tmp_path / "dicts"
+    for file in ("en-de.txt", "en-nl.txt", name):
+        write(dicts / file, "dog\tHund\n")
+    out = tmp_path / "out"
+    envelope = json_error(["probe-words", "--dictionaries", str(dicts), "--out", str(out)], capsys)
+    assert envelope == {"error": "ProbeError", "message": f"{dicts / name}: {message}"}
+    assert not out.exists()
+
 # --- a failing run leaves --out as it found it -------------------------------------
 
 

@@ -14,8 +14,8 @@ from multipar.datagen import (
     DatagenError,
     Direction,
     DirectionSet,
+    TAGS,
     FtDataset,
-    TagStrategy,
     json_text,
     apply_tags,
     build_multidirectional_setting,
@@ -27,6 +27,7 @@ from multipar.datagen import (
     restrict_directions_to_family,
     sample_directions,
     sample_rows,
+    tag_bitext,
 )
 from multipar.registry import ec30
 from multipar.report import ScoreMatrix
@@ -283,7 +284,7 @@ def test_settings_have_equal_record_counts_with_equal_buckets():
     buckets = partition_buckets(list(corpus.row_ids), 10, seed=4)
     multi_par = build_multiparallel_setting(corpus, buckets, 0, codes, seed=4)
     pairs = dict(enumerate(itertools.combinations(codes, 2)))
-    multi_dir = build_multidirectional_setting(corpus, buckets, pairs, seed=4)
+    multi_dir = build_multidirectional_setting(corpus, buckets, codes, seed=4)
     assert len(multi_par) == len(multi_dir) == 4000
     # each bucket contributes exactly its two directions, one block each,
     # over that bucket's rows
@@ -308,8 +309,9 @@ def test_multiparallel_rejects_a_bucket_out_of_range(bucket):
 def test_multidirectional_requires_total_pair_map():
     corpus = full_corpus(["en", "de", "nl"], 9)
     buckets = partition_buckets(list(corpus.row_ids), 3, seed=0)
+    # 2 languages give 1 pair for 3 buckets
     with pytest.raises(DatagenError):
-        build_multidirectional_setting(corpus, buckets, {0: ("en", "de")})
+        build_multidirectional_setting(corpus, buckets, ["en", "de"])
 
 
 # --- tags ------------------------------------------------------------------------
@@ -318,7 +320,7 @@ def test_multidirectional_requires_total_pair_map():
 def test_one_tag_prepends_target_tag_to_source():
     corpus = full_corpus(["en", "de"], 1)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
-    tagged = apply_tags(ds, TagStrategy("one_tag"))
+    tagged = apply_tags(ds, "one_tag")
     by_dir = {str(r.direction): r for r in tagged.records}
     assert by_dir["de-en"].src_text.startswith("<2en> ")
     assert by_dir["de-en"].tgt_text == ds.records[0].tgt_text
@@ -328,7 +330,7 @@ def test_one_tag_prepends_target_tag_to_source():
 def test_two_tag_tags_both_sides():
     corpus = full_corpus(["en", "de"], 1)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
-    tagged = apply_tags(ds, TagStrategy("two_tag"))
+    tagged = apply_tags(ds, "two_tag")
     by_dir = {str(r.direction): r for r in tagged.records}
     assert by_dir["en-de"].src_text.startswith("<src:en> ")
     assert by_dir["en-de"].tgt_text.startswith("<tgt:de> ")
@@ -337,16 +339,26 @@ def test_two_tag_tags_both_sides():
 def test_double_tagging_is_an_error():
     corpus = full_corpus(["en", "de"], 1)
     ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
-    tagged = apply_tags(ds, TagStrategy("one_tag"))
+    tagged = apply_tags(ds, "one_tag")
     with pytest.raises(DatagenError):
-        apply_tags(tagged, TagStrategy("two_tag"))
+        apply_tags(tagged, "two_tag")
     # retagging with "none" is a no-op, not an error
-    assert apply_tags(tagged, TagStrategy("none")) is tagged
+    assert apply_tags(tagged, "none") is tagged
 
 
-def test_unknown_tag_kind_rejected():
-    with pytest.raises(DatagenError):
-        TagStrategy("three_tag")
+def test_unknown_tag_kind_rejected(tmp_path):
+    corpus = full_corpus(["en", "de"], 1)
+    ds = build_pairwise(corpus, enumerate_directions(["en", "de"]))
+    with pytest.raises(DatagenError, match="unknown tag strategy 'three_tag'"):
+        apply_tags(ds, "three_tag")
+    # a manifest naming an unknown strategy is refused before anything is made
+    bad = FtDataset(ds.blocks, {**ds.manifest, "tag_strategy": "three_tag"})
+    with pytest.raises(DatagenError, match="unknown tag strategy 'three_tag'"):
+        emit_bitext(bad, "tsv", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    emit_bitext(ds, "tsv", tmp_path / "plain")
+    with pytest.raises(DatagenError, match="unknown tag strategy 'three_tag'"):
+        tag_bitext(tmp_path / "plain", "three_tag", tmp_path)
 
 
 # --- emission ---------------------------------------------------------------------
@@ -578,10 +590,10 @@ def test_blocks_write_what_the_per_record_reference_writes(data):
         columns[code][i] = "x\ty"
     corpus = MultiParallelCorpus({c: tuple(v) for c, v in columns.items()}, row_ids)
     subset = data.draw(st.none() | st.lists(st.sampled_from(row_ids), min_size=1, unique=True))
-    kind, reread_kind = data.draw(st.tuples(*[st.sampled_from(TagStrategy.KINDS)] * 2))
+    kind, reread_kind = data.draw(st.tuples(*[st.sampled_from(list(TAGS))] * 2))
     dirs = enumerate_directions(codes)
     plain = _reference_records(corpus, dirs, subset)
-    ds = apply_tags(build_pairwise(corpus, dirs, subset), TagStrategy(kind))
+    ds = apply_tags(build_pairwise(corpus, dirs, subset), kind)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         if not plain:

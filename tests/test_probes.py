@@ -23,7 +23,7 @@ from multipar.probes import (
 )
 from multipar.rng import _LANES, _rejection_limit, stream
 
-from helpers import brute_force_join
+from helpers import brute_force_join, grouped
 
 
 # --- number pairs -----------------------------------------------------------------
@@ -173,19 +173,20 @@ def test_number_probe_bytes_are_pinned(tmp_path, argv, digest):
 
 def test_dictionary_validation():
     with pytest.raises(ProbeError, match="dictionary pair with identical languages"):
-        pivot_dictionaries({"en": [("a", "b")], "de": [("a", "c")]}, seed=0)
+        pivot_dictionaries(grouped({"en": [("a", "b")], "de": [("a", "c")]}), seed=0)
     for bad in [("two words", "x"), ("dog", ""), ("", "Hund"), ("dog", "Hu\u00a0nd")]:
         with pytest.raises(ProbeError, match=r"bad dictionary entry"):
-            pivot_dictionaries({"de": [("dog", "Hund"), bad], "nl": [("dog", "hond")]}, seed=0)
-    corpus = pivot_dictionaries({"de": [("dog", "Hund")], "nl": [("dog", "hond")]}, seed=0)
+            dicts = {"de": [("dog", "Hund"), bad], "nl": [("dog", "hond")]}
+            pivot_dictionaries(grouped(dicts), seed=0)
+    corpus = pivot_dictionaries({"de": {"dog": {"Hund"}}, "nl": {"dog": {"hond"}}}, seed=0)
     ds = build_pairwise(corpus, DirectionSet((Direction("de", "en"),)))
     assert [(r.src_text, r.tgt_text) for r in ds.records] == [("Hund", "dog")]
 
 
 def test_load_muse_dictionary(tmp_path):
     path = tmp_path / "en-de.txt"
-    path.write_text("dog\tHund\ncat Katze\n\n", encoding="utf-8")
-    assert load_muse_dictionary(path) == {("dog", "Hund"), ("cat", "Katze")}
+    path.write_text("dog\tHund\ncat Katze\n\ndog K\u00f6ter\ndog Hund\n", encoding="utf-8")
+    assert load_muse_dictionary(path) == {"dog": {"Hund", "K\u00f6ter"}, "cat": {"Katze"}}
     bad = tmp_path / "bad.txt"
     bad.write_text("just-one-field\n", encoding="utf-8")
     with pytest.raises(ProbeError):
@@ -205,7 +206,7 @@ UNIQUE_DICTS = {
 
 
 def test_pivoting_unique_translations_equals_brute_force_closure():
-    corpus = pivot_dictionaries(UNIQUE_DICTS, seed=0)
+    corpus = pivot_dictionaries(grouped(UNIQUE_DICTS), seed=0)
     # shared headwords: dog, cat
     assert chosen_entries(corpus, "de") == (("cat", "Katze"), ("dog", "Hund"))
     assert corpus.row_ids == (0, 1)
@@ -225,7 +226,7 @@ AMBIGUOUS_DICTS = {
 
 
 def test_pivoting_one_to_many_consistent_with_chosen_en_centric():
-    corpus = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
+    corpus = pivot_dictionaries(grouped(AMBIGUOUS_DICTS), seed=3)
     # every chosen translation is one of the input candidates
     candidates = {
         code: {en: {w for e, w in entries if e == en} for en in ("dog", "walk")}
@@ -247,10 +248,11 @@ def test_pivoting_one_to_many_consistent_with_chosen_en_centric():
 
 
 def test_pivoting_deterministic_and_seed_sensitive():
-    a = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
-    b = pivot_dictionaries(AMBIGUOUS_DICTS, seed=3)
+    a = pivot_dictionaries(grouped(AMBIGUOUS_DICTS), seed=3)
+    b = pivot_dictionaries(grouped(AMBIGUOUS_DICTS), seed=3)
     assert a == b
-    outcomes = {pivot_dictionaries(AMBIGUOUS_DICTS, seed=s).columns["de"] for s in range(20)}
+    dicts = grouped(AMBIGUOUS_DICTS)
+    outcomes = {pivot_dictionaries(dicts, seed=s).columns["de"] for s in range(20)}
     assert len(outcomes) > 1  # both walk candidates get chosen across seeds
 
 
@@ -258,7 +260,7 @@ def test_pivoting_seven_languages_yields_28_equal_size_dictionaries():
     codes = ["de", "nl", "fr", "es", "it", "pt", "ro"]
     headwords = [f"word{i}" for i in range(10)]
     dicts = {c: [(w, f"{w}_{c}") for w in headwords] for c in codes}
-    corpus = pivot_dictionaries(dicts, seed=0)
+    corpus = pivot_dictionaries(grouped(dicts), seed=0)
     assert corpus.languages == ("en", *sorted(codes))
     pairs = list(itertools.combinations(corpus.languages, 2))
     assert len(pairs) == 28
@@ -271,14 +273,14 @@ def test_pivoting_seven_languages_yields_28_equal_size_dictionaries():
 
 def test_pivoting_needs_two_dictionaries():
     with pytest.raises(ProbeError):
-        pivot_dictionaries({"de": [("a", "b")]}, seed=0)
+        pivot_dictionaries(grouped({"de": [("a", "b")]}), seed=0)
 
 
 # --- word-pair datasets ---------------------------------------------------------------
 
 
 def test_word_pairs_mirror_orientations():
-    corpus = pivot_dictionaries(UNIQUE_DICTS, seed=0)
+    corpus = pivot_dictionaries(grouped(UNIQUE_DICTS), seed=0)
     dirs = enumerate_directions(["de", "nl"], include_english_centric=False)
     ds = build_pairwise(corpus, dirs)
     assert len(ds) == 4  # 2 entries x 2 orientations
