@@ -33,6 +33,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -62,7 +63,7 @@ from .datagen import (
     tag_bitext,
 )
 from .langid import LidConfig, LidError, LidModel, lid_train, off_target_rate, on_target_subset
-from .metrics import MetricConfig, MetricError, ScorePair, bleu, chrf
+from .metrics import CHRF, CHRF_PP, MetricError, ScorePair, bleu, chrf
 from .probes import (
     ProbeConfig,
     ProbeError,
@@ -227,11 +228,11 @@ def cmd_mine(args, out: Path) -> None:
     )
 
 
-def _direction_set(args, codes, registry):
+def _directions(args, codes, registry) -> tuple[Direction, ...]:
     dirs = enumerate_directions(
         codes,
         include_english_centric=not args.no_english_centric,
-        excluded_languages=args.exclude or (),
+        excluded_languages=args.exclude,
         english_code=registry.english_code,
     )
     if args.family:
@@ -246,15 +247,26 @@ def _direction_set(args, codes, registry):
 def cmd_build_ft(args, out: Path) -> None:
     registry = _registry(args)
     corpus = load_corpus_dir(args.corpus)
-    dirs = _direction_set(args, corpus.languages, registry)
+    dirs = _directions(args, corpus.languages, registry)
     row_ids = None if args.rows is None else sample_rows(corpus, args.rows, args.seed)
-    emit_bitext(apply_tags(build_pairwise(corpus, dirs, row_ids), args.tag), args.format, out)
+    dataset = build_pairwise(corpus, dirs, row_ids)
+    provenance = {
+        "rule": "enumerate",
+        "include_english_centric": not args.no_english_centric,
+        "exclusions": sorted(set(args.exclude)),
+    }
+    if args.family:
+        provenance.update(family=args.family, include_english=not args.no_english_centric)
+    if args.fraction is not None:
+        provenance.update(fraction=args.fraction, seed=args.seed)
+    dataset = replace(dataset, manifest={**dataset.manifest, "direction_provenance": provenance})
+    emit_bitext(apply_tags(dataset, args.tag), args.format, out)
 
 
 def cmd_probe_numbers(args, out: Path) -> None:
     registry = _registry(args)
     codes = args.languages or list(registry.codes)
-    dirs = _direction_set(args, codes, registry)
+    dirs = _directions(args, codes, registry)
     config = ProbeConfig(
         digit_min=args.digit_min,
         digit_max=args.digit_max,
@@ -284,7 +296,7 @@ def cmd_probe_words(args, out: Path) -> None:
     if len(en_dicts) < 2:
         raise ProbeError(f"need at least two {en}-*.txt dictionaries in {dict_dir}")
     corpus = pivot_dictionaries(en_dicts, args.seed, english_code=en)
-    dirs = _direction_set(args, corpus.languages, registry)
+    dirs = _directions(args, corpus.languages, registry)
     manifest = {
         "corpus_id": "word_pairs",
         "directions": [str(d) for d in dirs],
@@ -327,6 +339,7 @@ def cmd_mix(args, out: Path) -> None:
 
 
 def cmd_score(args, out: Path) -> None:
+    direction = Direction(args.src_lang, args.tgt_lang)
     hyps = list(read_lines(args.hypotheses, MetricError))
     refs = list(read_lines(args.references, MetricError))
     if len(hyps) != len(refs):
@@ -340,10 +353,9 @@ def cmd_score(args, out: Path) -> None:
     if args.metric == "bleu":
         value = bleu(pairs, args.threads)
     else:
-        word_order = 2 if args.metric == "chrfpp" else 0
-        value = chrf(pairs, MetricConfig(word_order=word_order), args.threads)
+        value = chrf(pairs, {"chrf": CHRF, "chrfpp": CHRF_PP}[args.metric], args.threads)
     matrix = ScoreMatrix()
-    matrix.set(Direction(args.src_lang, args.tgt_lang), args.metric, value, len(pairs))
+    matrix.set(direction, args.metric, value, len(pairs))
     matrix.save_tsv(out / "scores.tsv")
 
 

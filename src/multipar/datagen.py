@@ -4,6 +4,11 @@ Covers direction enumeration and nested sampling, family restriction,
 row subsetting, bucketed multi-parallel vs. multi-directional settings,
 language-tag serialization, and bitext emission.
 
+A set of directions is a plain tuple of ``Direction``: enumerating,
+restricting to a family and sampling each take and return one, and
+``build_pairwise`` takes any sequence.  A dataset's manifest lists its
+``directions``; how they were chosen is the caller's to record.
+
 A dataset's ``blocks`` are runs ``(direction, sources, targets, positions)``:
 record k of a block is ``(sources[positions[k]], targets[positions[k]])``.
 ``build_pairwise`` puts the corpus columns themselves in its blocks, with a
@@ -81,51 +86,35 @@ class Direction:
         return english_code in (self.src, self.tgt)
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    directions: tuple[Direction, ...]
-    provenance: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(set(self.directions)) != len(self.directions):
-            raise DatagenError("duplicate directions")
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-    def __iter__(self):
-        return iter(self.directions)
-
-
 def enumerate_directions(
-    codes: Sequence[str],
+    codes: Iterable[str],
     include_english_centric: bool = True,
     excluded_languages: Iterable[str] = (),
     english_code: str = "en",
-) -> DirectionSet:
-    """All ordered pairs over ``codes``, minus exclusions, in lexicographic order."""
+) -> tuple[Direction, ...]:
+    """All ordered pairs over ``codes``, minus exclusions, in lexicographic
+    order.  Excluding a language that is not among the codes is an error."""
+    codes = sorted(set(codes))
     excluded = set(excluded_languages)
-    kept = [c for c in sorted(set(codes)) if c not in excluded]
-    dirs = [
+    unknown = sorted(excluded.difference(codes))
+    if unknown:
+        raise DatagenError(f"excluded languages not among the codes: {', '.join(unknown)}")
+    kept = [c for c in codes if c not in excluded]
+    dirs = tuple(
         Direction(a, b)
         for a in kept
         for b in kept
         if a != b
         and (include_english_centric or english_code not in (a, b))
-    ]
-    if len(kept) < 2 or not dirs:
-        raise DatagenError("fewer than 2 usable languages after exclusions")
-    return DirectionSet(
-        tuple(dirs),
-        provenance={
-            "rule": "enumerate",
-            "include_english_centric": include_english_centric,
-            "exclusions": sorted(excluded),
-        },
     )
+    if not dirs:
+        raise DatagenError("fewer than 2 usable languages after exclusions")
+    return dirs
 
 
-def sample_directions(dirs: DirectionSet, fraction: float, seed: int) -> DirectionSet:
+def sample_directions(
+    dirs: tuple[Direction, ...], fraction: float, seed: int
+) -> tuple[Direction, ...]:
     """Prefix of a seeded uniform permutation, floor(fraction * |dirs|) long,
     taking the fraction as the decimal it prints as, so 0.57 of 100 is 57.
 
@@ -136,32 +125,21 @@ def sample_directions(dirs: DirectionSet, fraction: float, seed: int) -> Directi
     count = int(Fraction(str(fraction)) * len(dirs))
     if count == 0:
         raise DatagenError(f"fraction {fraction} of {len(dirs)} directions selects none")
-    perm = stream(seed, "directions").permutation(sorted(dirs.directions))
-    return DirectionSet(
-        tuple(perm[:count]),
-        provenance={**dict(dirs.provenance), "fraction": fraction, "seed": seed},
-    )
+    return tuple(stream(seed, "directions").permutation(sorted(dirs))[:count])
 
 
 def restrict_directions_to_family(
-    dirs: DirectionSet,
+    dirs: tuple[Direction, ...],
     family: str,
     registry: LanguageRegistry,
     include_english: bool = True,
-) -> DirectionSet:
+) -> tuple[Direction, ...]:
     """Directions whose both endpoints belong to the family."""
     members = set(registry.members_of_family(family, include_english=include_english))
     kept = tuple(d for d in dirs if d.src in members and d.tgt in members)
     if not kept:
         raise DatagenError(f"no directions fall within family {family!r}")
-    return DirectionSet(
-        kept,
-        provenance={
-            **dict(dirs.provenance),
-            "family": family,
-            "include_english": include_english,
-        },
-    )
+    return kept
 
 
 def sample_rows(corpus: MultiParallelCorpus, count: int, seed: int) -> list[int]:
@@ -242,7 +220,7 @@ class FtDataset:
 
 def build_pairwise(
     corpus: MultiParallelCorpus,
-    dirs: DirectionSet,
+    dirs: Sequence[Direction],
     row_ids: Sequence[int] | None = None,
 ) -> FtDataset:
     """One record per (direction, row) where both cells are non-empty.
@@ -285,7 +263,6 @@ def build_pairwise(
     manifest = {
         "corpus_id": corpus.provenance.get("source", "unknown"),
         "directions": [str(d) for d in dirs],
-        "direction_provenance": dict(dirs.provenance),
         "rows": list(row_ids),
         "tag_strategy": "none",
         "skipped": skipped,
@@ -317,13 +294,15 @@ def build_multiparallel_setting(
     seed: int | None = None,
 ) -> FtDataset:
     """Pairwise data over all directions of ``codes``, from one bucket's rows."""
-    codes = sorted(set(codes))
-    dirs = enumerate_directions(codes, include_english_centric=True)
+    dirs = enumerate_directions(codes)
     if not 0 <= chosen_bucket < len(buckets):
         raise DatagenError(f"invalid bucket index {chosen_bucket}")
     dataset = build_pairwise(corpus, dirs, buckets[chosen_bucket])
     manifest = {
         **dataset.manifest,
+        "direction_provenance": {
+            "rule": "enumerate", "include_english_centric": True, "exclusions": [],
+        },
         "setting": "multi_parallel",
         "bucket": chosen_bucket,
         "seed": seed,
@@ -350,7 +329,7 @@ def build_multidirectional_setting(
     blocks: list[Block] = []
     skipped: dict[str, int] = {}
     for rows, (a, b) in zip(buckets, pairs):
-        part = build_pairwise(corpus, DirectionSet((Direction(a, b), Direction(b, a))), rows)
+        part = build_pairwise(corpus, (Direction(a, b), Direction(b, a)), rows)
         blocks.extend(part.blocks)
         for key, n in part.manifest["skipped"].items():
             skipped[key] = skipped.get(key, 0) + n

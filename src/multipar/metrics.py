@@ -134,12 +134,11 @@ def _next_order(grams, units: str | list[str], n: int) -> list:
 
 
 def _bleu_pair_stats(pair: ScorePair) -> list[int]:
-    """Matches and hypothesis n-grams for each order, then both token counts."""
-    hyp = tokenize_13a(pair.hypothesis)
-    ref = tokenize_13a(pair.reference)
-    overlap = _overlap_stats(hyp, ref, BLEU_MAX_ORDER)
-    stats = [x for i in range(0, 3 * BLEU_MAX_ORDER, 3) for x in (overlap[i + 2], overlap[i])]
-    return stats + [len(hyp), len(ref)]
+    """``[hyp n-grams, ref n-grams, matches]`` of the 13a tokens for each
+    order; the unigram counts are the two token counts."""
+    return _overlap_stats(
+        tokenize_13a(pair.hypothesis), tokenize_13a(pair.reference), BLEU_MAX_ORDER
+    )
 
 
 def bleu(pairs: Sequence[ScorePair], workers: int | None = 1) -> float:
@@ -147,11 +146,11 @@ def bleu(pairs: Sequence[ScorePair], workers: int | None = 1) -> float:
     if not pairs:
         raise MetricError("empty pair list")
     stats = _pooled_stats(pairs, _bleu_pair_stats, workers)
-    sys_len, ref_len = stats[-2], stats[-1]
+    sys_len, ref_len = stats[0], stats[1]
     log_precisions = []
     smooth = 1.0
     for n in range(1, BLEU_MAX_ORDER + 1):
-        correct, total = stats[2 * (n - 1)], stats[2 * (n - 1) + 1]
+        total, correct = stats[3 * (n - 1)], stats[3 * (n - 1) + 2]
         if total == 0:
             break
         if correct == 0:

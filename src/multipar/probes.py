@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .corpus import MultiParallelCorpus
-from .datagen import DirectionSet, FtDataset
+from .datagen import Direction, FtDataset
 from .rng import _LANES, Stream, _rejection_limit, draws, stream, stream_states
 from .textio import read_records
 
@@ -46,7 +46,7 @@ class ProbeConfig:
 
 
 def gen_number_pairs(
-    dirs: DirectionSet, lines_per_direction: int, config: ProbeConfig
+    dirs: Sequence[Direction], lines_per_direction: int, config: ProbeConfig
 ) -> FtDataset:
     """Identical source/target lines of uniform random integers, per direction.
 
@@ -129,13 +129,6 @@ def pivot_dictionaries(
         raise ProbeError("pivoting needs at least two English-centric dictionaries")
     if english_code in en_dicts:
         raise ProbeError("dictionary pair with identical languages")
-    for per_word in en_dicts.values():
-        for en_word, words in per_word.items():
-            for foreign in words:
-                # an empty word or one holding whitespace does not split back
-                if f"{en_word} {foreign}".split() != [en_word, foreign]:
-                    raise ProbeError(f"bad dictionary entry ({en_word!r}, {foreign!r})")
-
     headwords = sorted(set.intersection(*map(set, en_dicts.values())))
     # one global choice per (headword, language)
     columns = {english_code: tuple(headwords)}

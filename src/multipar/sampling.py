@@ -2,15 +2,16 @@
 
 Weights follow the standard temperature sampler: with data sizes n_k and
 temperature T, p_k is proportional to (n_k / sum(n))^(1/T).  T = 1 recovers
-proportional sampling; large T flattens towards uniform.  Size and weight
-tables are ``key<TAB>number`` records read through :mod:`multipar.textio`.
+proportional sampling; large T flattens towards uniform.  The weights are a
+plain dict from key to p_k, which ``sample_schedule`` and ``save_weights``
+take.  Size and weight tables are ``key<TAB>number`` records read through
+:mod:`multipar.textio`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -22,28 +23,10 @@ class SamplingError(ValueError):
     pass
 
 
-def _check_temperature(temperature: float) -> None:
+def temperature_weights(sizes: Mapping[str, int | float], temperature: float) -> dict[str, float]:
+    """Normalized sampling weights p_k proportional to (n_k / sum n)^(1/T)."""
     if not (math.isfinite(temperature) and temperature > 0):
         raise SamplingError(f"temperature must be positive and finite, got {temperature}")
-
-
-@dataclass(frozen=True)
-class MixtureWeights:
-    weights: Mapping[str, float]
-    temperature: float
-
-    def __post_init__(self):
-        _check_temperature(self.temperature)
-        if any(w < 0 for w in self.weights.values()):
-            raise SamplingError("negative weight")
-        total = sum(self.weights.values())
-        if self.weights and abs(total - 1.0) > 1e-9:
-            raise SamplingError(f"weights sum to {total}, not 1")
-
-
-def temperature_weights(sizes: Mapping[str, int | float], temperature: float) -> MixtureWeights:
-    """Normalized sampling weights p_k proportional to (n_k / sum n)^(1/T)."""
-    _check_temperature(temperature)
     if not sizes:
         raise SamplingError("empty size table")
     if any(n <= 0 for n in sizes.values()):
@@ -55,31 +38,29 @@ def temperature_weights(sizes: Mapping[str, int | float], temperature: float) ->
     norm = sum(raw.values())
     if norm == 0:
         raise SamplingError(f"every weight underflows to 0 at temperature {temperature}")
-    return MixtureWeights(
-        weights={k: v / norm for k, v in raw.items()}, temperature=temperature
-    )
+    return {k: v / norm for k, v in raw.items()}
 
 
-def sample_schedule(weights: MixtureWeights, length: int, seed: int) -> list[str]:
+def sample_schedule(weights: Mapping[str, float], length: int, seed: int) -> list[str]:
     """``length`` i.i.d. seeded draws from the categorical distribution."""
     if length < 0:
         raise SamplingError(f"length must be >= 0, got {length}")
-    if not weights.weights:
+    if not weights:
         raise SamplingError("empty weight map")
-    keys = sorted(weights.weights)
+    keys = sorted(weights)
     cumulative = []
     acc = 0.0
     for k in keys:
-        acc += weights.weights[k]
+        acc += weights[k]
         cumulative.append(acc)
     cumulative[-1] = math.nextafter(1.0, 2.0)  # guard against float undershoot
     rng = stream(seed, "schedule")
     return [keys[bisect_right(cumulative, rng.random())] for _ in range(length)]
 
 
-def save_weights(weights: MixtureWeights, path: str | Path) -> None:
+def save_weights(weights: Mapping[str, float], path: str | Path) -> None:
     """Emit a ``key<TAB>weight`` table, keys sorted."""
-    lines = [f"{k}\t{weights.weights[k]:.17g}\n" for k in sorted(weights.weights)]
+    lines = [f"{k}\t{weights[k]:.17g}\n" for k in sorted(weights)]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 

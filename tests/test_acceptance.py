@@ -325,14 +325,14 @@ def test_criterion_temperature_sampler():
     with gate("temperature sampler: T=1, uniform, T=1e9, high-precision oracle"):
         sizes = {"high": 5_000_000, "med": 1_000_000, "low": 100_000}
         total = sum(sizes.values())
-        t1 = temperature_weights(sizes, 1.0).weights
+        t1 = temperature_weights(sizes, 1.0)
         for k, n in sizes.items():
             assert t1[k] == pytest.approx(n / total, abs=1e-15)
 
-        uniform = temperature_weights({"a": 3, "b": 3, "c": 3}, 7.0).weights
+        uniform = temperature_weights({"a": 3, "b": 3, "c": 3}, 7.0)
         assert all(w == pytest.approx(1 / 3, abs=1e-15) for w in uniform.values())
 
-        flat = temperature_weights(sizes, 1e9).weights
+        flat = temperature_weights(sizes, 1e9)
         assert all(abs(w - 1 / 3) < 1e-6 for w in flat.values())
 
         with mpmath.workdps(60):
@@ -343,7 +343,7 @@ def test_criterion_temperature_sampler():
             }
             norm = sum(raw.values())
             oracle = {k: float(v / norm) for k, v in raw.items()}
-        t5 = temperature_weights(sizes, 5.0).weights
+        t5 = temperature_weights(sizes, 5.0)
         for k in sizes:
             assert abs(t5[k] - oracle[k]) < 1e-12
 

@@ -952,3 +952,35 @@ def test_dataset_bytes_are_pinned(tmp_path, case, digest):
                      "--seed", "3", "--out", str(out)]) == 0
         assert json.loads((out / "dataset" / "manifest.json").read_text())["skipped"]
     assert tree_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["build-ft", "--family", "Germanic", "--no-english-centric"],
+         "f408b3f02dfe127d07c632a4e7e92d173437a925c839f00fee0e64c1ff5a7615"),
+        (["build-ft", "--exclude", "fr"],
+         "b46255e64fd6fea19cc6b85b99e9fbc09e56cb272c4febfd5a3d579b29aad77e"),
+        (["build-ft", "--family", "Germanic", "--exclude", "nl", "--fraction", "0.5"],
+         "ebdc3ec92f20fc22cd481e088f2a66cfc36025c8ab1d989865d9befb6d165555"),
+        (["probe-numbers", "--languages", "en", "de", "nl", "fr", "--fraction", "0.5",
+          "--lines", "3"],
+         "a328317473479f2a4455a33f898c8093b6d3c2515248aef8ce64591de49d7f33"),
+        (["mix", "--temperature", "5", "--schedule-length", "50"],
+         "d5220d846bd7542e90076d8cd32d6d77887fd4bc9810c24cf0830d3dbc5f9198"),
+    ],
+    ids=["family-zero-shot", "exclude", "family-exclude-fraction", "probe-numbers-fraction",
+         "mix-schedule"],
+)
+def test_direction_selection_bytes_are_pinned(tmp_path, argv, digest):
+    # the manifest's directions and direction_provenance, and mix's weights
+    # and schedule
+    if argv[0] == "build-ft":
+        argv = [*argv, "--corpus", str(gapped_corpus_dir(tmp_path / "corpus"))]
+    elif argv[0] == "mix":
+        sizes = tmp_path / "sizes.tsv"
+        sizes.write_text("de-nl\t300\nen-de\t5000\nen-nl\t1200\nfr-nl\t40\n", encoding="utf-8")
+        argv = [*argv, "--sizes", str(sizes)]
+    out = tmp_path / "out"
+    assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+    assert tree_digest(out) == digest

@@ -646,3 +646,46 @@ def test_unwritable_record_fails_before_anything_is_written(tmp_path, capsys):
     )
     assert not (out / "records.tsv").exists()
     assert not out.exists()
+
+
+# --- direction checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["build-ft", "--exclude", "zz"], "zz"),
+        (["build-ft", "--exclude", "yy", "de", "xx"], "xx, yy"),
+        (["probe-numbers", "--languages", "en", "de", "--exclude", "xx"], "xx"),
+    ],
+    ids=["build-ft", "build-ft-two", "probe-numbers"],
+)
+def test_an_exclusion_naming_no_language_is_an_error(tmp_path, capsys, argv, unknown):
+    # each kept every language and exited 0, so a typo went unnoticed
+    if argv[0] == "build-ft":
+        save_corpus(full_corpus(["en", "de", "nl"], 3), tmp_path / "corpus")
+        argv = [*argv, "--corpus", str(tmp_path / "corpus")]
+    out = tmp_path / "out"
+    envelope = json_error([*argv, "--out", str(out)], capsys)
+    assert envelope == {
+        "error": "DatagenError",
+        "message": f"excluded languages not among the codes: {unknown}",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("hypotheses", ["present", "missing"])
+def test_score_checks_its_direction_before_reading_pairs(tmp_path, capsys, monkeypatch, hypotheses):
+    # it scored every pair before it failed, or reported the missing file
+    write(tmp_path / "ref", "the cat\n")
+    if hypotheses == "present":
+        write(tmp_path / "hyp", "the cat\n")
+    monkeypatch.setattr(cli, "read_lines", lambda *a: pytest.fail("read the pairs"))
+    out = tmp_path / "out"
+    argv = ["score", "--hypotheses", str(tmp_path / "hyp"), "--references", str(tmp_path / "ref"),
+            "--metric", "chrf", "--src-lang", "de", "--tgt-lang", "de", "--out", str(out)]
+    envelope = json_error(argv, capsys)
+    assert envelope == {
+        "error": "DatagenError", "message": "direction with identical endpoints 'de'",
+    }
+    assert not out.exists()

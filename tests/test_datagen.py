@@ -13,7 +13,6 @@ from multipar.corpus import MultiParallelCorpus, save_corpus
 from multipar.datagen import (
     DatagenError,
     Direction,
-    DirectionSet,
     TAGS,
     FtDataset,
     json_text,
@@ -95,11 +94,6 @@ def test_english_centric_vs_zero_shot_split():
     assert set(english_centric) | set(zero_shot) == set(dirs)
 
 
-def test_direction_set_rejects_duplicates():
-    with pytest.raises(DatagenError):
-        DirectionSet((Direction("a", "b"), Direction("a", "b")))
-
-
 # --- direction sampling -----------------------------------------------------------
 
 
@@ -113,7 +107,7 @@ def test_sample_directions_uses_floor():
 @pytest.mark.parametrize("fraction, count", [(0.57, 57), (0.29, 29), (0.01, 1)])
 def test_sample_directions_floors_the_written_fraction(fraction, count):
     # 0.57 * 100 is 56.99999999999999 in binary floating point
-    dirs = DirectionSet(enumerate_directions(EC30_CODES).directions[:100])
+    dirs = enumerate_directions(EC30_CODES)[:100]
     sample = sample_directions(dirs, fraction, seed=1)
     assert len(sample) == count
     assert set(sample) <= set(sample_directions(dirs, 0.9, seed=1))

@@ -79,14 +79,14 @@ def slicing_chrf_stats(hyp, ref, word_order):
 
 
 def slicing_bleu_stats(hyp, ref):
-    """Per-pair BLEU statistics: matches and hypothesis n-grams per order,
-    then both token counts, over the regex tokenizer's tokens."""
+    """Per-pair BLEU statistics: hypothesis n-grams, reference n-grams and
+    matches per order, over the regex tokenizer's tokens."""
     h, r = tokenize_13a_regex.tokenize_13a(hyp), tokenize_13a_regex.tokenize_13a(ref)
     stats = []
     for n in range(1, BLEU_MAX_ORDER + 1):
         hg, rg = word_ngrams(h, n), word_ngrams(r, n)
-        stats += [sum((hg & rg).values()), sum(hg.values())]
-    return stats + [len(h), len(r)]
+        stats += [sum(hg.values()), sum(rg.values()), sum((hg & rg).values())]
+    return stats
 
 
 def test_str_split_and_regex_whitespace_agree_on_every_code_point():
@@ -107,7 +107,10 @@ def test_pair_statistics_equal_the_slicing_reference(hyp, ref, same):
     chrfpp_stats = _chrf_pair_stats(pair, CHRF_PP)
     assert chrfpp_stats == slicing_chrf_stats(hyp, ref, 2)
     assert chrfpp_stats[: 3 * CHAR_ORDER] == chrf_stats
-    assert _bleu_pair_stats(pair) == slicing_bleu_stats(hyp, ref)
+    bleu_stats = _bleu_pair_stats(pair)
+    assert bleu_stats == slicing_bleu_stats(hyp, ref)
+    # the unigram columns are the token counts BLEU's brevity penalty reads
+    assert bleu_stats[:2] == [len(tokenize_13a(hyp)), len(tokenize_13a(ref))]
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import multipar
 from multipar import probes
 from multipar.cli import main
-from multipar.datagen import Direction, DirectionSet, build_pairwise, enumerate_directions
+from multipar.datagen import Direction, build_pairwise, enumerate_directions
 from multipar.probes import (
     ProbeConfig,
     ProbeError,
@@ -174,12 +174,8 @@ def test_number_probe_bytes_are_pinned(tmp_path, argv, digest):
 def test_dictionary_validation():
     with pytest.raises(ProbeError, match="dictionary pair with identical languages"):
         pivot_dictionaries(grouped({"en": [("a", "b")], "de": [("a", "c")]}), seed=0)
-    for bad in [("two words", "x"), ("dog", ""), ("", "Hund"), ("dog", "Hu\u00a0nd")]:
-        with pytest.raises(ProbeError, match=r"bad dictionary entry"):
-            dicts = {"de": [("dog", "Hund"), bad], "nl": [("dog", "hond")]}
-            pivot_dictionaries(grouped(dicts), seed=0)
     corpus = pivot_dictionaries({"de": {"dog": {"Hund"}}, "nl": {"dog": {"hond"}}}, seed=0)
-    ds = build_pairwise(corpus, DirectionSet((Direction("de", "en"),)))
+    ds = build_pairwise(corpus, (Direction("de", "en"),))
     assert [(r.src_text, r.tgt_text) for r in ds.records] == [("Hund", "dog")]
 
 
@@ -191,6 +187,20 @@ def test_load_muse_dictionary(tmp_path):
     bad.write_text("just-one-field\n", encoding="utf-8")
     with pytest.raises(ProbeError):
         load_muse_dictionary(bad)
+
+
+@pytest.mark.parametrize(
+    "line, fields",
+    [("dog\t", 1), ("\tHund", 1), ("dog Hu\u00a0nd", 3), ("dog Hund K\u00f6ter", 3)],
+    ids=["empty-foreign", "empty-english", "nbsp", "three-fields"],
+)
+def test_load_muse_dictionary_rejects_a_bad_entry_at_its_line(tmp_path, line, fields):
+    # NBSP is whitespace to str.split, so it splits a word in two
+    path = tmp_path / "en-de.txt"
+    path.write_text(f"cat Katze\n{line}\n", encoding="utf-8")
+    with pytest.raises(ProbeError) as exc:
+        load_muse_dictionary(path)
+    assert str(exc.value) == f"{path}:2: expected 2 fields, got {fields}"
 
 
 def chosen_entries(corpus, code, english_code="en"):

@@ -5,7 +5,6 @@ import mpmath
 import pytest
 
 from multipar.sampling import (
-    MixtureWeights,
     SamplingError,
     load_table,
     sample_schedule,
@@ -28,19 +27,19 @@ def mpmath_temperature_oracle(sizes, temperature, dps=60):
 
 def test_t1_recovers_proportional_sampling():
     sizes = {"a": 30, "b": 50, "c": 20}
-    weights = temperature_weights(sizes, 1.0).weights
+    weights = temperature_weights(sizes, 1.0)
     for k, n in sizes.items():
         assert weights[k] == pytest.approx(n / 100, abs=1e-15)
 
 
 def test_equal_sizes_give_exactly_uniform_weights():
-    weights = temperature_weights({"a": 7, "b": 7, "c": 7, "d": 7}, 3.0).weights
+    weights = temperature_weights({"a": 7, "b": 7, "c": 7, "d": 7}, 3.0)
     assert all(w == 0.25 for w in weights.values())
 
 
 def test_huge_temperature_flattens_to_uniform():
     sizes = {"high": 5_000_000, "med": 1_000_000, "low": 100_000}
-    weights = temperature_weights(sizes, 1e9).weights
+    weights = temperature_weights(sizes, 1e9)
     for w in weights.values():
         assert abs(w - 1 / 3) < 1e-6
 
@@ -48,8 +47,8 @@ def test_huge_temperature_flattens_to_uniform():
 def test_monotone_flattening():
     sizes = {"big": 1000, "small": 10}
     spread = [
-        temperature_weights(sizes, t).weights["big"]
-        - temperature_weights(sizes, t).weights["small"]
+        temperature_weights(sizes, t)["big"]
+        - temperature_weights(sizes, t)["small"]
         for t in (1.0, 2.0, 5.0, 100.0)
     ]
     assert spread == sorted(spread, reverse=True)
@@ -58,7 +57,7 @@ def test_monotone_flattening():
 
 def test_matches_arbitrary_precision_oracle():
     sizes = {"high": 5_000_000, "med": 1_000_000, "low": 100_000}
-    weights = temperature_weights(sizes, 5.0).weights
+    weights = temperature_weights(sizes, 5.0)
     oracle = mpmath_temperature_oracle(sizes, 5.0)
     for k in sizes:
         assert abs(weights[k] - oracle[k]) < 1e-12
@@ -71,10 +70,6 @@ def test_validation():
         temperature_weights({}, 1.0)
     with pytest.raises(SamplingError):
         temperature_weights({"a": 0}, 1.0)
-    with pytest.raises(SamplingError):
-        MixtureWeights({"a": 0.5, "b": 0.4}, 1.0)  # does not sum to 1
-    with pytest.raises(SamplingError):
-        MixtureWeights({"a": 1.5, "b": -0.5}, 1.0)
 
 
 def test_schedule_deterministic_and_seed_sensitive():
@@ -97,7 +92,7 @@ def test_schedule_empirical_frequencies_within_three_sigma():
 
 
 def test_schedule_degenerate_weight_always_sampled():
-    weights = MixtureWeights({"only": 1.0}, 1.0)
+    weights = {"only": 1.0}
     assert sample_schedule(weights, 10, seed=0) == ["only"] * 10
 
 
@@ -113,5 +108,5 @@ def test_weights_tsv_round_trip(tmp_path):
     path = tmp_path / "weights.tsv"
     save_weights(weights, path)
     loaded = load_table(path)
-    for k, v in weights.weights.items():
+    for k, v in weights.items():
         assert loaded[k] == pytest.approx(v, abs=1e-15)
