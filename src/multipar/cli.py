@@ -105,9 +105,8 @@ def _digest_inputs(paths) -> dict[str, str]:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as indented, key-sorted JSON with a trailing newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    """Write ``obj`` as indented, key-sorted, ASCII JSON with a trailing newline."""
+    path.write_text(json_text(obj, ensure_ascii=True) + "\n", encoding="utf-8")
 
 
 def _write_run_manifest(out_dir: Path, args, inputs: dict[str, str]) -> None:
@@ -309,11 +308,8 @@ def cmd_buckets(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     corpus_codes = args.languages or list(corpus.languages)
     buckets = partition_buckets(corpus.row_ids, args.num_buckets, args.seed)
-    # the C encoder writes the flat mapping; its keys are ASCII digits, so
-    # the bytes are those of _write_json
     mapping = {str(rid): b for b, rows in enumerate(buckets) for rid in rows}
-    text = json_text({"num_buckets": len(buckets), "mapping": mapping})
-    (out / "buckets.json").write_text(text + "\n", encoding="utf-8")
+    _write_json(out / "buckets.json", {"num_buckets": len(buckets), "mapping": mapping})
     if args.setting == "multi_parallel":
         dataset = build_multiparallel_setting(
             corpus, buckets, args.bucket, corpus_codes, seed=args.seed
@@ -360,10 +356,12 @@ def cmd_score(args, out: Path) -> None:
 
 
 def cmd_lid_train(args, out: Path) -> None:
-    corpus = load_corpus_dir(args.corpus)
-    samples = {code: [s for s in column if s] for code, column in corpus.columns.items()}
+    # the corpus and the samples are built inside the call, so they are freed
+    # before the model is written
     model = lid_train(
-        samples, LidConfig(max_order=args.max_order, alpha=args.alpha), args.threads
+        {code: [s for s in column if s]
+         for code, column in load_corpus_dir(args.corpus).columns.items()},
+        LidConfig(max_order=args.max_order, alpha=args.alpha), args.threads,
     )
     model.save(out / "lid_model.json")
 

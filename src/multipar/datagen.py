@@ -434,31 +434,32 @@ def _scalars(values) -> bool:
     return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
 
 
-def json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)``,
-    continued at ``indent``, with each non-empty list of scalars (such as a
-    manifest's row ids) and each non-empty dict of scalars with string keys
-    (such as ``buckets.json``'s mapping) encoded by the C encoder, which
-    ``indent`` disables."""
+def json_text(value, indent: str = "", ensure_ascii: bool = False) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=ensure_ascii,
+    allow_nan=False)``, continued at ``indent``, with each non-empty list of
+    scalars (such as a manifest's row ids) and each non-empty dict of scalars
+    with string keys (such as ``buckets.json``'s mapping) encoded by the C
+    encoder, which ``indent`` disables."""
     inner = indent + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         if _scalars(value.values()):
-            body = json.dumps(value, ensure_ascii=False, sort_keys=True,
+            body = json.dumps(value, ensure_ascii=ensure_ascii, allow_nan=False, sort_keys=True,
                               separators=(f",\n{inner}", ": "))[1:-1]
         else:
             body = f",\n{inner}".join(
-                f"{json.dumps(k, ensure_ascii=False)}: {json_text(v, inner)}"
+                f"{json.dumps(k, ensure_ascii=ensure_ascii)}: {json_text(v, inner, ensure_ascii)}"
                 for k, v in sorted(value.items())
             )
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)) and value:
         if _scalars(value):
-            body = json.dumps(value, ensure_ascii=False, separators=(f",\n{inner}", ": "))[1:-1]
+            body = json.dumps(value, ensure_ascii=ensure_ascii, allow_nan=False,
+                              separators=(f",\n{inner}", ": "))[1:-1]
         else:
-            body = f",\n{inner}".join(json_text(v, inner) for v in value)
+            body = f",\n{inner}".join(json_text(v, inner, ensure_ascii) for v in value)
         return f"[\n{inner}{body}\n{indent}]"
     # a raw newline only ever comes from the indentation
-    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=ensure_ascii, allow_nan=False)
     return text.replace("\n", "\n" + indent)
 
 

@@ -13,14 +13,20 @@ Each lower order k is derived from the order above: a k-gram occurrence is
 either the prefix of a (k+1)-gram occurrence or its sentence's last k-gram.
 The counts are integers, so the derived tables are the counted ones.
 
+A saved model is written one language's count tables at a time, in sorted
+code order, so the file's text is never held whole; its bytes are those of
+one key-sorted ``json.dumps`` of ``LidModel.to_json_dict``.
+
 Scoring looks each n-gram of a text up once, in a per-order memo of gram ->
 the vector of its log-probabilities in every language, in ``languages``
-order.  A vector is built from per-language log-probability tables the first
-time its gram is scored, and only for grams some language has counted; every
-other gram shares one vector of unseen log-probabilities, so the memo never
-outgrows the model's vocabulary.  Each language's score adds its column of
-the vectors to its log prior one term at a time, in n-gram order, so every
-score is the float the direct formula gives.
+order.  A vector is built the first time its gram is scored, and only for
+grams some language has counted, from the model's own count tables and one
+``{count: log-probability}`` map per language: a gram's log-probability is
+its count's, so no table of grams is copied.  Every other gram shares one
+vector of unseen log-probabilities, so the memo never outgrows the model's
+vocabulary.  Each language's score adds its column of the vectors to its log
+prior one term at a time, in n-gram order, so every score is the float the
+direct formula gives.
 
 Each language is counted, and each text classified, on its own, so
 ``lid_train``, ``off_target_rate`` and ``on_target_subset`` run over
@@ -172,24 +178,26 @@ class LidModel:
     vocab_sizes: tuple[int, ...] = field(default=())
 
     @cached_property
-    def _vectors(self) -> tuple[tuple[float, ...], list[tuple[dict, list[dict], tuple]]]:
+    def _vectors(self) -> tuple[tuple[float, ...], list[tuple[dict, list, list[dict], tuple]]]:
         """The log priors in ``languages`` order and, per order, a memo of
         gram -> the vector of its log-probabilities in every language, the
-        per-language ``gram -> log-probability`` tables that fill it, and the
-        vector of an unseen gram.  Built on first use; the memo fills as
-        grams are scored, and holds only grams some language has counted."""
+        model's own count tables that fill it, one per language, each
+        language's ``{count: log-probability}`` map, holding the unseen
+        gram's under the key None, and the vector of an unseen gram.  Built
+        on first use; the memo fills as grams are scored, and holds only
+        grams some language has counted."""
         alpha = self.config.alpha
         orders = []
         for order, vocab in enumerate(self.vocab_sizes):
-            tables, unseen = [], []
-            for lang in self.languages:
-                table = self.counts[lang][order]
+            counts = [self.counts[lang][order] for lang in self.languages]
+            logs = []
+            for table in counts:
                 denom = sum(table.values()) + alpha * vocab
                 # one float per distinct count, shared by the grams that have it
                 by_count = {c: math.log((c + alpha) / denom) for c in set(table.values())}
-                tables.append(dict(zip(table, map(by_count.__getitem__, table.values()))))
-                unseen.append(math.log(alpha / denom))
-            orders.append(({}, tables, tuple(unseen)))
+                by_count[None] = math.log(alpha / denom)
+                logs.append(by_count)
+            orders.append(({}, counts, logs, tuple(map(dict.__getitem__, logs, repeat(None)))))
         return tuple(math.log(self.priors[lang]) for lang in self.languages), orders
 
     def _scores(self, text: str) -> list[float]:
@@ -202,12 +210,15 @@ class LidModel:
         log_priors, orders = self._vectors
         terms = [log_priors]
         grams = text
-        for n, (memo, tables, unseen) in enumerate(orders):
+        for n, (memo, counts, logs, unseen) in enumerate(orders):
             if n:
                 grams = list(map(add, grams, text[n:]))
             for gram in set(grams).difference(memo):
-                if any(map(dict.__contains__, tables, repeat(gram))):
-                    memo[gram] = tuple(map(dict.get, tables, repeat(gram), unseen))
+                # a language that has not counted the gram gives None, the
+                # unseen key; a gram no language has counted stays out of the memo
+                vector = tuple(map(dict.__getitem__, logs, map(dict.get, counts, repeat(gram))))
+                if vector != unseen:
+                    memo[gram] = vector
             terms += map(memo.get, grams, repeat(unseen))
         return [reduce(add, column) for column in zip(*terms)]
 
@@ -242,10 +253,20 @@ class LidModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        """Write ``json.dumps(self.to_json_dict(), sort_keys=True,
+        allow_nan=False)`` and a newline, one language's count tables at a
+        time, in sorted code order: the file's text is never held whole."""
+        data = self.to_json_dict()
+        counts, data["counts"] = data["counts"], {}
+        # the rest, encoded once around an empty "counts": that key with an
+        # empty dict as its value occurs nowhere else in the text
+        head, _, tail = json.dumps(data, sort_keys=True, allow_nan=False).partition('"counts": {}')
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(head + '"counts": {')
+            for i, code in enumerate(sorted(counts)):
+                f.write(f"{', ' if i else ''}{json.dumps(code)}: ")
+                f.write(json.dumps(counts[code], sort_keys=True, allow_nan=False))
+            f.write("}" + tail + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "LidModel":

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import tempfile
 from array import array
 from pathlib import Path
@@ -463,6 +464,15 @@ def test_json_text_is_the_indented_json_dumps():
     ]
     for value in cases:
         assert json_text(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+        assert json_text(value, ensure_ascii=True) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_text_rejects_a_non_finite_number(bad):
+    # alone, in a list and a dict of scalars, and nested
+    for value in [bad, [1, bad], {"a": bad}, {"a": [{"b": bad}]}, [[bad, 2]]]:
+        with pytest.raises(ValueError, match="Out of range float values"):
+            json_text(value)
 
 
 # --- emitted bytes ------------------------------------------------------------------

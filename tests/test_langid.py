@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import tempfile
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multipar.cli import main
 from multipar.langid import (
@@ -328,7 +332,7 @@ def test_a_training_sentence_holding_a_line_feed_is_rejected():
 
 
 def memo_sizes(model):
-    return [len(memo) for memo, _, _ in model._vectors[1]]
+    return [len(memo) for memo, *_ in model._vectors[1]]
 
 
 def test_the_memo_holds_only_grams_some_language_has_counted():
@@ -342,7 +346,145 @@ def test_the_memo_holds_only_grams_some_language_has_counted():
     for text in texts:
         lid_classify(text, model)
     counts = model.to_json_dict()["counts"]
-    for n, (memo, _, _) in enumerate(model._vectors[1], 1):
+    for n, (memo, *_) in enumerate(model._vectors[1], 1):
         counted = set(counts["aa"][n - 1]) | set(counts["bb"][n - 1])
         seen = {g for text in texts for g in slice_ngrams(text, n)}
         assert set(memo) == seen & counted
+
+
+# --- the model written one language at a time, and its memory -------------------
+
+# non-ASCII and astral characters, quotes, backslashes and control characters
+GRAM = st.text(alphabet=st.one_of(st.sampled_from('a"\\\x00\x1f\x7fé \U0001f600'),
+                                  st.characters()), max_size=3)
+
+
+@st.composite
+def models(draw):
+    """A small model, valid or not, over unsorted, possibly odd codes; its
+    tables may be empty."""
+    max_order = draw(st.integers(1, 3))
+    codes = draw(st.lists(GRAM, unique=True, max_size=4))
+    table = st.dictionaries(GRAM, st.integers(0, 2**70), max_size=4)
+    counts = {code: [draw(table) for _ in range(max_order)] for code in codes}
+    priors = {code: draw(st.floats(0, 1, exclude_min=True)) for code in codes}
+    return LidModel(
+        languages=tuple(codes),
+        config=LidConfig(max_order=max_order, alpha=draw(st.floats(1e-3, 10))),
+        counts=counts,
+        priors=priors,
+        vocab_sizes=tuple(draw(st.integers(1, 99)) for _ in range(max_order)),
+    )
+
+
+@settings(max_examples=150, deadline=None)  # disk I/O per example
+@given(models())
+@example(LidModel(("zz", "aa"), LidConfig(), {"zz": [{}, {}, {}], "aa": [{}, {}, {}]},
+                  {"zz": 0.5, "aa": 0.5}, (1, 1, 1)))
+@example(LidModel((), LidConfig(), {}, {}, (1, 1, 1)))
+def test_the_saved_bytes_are_the_one_shot_encoding(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(Path(tmp) / "lid_model.json")
+        written = (Path(tmp) / "lid_model.json").read_bytes()
+    one_shot = json.dumps(model.to_json_dict(), sort_keys=True, allow_nan=False) + "\n"
+    assert written == one_shot.encode("utf-8")
+
+
+def traced_peak(fn):
+    """The traced peak of ``fn()`` above the memory traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_memory_does_not_grow_with_the_languages(tmp_path):
+    # every language holds the same 3 x 3,000 grams, over 100 KB of JSON
+    tables = [{f"{i:05d}{'x' * order}": i % 97 + 1 for i in range(3000)} for order in range(3)]
+
+    def peak(n):
+        codes = [f"l{i:02d}" for i in range(n)]
+        model = LidModel(tuple(codes), LidConfig(), dict.fromkeys(codes, tables),
+                         dict.fromkeys(codes, 1 / n), (3001, 3001, 3001))
+        return traced_peak(lambda: model.save(tmp_path / f"{n}.json"))
+
+    assert peak(32) <= 1.5 * peak(8)
+
+
+def test_building_the_vectors_adds_under_a_tenth_of_the_model(tmp_path):
+    train = {code: synthetic_sentences(alphabet, 300, seed=i)
+             for i, (code, alphabet) in enumerate(
+                 [("aa", "abcdefgh"), ("bb", "efghijkl"), ("cc", "ijklmnop"), ("dd", "mnopqrst")])}
+    lid_train(train, LidConfig(max_order=4)).save(tmp_path / "lid_model.json")
+    tracemalloc.start()
+    try:
+        model = LidModel.load(tmp_path / "lid_model.json")
+        loaded = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert traced_peak(lambda: model._vectors) < loaded / 10
+
+
+# --- pinned bytes of the three LID stages ---------------------------------------
+
+# one language's grams are non-ASCII, and hold '"' and '\'
+PINNED_ALPHABETS = {"de": "abcdefgh", "el": 'αβγδεζ"\\', "nl": "efghijkl"}
+
+
+def lid_stage_digests(root, max_order):
+    """Run ``lid-train`` at ``max_order`` over a seeded corpus, then
+    ``lid-eval`` and ``ontarget`` over seeded hypotheses, some misread and
+    some empty; return each written file's sha256 but ``run.json``'s."""
+    codes = sorted(PINNED_ALPHABETS)
+    corpus = root / "corpus"
+    corpus.mkdir()
+    for i, code in enumerate(codes):
+        column = synthetic_sentences(PINNED_ALPHABETS[code], 60, seed=70 + i)
+        (corpus / f"{code}.txt").write_text("".join(s + "\n" for s in column), encoding="utf-8")
+    held_out = {c: synthetic_sentences(PINNED_ALPHABETS[c], 40, seed=80 + i, words=2)
+                for i, c in enumerate(codes)}
+    hyps, baseline = [], []
+    for i in range(40):
+        code, other = codes[i % 3], codes[(i + 1) % 3]
+        text = "" if i % 11 == 0 else held_out[other if i % 4 == 0 else code][i]
+        hyps.append(f"{code}\t{text}\n")
+        baseline.append(f"{other}-{code}\t{1000 - 7 * i}\t{text}\n")
+    (root / "hyps.tsv").write_text("".join(hyps), encoding="utf-8")
+    (root / "baseline.tsv").write_text("".join(baseline), encoding="utf-8")
+    model = str(root / "train" / "lid_model.json")
+    for argv in (
+        ["lid-train", "--corpus", str(corpus), "--max-order", str(max_order),
+         "--out", str(root / "train")],
+        ["lid-eval", "--model", model, "--hypotheses", str(root / "hyps.tsv"),
+         "--out", str(root / "eval")],
+        ["ontarget", "--model", model, "--hypotheses", str(root / "baseline.tsv"),
+         "--out", str(root / "ontarget")],
+    ):
+        assert main(argv) == 0
+    return {
+        f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for stage in ("train", "eval", "ontarget")
+        for p in sorted((root / stage).iterdir()) if p.name != "run.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "max_order, digests",
+    [
+        (3, {
+            "train/lid_model.json": "3f1f6fbe66336c2c1f9b0e0f26626375adbeef63470b5becd525c431bbf24fda",
+            "eval/off_target.json": "31595a8854d021df79eb7bd2c3b7f0012c4d6885a9d7f085022873289202ef00",
+            "ontarget/on_target.json": "048917f5f41e5f302133b93b45ee4bb5a61348fce94c8edf5d9b39cabeb850df",
+        }),
+        (5, {
+            "train/lid_model.json": "b0618058c4c01e4e50ebc6c740d2035b337e008304513a82ed260531480c4659",
+            "eval/off_target.json": "31595a8854d021df79eb7bd2c3b7f0012c4d6885a9d7f085022873289202ef00",
+            "ontarget/on_target.json": "048917f5f41e5f302133b93b45ee4bb5a61348fce94c8edf5d9b39cabeb850df",
+        }),
+    ],
+)
+def test_lid_bytes_are_pinned(tmp_path, max_order, digests):
+    assert lid_stage_digests(tmp_path, max_order) == digests
