@@ -2,9 +2,10 @@
 
 Every subcommand is a pure function of its inputs and the seed: reruns are
 byte-identical.  ``--threads`` bounds the processes, this one included, that
+``build-ft``, ``probe-numbers``, ``probe-words``, ``buckets``, ``tag``,
 ``score``, ``lid-train``, ``lid-eval`` and ``ontarget`` work in (default: the
-CPUs this process may run on); the other subcommands do not take it.  It never changes
-the output, nor the error a run exits with.
+CPUs this process may run on); ``mine``, ``mix`` and ``report`` do not take
+it.  It never changes the output, nor the error a run exits with.
 
 ``main()`` owns ``--out``: a subcommand writes its files into a hidden
 staging directory inside it.  On success each staged file is moved to the
@@ -67,7 +68,7 @@ from .metrics import CHRF, CHRF_PP, MetricError, ScorePair, bleu, chrf
 from .probes import (
     ProbeConfig,
     ProbeError,
-    gen_number_pairs,
+    emit_number_pairs,
     load_muse_dictionary,
     match_token_budget,
     pivot_dictionaries,
@@ -259,7 +260,7 @@ def cmd_build_ft(args, out: Path) -> None:
     if args.fraction is not None:
         provenance.update(fraction=args.fraction, seed=args.seed)
     dataset = replace(dataset, manifest={**dataset.manifest, "direction_provenance": provenance})
-    emit_bitext(apply_tags(dataset, args.tag), args.format, out)
+    emit_bitext(apply_tags(dataset, args.tag), args.format, out, args.threads)
 
 
 def cmd_probe_numbers(args, out: Path) -> None:
@@ -276,8 +277,7 @@ def cmd_probe_numbers(args, out: Path) -> None:
         lines = match_token_budget(args.token_budget, config.tokens_per_line, len(dirs))
     else:
         lines = args.lines
-    dataset = gen_number_pairs(dirs, lines, config)
-    emit_bitext(dataset, args.format, out)
+    emit_number_pairs(dirs, lines, config, args.format, out, args.threads)
 
 
 def cmd_probe_words(args, out: Path) -> None:
@@ -301,7 +301,8 @@ def cmd_probe_words(args, out: Path) -> None:
         "directions": [str(d) for d in dirs],
         "tag_strategy": "none",
     }
-    emit_bitext(FtDataset(build_pairwise(corpus, dirs).blocks, manifest), args.format, out)
+    emit_bitext(FtDataset(build_pairwise(corpus, dirs).blocks, manifest), args.format, out,
+                args.threads)
 
 
 def cmd_buckets(args, out: Path) -> None:
@@ -314,14 +315,14 @@ def cmd_buckets(args, out: Path) -> None:
         dataset = build_multiparallel_setting(
             corpus, buckets, args.bucket, corpus_codes, seed=args.seed
         )
-        emit_bitext(dataset, args.format, out / "dataset")
+        emit_bitext(dataset, args.format, out / "dataset", args.threads)
     elif args.setting == "multi_directional":
         dataset = build_multidirectional_setting(corpus, buckets, corpus_codes, seed=args.seed)
-        emit_bitext(dataset, args.format, out / "dataset")
+        emit_bitext(dataset, args.format, out / "dataset", args.threads)
 
 
 def cmd_tag(args, out: Path) -> None:
-    tag_bitext(args.dataset, args.tag, out)
+    tag_bitext(args.dataset, args.tag, out, args.threads)
 
 
 def cmd_mix(args, out: Path) -> None:
@@ -523,6 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", choices=TAGS, default="none")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_build_ft, inputs=("corpus",))
 
@@ -535,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digit-max", type=int, default=1000)
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_probe_numbers, inputs=())
 
@@ -542,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dictionaries", required=True, help="directory of en-<code>.txt MUSE files")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
     _add_direction_flags(p)
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_probe_words, inputs=("dictionaries",))
 
@@ -555,12 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--bucket", type=int, default=0, help="bucket for multi_parallel")
     p.add_argument("--format", choices=["tsv", "split_files"], default="tsv")
+    _add_threads(p)
     _add_common(p)
     p.set_defaults(func=cmd_buckets, inputs=("corpus",))
 
     p = sub.add_parser("tag", help="apply a language-tag strategy to an emitted dataset")
     p.add_argument("--dataset", required=True, help="directory holding records.tsv")
     p.add_argument("--tag", choices=TAGS, required=True)
+    _add_threads(p)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_tag, inputs=("dataset",))
 

@@ -32,11 +32,21 @@ request.
 ``emit_bitext`` checks every cell it will write before it creates anything,
 then writes the on-disk formats in chunks of joined lines.
 
+A dataset is written in slices: ``write_dataset`` cuts its work into
+contiguous slices that up to ``workers`` processes of :mod:`multipar.pool`
+write.  In ``tsv`` each slice's lines go to a hidden part file of its own
+beside ``records.tsv``, and the parent joins the parts in slice order and
+sums the per-direction counts for ``manifest.json``; in ``split_files`` each
+slice writes whole direction files.  ``emit_bitext`` slices records across
+blocks, or directions in ``split_files``; the number probes slice directions.
+
 ``tag_bitext`` streams an emitted ``tsv`` dataset into a tagged one in
-bounded memory: ``read_bitext_tsv`` yields the blocks of one chunk of
-``records.tsv`` at a time, read through :mod:`multipar.textio`, and the
-blocks go through ``emit_bitext``'s line writer.  A bad record, direction or
-byte is named by ``records.tsv:<line>``.
+bounded memory, in slices that are byte windows of ``records.tsv``, each cut
+just after an LF.  ``read_bitext_tsv`` yields the blocks of one chunk of a
+window at a time, read through :mod:`multipar.textio`, and the blocks go
+through ``emit_bitext``'s line writer.  A bad record, direction or byte is
+named by ``records.tsv:<line>``: a window counts the lines before it only
+when it names one, and the first bad line is named at any window count.
 
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
@@ -52,12 +62,13 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, filterfalse, repeat
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import MultiParallelCorpus
+from .pool import map_slices
 from .registry import LanguageRegistry
 from .rng import stream
-from .textio import read_json, read_line_chunks
+from .textio import lines_before, read_json, read_line_chunks
 
 
 class DatagenError(ValueError):
@@ -367,6 +378,14 @@ def _tagged_manifest(manifest: Mapping[str, object], tag: str) -> Mapping[str, o
 
 # records written per chunk: one joined string per chunk
 _CHUNK = 8192
+# what a worker process must write to pay for itself, timed on 2 cores over
+# prep bench data (11 runs per size, alternating 1 and 2 workers): two workers
+# emitted records faster than one process in 10 and 11 runs from 32K and 65K
+# records, and in at most 1 from 4K to 16K; they tagged faster in 11 and 10
+# runs from 3 and 4 MB of records.tsv, in 6 and 10 over two sets at 2 MB, and
+# in 9 and 0 at 1 MB
+MIN_RECORDS_PER_WORKER = 16384
+MIN_BYTES_PER_WORKER = 3 << 19
 
 
 def _unwritable(text: str) -> bool:
@@ -472,53 +491,148 @@ def _write_manifest(
     (out / "manifest.json").write_text(text + "\n", encoding="utf-8")
 
 
-def emit_bitext(dataset: FtDataset, mode: str, path: str | Path) -> None:
-    """Write the dataset to disk, with a manifest JSON alongside.
+def write_dataset(
+    manifest: Mapping[str, object], mode: str, path: Path, n: int,
+    blocks_of: Callable[[int, int], Iterable[Block]], workers: int | None, min_per_worker: int,
+) -> None:
+    """Write the records of ``blocks_of(0, n)``, tagged as the manifest's
+    ``tag_strategy`` names, then ``manifest.json``, into the directory
+    ``path``, made if missing, over contiguous slices of ``range(n)`` mapped by up
+    to ``workers`` processes of :mod:`multipar.pool`.
+
+    ``tsv``: each slice writes its lines to a part file of its own in a
+    hidden directory beside ``records.tsv``; the parts are joined in slice
+    order, the first renamed and the rest appended, and the directory is
+    removed whether or not a slice faults.  ``split_files``: each slice
+    writes whole ``<src>-<tgt>.src`` / ``.tgt`` pairs, so the blocks of a
+    direction must all come from one slice.
+    """
+    if mode not in ("tsv", "split_files"):
+        raise DatagenError(f"unknown emit mode {mode!r}")
+    templates = _templates(manifest.get("tag_strategy", "none"))
+    path.mkdir(parents=True, exist_ok=True)
+    error = DatagenError("a dataset-writing worker process died before reporting its records")
+    if mode == "tsv":
+        import shutil
+
+        parts = path / ".records.tsv.parts"
+        parts.mkdir(exist_ok=True)
+
+        def write(start: int, stop: int) -> tuple[Path, dict[str, int]]:
+            part = parts / str(start)
+            with open(part, "w", encoding="utf-8", newline="\n") as fh:
+                return part, _write_tsv(fh, blocks_of(start, stop), templates)
+
+        try:
+            slices = map_slices(write, n, workers, min_per_worker, error)
+            records = path / "records.tsv"
+            slices[0][0].replace(records)
+            with open(records, "ab") as out:
+                for part, _counts in slices[1:]:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+        finally:
+            shutil.rmtree(parts, ignore_errors=True)
+        counts = [c for _part, c in slices]
+    else:
+        def write(start: int, stop: int) -> dict[str, int]:
+            runs: dict[Direction, list[Block]] = {}
+            for block in blocks_of(start, stop):
+                runs.setdefault(block[0], []).append(block)
+            for d, blocks in runs.items():
+                base = path / str(d)
+                sp, tp = _prefixes(templates, d)
+                with open(f"{base}.src", "w", encoding="utf-8", newline="\n") as sfh, \
+                        open(f"{base}.tgt", "w", encoding="utf-8", newline="\n") as tfh:
+                    for _d, sources, targets, positions in blocks:
+                        _write_lines(sfh, positions, sp, sources, "\n")
+                        _write_lines(tfh, positions, tp, targets, "\n")
+            return {str(d): sum(len(b[3]) for b in blocks) for d, blocks in runs.items()}
+
+        counts = map_slices(write, n, workers, min_per_worker, error)
+    per_direction: dict[str, int] = {}
+    for part in counts:
+        for key, count in part.items():
+            per_direction[key] = per_direction.get(key, 0) + count
+    if not per_direction:
+        raise DatagenError("refusing to emit an empty dataset")
+    _write_manifest(path, manifest, mode, per_direction)
+
+
+def min_items_per_worker(min_records: int, items: int, records: int) -> int:
+    """The items a worker process must get, of ``items`` that hold
+    ``records`` records, to write ``min_records`` records on average."""
+    return max(1, -(-min_records * items // max(records, 1)))
+
+
+def emit_bitext(
+    dataset: FtDataset, mode: str, path: str | Path, workers: int | None = 1
+) -> None:
+    """Write the dataset to disk, with a manifest JSON alongside, in up to
+    ``workers`` processes.
 
     ``tsv``: one ``src_lang<TAB>tgt_lang<TAB>src<TAB>tgt`` line per record in
-    ``records.tsv``.  ``split_files``: aligned ``<src>-<tgt>.src`` /
-    ``<src>-<tgt>.tgt`` pairs per direction.  The records carry the tags the
-    manifest's ``tag_strategy`` names.
+    ``records.tsv``, sliced by record across blocks.  ``split_files``:
+    aligned ``<src>-<tgt>.src`` / ``<src>-<tgt>.tgt`` pairs per direction,
+    sliced by direction.  The records carry the tags the manifest's
+    ``tag_strategy`` names.
     """
     if not dataset.blocks:
         raise DatagenError("refusing to emit an empty dataset")
-    if mode not in ("tsv", "split_files"):
-        raise DatagenError(f"unknown emit mode {mode!r}")
-    templates = _templates(dataset.manifest.get("tag_strategy", "none"))
+    _templates(dataset.manifest.get("tag_strategy", "none"))
     _check_writable(dataset)
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     if mode == "tsv":
-        with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            per_direction = _write_tsv(fh, dataset.blocks, templates)
+        n, min_per_worker = len(dataset), MIN_RECORDS_PER_WORKER
+
+        def blocks_of(start: int, stop: int) -> Iterable[Block]:
+            return _record_slice(dataset.blocks, start, stop)
     else:
         runs: dict[Direction, list[Block]] = {}
         for block in dataset.blocks:
             runs.setdefault(block[0], []).append(block)
-        for d, blocks in runs.items():
-            base = out / str(d)
-            sp, tp = _prefixes(templates, d)
-            with open(f"{base}.src", "w", encoding="utf-8", newline="\n") as sfh, \
-                    open(f"{base}.tgt", "w", encoding="utf-8", newline="\n") as tfh:
-                for _d, sources, targets, positions in blocks:
-                    _write_lines(sfh, positions, sp, sources, "\n")
-                    _write_lines(tfh, positions, tp, targets, "\n")
-        per_direction = {str(d): sum(len(b[3]) for b in blocks) for d, blocks in runs.items()}
-    _write_manifest(out, dataset.manifest, mode, per_direction)
+        directions = list(runs.values())
+        n = len(directions)
+        min_per_worker = min_items_per_worker(MIN_RECORDS_PER_WORKER, n, len(dataset))
+
+        def blocks_of(start: int, stop: int) -> Iterable[Block]:
+            return chain.from_iterable(directions[start:stop])
+    write_dataset(dataset.manifest, mode, Path(path), n, blocks_of, workers, min_per_worker)
 
 
-def read_bitext_tsv(directory: str | Path) -> Iterator[Block]:
-    """Stream the records of ``records.tsv`` in ``directory`` as blocks.
+def _record_slice(blocks: Sequence[Block], start: int, stop: int) -> Iterator[Block]:
+    """Records ``[start, stop)`` of the blocks, as blocks."""
+    at = 0
+    for d, sources, targets, positions in blocks:
+        if at >= stop:
+            return
+        end = at + len(positions)
+        if end > start:
+            yield d, sources, targets, positions[max(start - at, 0):stop - at]
+        at = end
+
+
+def read_bitext_tsv(
+    directory: str | Path, start: int = 0, stop: int | None = None
+) -> Iterator[Block]:
+    """Stream the records of ``records.tsv`` in ``directory`` as blocks, or
+    those of the byte window ``[start, stop)`` of it, read as
+    :func:`~multipar.textio.read_line_chunks` reads one.
 
     Each chunk of lines read gives one block per run of consecutive lines of
     one direction, with columns of its own; a run that goes on past a chunk
     continues in the next block.  A bad record or direction is named by
-    ``records.tsv:<line>``, counting skipped blank lines.
+    ``records.tsv:<line>``, counting skipped blank lines, and the lines
+    before the window, which are counted only then.
     """
     path = Path(directory) / "records.tsv"
+
+    def error(line: int, message: str) -> DatagenError:
+        before = lines_before(path, start) if start else 0
+        return DatagenError(f"{path}:{before + line}: {message}")
+
     key = direction = None
     lineno = 0  # lines read
-    for lines in read_line_chunks(path, DatagenError):
+    for lines in read_line_chunks(path, DatagenError, start, stop):
         first, lineno = lineno + 1, lineno + len(lines)
         tabs = list(map(str.count, lines, repeat("\t")))
         numbers: Sequence[int] = range(len(lines))  # index in the chunk of each kept line
@@ -538,23 +652,23 @@ def read_bitext_tsv(directory: str | Path) -> Iterator[Block]:
             else:
                 keys = list(zip(src_langs, tgt_langs))
                 starts = [0, *compress(range(1, n), map(ne, keys[1:], keys))]
-            for start, stop in zip(starts, [*starts[1:], n]):
-                if (src_langs[start], tgt_langs[start]) != key:
-                    key = (src_langs[start], tgt_langs[start])
+            for begin, end in zip(starts, [*starts[1:], n]):
+                if (src_langs[begin], tgt_langs[begin]) != key:
+                    key = (src_langs[begin], tgt_langs[begin])
                     try:
                         direction = Direction(*key)
                     except DatagenError as exc:
-                        raise DatagenError(f"{path}:{first + numbers[start]}: {exc}") from None
-                yield direction, sources[start:stop], targets[start:stop], range(stop - start)
+                        raise error(first + numbers[begin], str(exc)) from None
+                yield direction, sources[begin:end], targets[begin:end], range(end - begin)
         if bad is not None:
-            raise DatagenError(f"{path}:{first + bad}: expected 4 fields, got {tabs[bad] + 1}")
+            raise error(first + bad, f"expected 4 fields, got {tabs[bad] + 1}")
 
 
-def tag_bitext(directory: str | Path, tag: str, path: str | Path) -> None:
+def tag_bitext(directory: str | Path, tag: str, path: str | Path, workers: int | None = 1) -> None:
     """Write the ``tsv`` dataset in ``directory`` to the existing directory
-    ``path`` with the tags of strategy ``tag``, streaming chunk by chunk in
-    bounded memory.  ``path`` must not be ``directory``: ``records.tsv`` is
-    written as the input is read.
+    ``path`` with the tags of strategy ``tag``, in up to ``workers``
+    processes, each streaming byte windows of ``records.tsv`` chunk by chunk
+    in bounded memory.
 
     ``manifest.json`` in ``directory`` gives the manifest, which is
     ``{"tag_strategy": "none"}`` when the file is absent.
@@ -565,8 +679,11 @@ def tag_bitext(directory: str | Path, tag: str, path: str | Path) -> None:
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
     manifest = _tagged_manifest(manifest, tag)
-    with open(out / "records.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        per_direction = _write_tsv(fh, read_bitext_tsv(directory), TAGS[tag])
-    if not per_direction:
-        raise DatagenError("refusing to emit an empty dataset")
-    _write_manifest(out, manifest, "tsv", per_direction)
+    records = directory / "records.tsv"
+    try:
+        size = records.stat().st_size
+    except OSError as exc:
+        raise DatagenError(f"cannot read {records}: {exc}") from None
+    write_dataset(manifest, "tsv", out, size,
+                  lambda start, stop: read_bitext_tsv(directory, start, stop),
+                  workers, MIN_BYTES_PER_WORKER)

@@ -26,13 +26,16 @@ each lane's low half) restores that:
   2**64 lane by lane.
 
 Values move in and out of lanes through ``array("Q")`` and
-``int.from_bytes`` / ``int.to_bytes``.
+``int.from_bytes`` / ``int.to_bytes``.  :func:`uniforms` draws one stream's
+outputs lanes at a time the same way, since output t of a stream in state s
+is ``mix64(s + (t+1)*GAMMA)``: the lanes hold the states ``s + t*GAMMA``.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -113,10 +116,6 @@ class Stream:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix64(self._state)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def randbelow(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) via rejection sampling."""
         limit = _rejection_limit(n)
@@ -193,3 +192,18 @@ def draws(states: array, k: int) -> array:
         z = (z + gamma) & mask
         out[t::k] = _unpack(_mix64_lanes(z, mask), n)
     return out
+
+
+def uniforms(rng: Stream, count: int) -> Iterator[list[float]]:
+    """Uniform floats in [0, 1) with 53 bits of precision, ``(u >> 11) *
+    2**-53`` for each of the next ``count`` outputs u of ``rng.next_u64()``,
+    in lists of up to _LANES, each drawn by :func:`draws` from the lanes
+    ``s + t*GAMMA`` of the stream's state s; ``rng`` moves past them at once."""
+    state = rng._state
+    rng._state = (state + count * _GAMMA) & _MASK64
+    for a in range(0, count, _LANES):
+        n = min(_LANES, count - a)
+        ones = _ones(n)
+        steps = _pack(array("Q", range(a, a + n)))
+        states = _unpack((state * ones + steps * _GAMMA) & (ones * _MASK64), n)
+        yield [(u >> 11) * 2.0 ** -53 for u in draws(states, 1)]

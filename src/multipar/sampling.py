@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping
 
-from .rng import stream
+from .rng import stream, uniforms
 from .textio import read_records
 
 
@@ -54,8 +55,10 @@ def sample_schedule(weights: Mapping[str, float], length: int, seed: int) -> lis
         acc += weights[k]
         cumulative.append(acc)
     cumulative[-1] = math.nextafter(1.0, 2.0)  # guard against float undershoot
-    rng = stream(seed, "schedule")
-    return [keys[bisect_right(cumulative, rng.random())] for _ in range(length)]
+    schedule: list[str] = []
+    for chunk in uniforms(stream(seed, "schedule"), length):
+        schedule += map(keys.__getitem__, map(bisect_right, repeat(cumulative), chunk))
+    return schedule
 
 
 def save_weights(weights: Mapping[str, float], path: str | Path) -> None:

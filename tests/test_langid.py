@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multipar import langid
 from multipar.cli import main
 from multipar.langid import (
+    MAX_ORDER,
     UNKNOWN,
     LidConfig,
     LidError,
@@ -488,3 +491,39 @@ def lid_stage_digests(root, max_order):
 )
 def test_lid_bytes_are_pinned(tmp_path, max_order, digests):
     assert lid_stage_digests(tmp_path, max_order) == digests
+
+
+def test_max_order_above_the_ceiling_is_refused_before_counting(tmp_path, capsys, monkeypatch):
+    assert LidConfig(max_order=MAX_ORDER).max_order == 10
+    with pytest.raises(LidError, match="^max_order must be at most 10, got 11$"):
+        LidConfig(max_order=11)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for code, alphabet in (("aa", ALPHA_A), ("bb", ALPHA_B)):
+        (corpus / f"{code}.txt").write_text(alphabet + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("old\n", encoding="utf-8")
+
+    def no_counting(*args):
+        raise AssertionError("counted at an order above the ceiling")
+
+    monkeypatch.setattr(langid, "_count_orders", no_counting)
+    argv = ["lid-train", "--corpus", str(corpus), "--max-order", "11", "--out", str(out)]
+    assert main(argv + ["--threads", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "max_order must be at most 10, got 11" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text(encoding="utf-8") == "old\n"
+
+
+def test_a_saved_model_above_the_ceiling_is_refused_on_load(tmp_path):
+    data = lid_train({"aa": [ALPHA_A], "bb": [ALPHA_B]}, LidConfig(max_order=2)).to_json_dict()
+    data["max_order"] = 11
+    data["vocab_sizes"] += [1] * 9
+    for tables in data["counts"].values():
+        tables += [{}] * 9
+    path = tmp_path / "lid_model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(LidError, match=f"^{re.escape(str(path))}: max_order must be at most 10"):
+        LidModel.load(path)

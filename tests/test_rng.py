@@ -5,7 +5,7 @@ from array import array
 
 from multipar.rng import (
     _GAMMA, _MASK64, Stream, _fnv1a64, _mix64, _mix64_lanes, _ones, _pack, _unpack, draws,
-    stream, stream_states,
+    stream, stream_states, uniforms,
 )
 
 PUBLISHED_1234567 = [
@@ -88,9 +88,16 @@ def test_derived_labels_give_distinct_streams():
 
 
 def test_random_in_unit_interval():
-    rng = Stream(42)
-    values = [rng.random() for _ in range(1000)]
+    values = [v for chunk in uniforms(Stream(42), 1000) for v in chunk]
     assert all(0.0 <= v < 1.0 for v in values)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 3000])
+def test_uniforms_are_the_streams_next_outputs(count):
+    rng, serial = stream(5, "schedule"), stream(5, "schedule")
+    values = [v for chunk in uniforms(rng, count) for v in chunk]
+    assert values == [(serial.next_u64() >> 11) * 2.0 ** -53 for _ in range(count)]
+    assert rng.next_u64() == serial.next_u64()  # both moved past the same draws
 
 
 @given(st.integers(min_value=1, max_value=10_000), st.integers())
