@@ -74,7 +74,7 @@ from .probes import (
     pivot_dictionaries,
 )
 from .registry import LanguageRegistry, ec30
-from .report import ScoreMatrix, delta, emit_report
+from .report import delta, emit_report, load_scores, save_scores
 from .sampling import load_table, sample_schedule, save_weights, temperature_weights
 from .textio import read_lines, read_records
 
@@ -351,9 +351,7 @@ def cmd_score(args, out: Path) -> None:
         value = bleu(pairs, args.threads)
     else:
         value = chrf(pairs, {"chrf": CHRF, "chrfpp": CHRF_PP}[args.metric], args.threads)
-    matrix = ScoreMatrix()
-    matrix.set(direction, args.metric, value, len(pairs))
-    matrix.save_tsv(out / "scores.tsv")
+    save_scores({(direction, args.metric): (value, len(pairs))}, out / "scores.tsv")
 
 
 def cmd_lid_train(args, out: Path) -> None:
@@ -420,9 +418,9 @@ def cmd_ontarget(args, out: Path) -> None:
 
 def cmd_report(args, out: Path) -> None:
     registry = _registry(args)
-    matrix = ScoreMatrix.load_tsv(args.scores)
+    matrix = load_scores(args.scores)
     if args.baseline:
-        matrix = delta(matrix, ScoreMatrix.load_tsv(args.baseline))
+        matrix = delta(matrix, load_scores(args.baseline))
     emit_report(matrix, args.scheme, registry, args.format, out)
 
 

@@ -87,6 +87,9 @@ class Direction:
             raise DatagenError(
                 f"direction with a tab or line break in a language code {self.src!r}-{self.tgt!r}"
             )
+        if "-" in self.src or "-" in self.tgt:
+            # its name src-tgt would not tell its two sides apart
+            raise DatagenError(f"direction with a '-' in a language code {self.src!r}-{self.tgt!r}")
         if self.src == self.tgt:
             raise DatagenError(f"direction with identical endpoints {self.src!r}")
 

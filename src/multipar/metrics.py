@@ -7,8 +7,8 @@ Scoring is pure Python; ``chrf`` and ``bleu`` sum the integer statistics of
 contiguous slices of the pairs in up to ``workers`` processes of
 :mod:`multipar.pool`, which gives the same sums, so the same score, as one
 process.  This module starts no process itself.  Externally computed scores
-(e.g. COMET) are never recomputed here; ``report.ScoreMatrix.load_tsv``
-reads them from TSV.
+(e.g. COMET) are never recomputed here; ``report.load_scores`` reads them
+from TSV.
 
 A pair's statistics are counted one n-gram order at a time by C-level
 passes (``_overlap_stats``): a string's n-grams are grown from the order

@@ -1,4 +1,10 @@
-"""Per-direction score matrices, grouping schemes, deltas, and report emission.
+"""Score matrices, grouping schemes, deltas, and report emission.
+
+A score matrix is a plain dict from ``(Direction, metric)`` to ``(value,
+count)``.  ``load_scores`` and ``save_scores`` read and write it as a score
+TSV, ``src_lang tgt_lang metric value count``, read through
+:mod:`multipar.textio`.  Every cell is checked where it is made, on load, in
+``delta`` and on save, so each value is finite and each count is >= 0.
 
 A grouping scheme is its name: ``resource_grid``, ``english_centric`` or
 ``family:<name>``.
@@ -6,20 +12,17 @@ A grouping scheme is its name: ``resource_grid``, ``english_centric`` or
 Group values are unweighted arithmetic means over member directions.  Any
 "AVG" column produced here is the mean of group means; the direction-weighted
 grand mean is emitted alongside under a separate, clearly labeled key,
-because the two generally differ.  Score TSVs are read through
-:mod:`multipar.textio`; every cell value and group mean is finite.
+because the two generally differ.  Every group mean is finite.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
-from .datagen import Direction
+from .datagen import Direction, json_text
 from .registry import LanguageRegistry
 from .textio import read_lines
 
@@ -36,105 +39,59 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
-    value: float
-    count: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ReportError(f"non-finite value {self.value!r}")
-        if self.count < 0:
-            raise ReportError("cell count must be >= 0")
+# (direction, metric name) -> (value, count): a score matrix
+Scores = dict[tuple[Direction, str], tuple[float, int]]
 
 
-class ScoreMatrix:
-    """Map (direction, metric name) -> scored cell."""
+def _cell(value: float, count: int) -> tuple[float, int]:
+    """The cell ``(value, count)``, checked: a finite value, a count >= 0."""
+    if not math.isfinite(value):
+        raise ReportError(f"non-finite value {value!r}")
+    if count < 0:
+        raise ReportError("cell count must be >= 0")
+    return value, count
 
-    def __init__(self):
-        self._cells: dict[tuple[Direction, str], Cell] = {}
 
-    def set(self, direction: Direction, metric: str, value: float, count: int = 0) -> None:
-        key = (direction, metric)
-        if key in self._cells:
-            raise ReportError(f"duplicate cell {direction}/{metric}")
-        self._cells[key] = Cell(value, count)
+def save_scores(cells: Scores, path: str | Path) -> None:
+    """Write a score TSV, ``src_lang tgt_lang metric value count``, sorted."""
+    lines = ["\t".join(SCORE_TSV_HEADER) + "\n"]
+    for (d, m), cell in sorted(cells.items()):
+        value, count = _cell(*cell)
+        lines.append(f"{d.src}\t{d.tgt}\t{m}\t{value:.17g}\t{count}\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
-    def get(self, direction: Direction, metric: str) -> Cell:
+
+def load_scores(path: str | Path) -> Scores:
+    """Parse a score TSV, as ``save_scores`` writes it or as an external
+    scorer (e.g. COMET) does; every bad line is named by ``file:line``."""
+    cells: Scores = {}
+    first_line: dict[tuple[Direction, str], int] = {}
+    lines = read_lines(path, ReportError)
+    if tuple(next(lines, "").split("\t")) != SCORE_TSV_HEADER:
+        raise ReportError(f"{path}: missing or malformed header")
+    errors = []
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split("\t")
+        if len(parts) != len(SCORE_TSV_HEADER):
+            if line.strip():
+                errors.append(f"{path}:{lineno}: expected 5 fields")
+            continue
+        src, tgt, metric, value, count = parts
         try:
-            return self._cells[(direction, metric)]
-        except KeyError:
-            raise ReportError(f"missing cell {direction}/{metric}") from None
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def cells(self) -> dict[tuple[Direction, str], Cell]:
-        return dict(self._cells)
-
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(sorted({m for _, m in self._cells}))
-
-    def directions(self, metric: str | None = None) -> tuple[Direction, ...]:
-        dirs = {d for d, m in self._cells if metric is None or m == metric}
-        return tuple(sorted(dirs))
-
-    # --- TSV round trip: src_lang tgt_lang metric value count ---
-
-    def save_tsv(self, path: str | Path) -> None:
-        lines = ["\t".join(SCORE_TSV_HEADER) + "\n"]
-        for (d, m), cell in sorted(self._cells.items()):
-            lines.append(f"{d.src}\t{d.tgt}\t{m}\t{cell.value:.17g}\t{cell.count}\n")
-        Path(path).write_text("".join(lines), encoding="utf-8")
-
-    @classmethod
-    def load_tsv(cls, path: str | Path) -> "ScoreMatrix":
-        """Parse a score TSV, as ``save_tsv`` writes it or as an external
-        scorer (e.g. COMET) does; every bad line is named by ``file:line``."""
-        matrix = cls()
-        seen: dict[tuple, int] = {}
-        lines = read_lines(path, ReportError)
-        if tuple(next(lines, "").split("\t")) != SCORE_TSV_HEADER:
-            raise ReportError(f"{path}: missing or malformed header")
-        errors = []
-        for lineno, line in enumerate(lines, start=2):
-            parts = line.split("\t")
-            if len(parts) != len(SCORE_TSV_HEADER):
-                if line.strip():
-                    errors.append(f"{path}:{lineno}: expected 5 fields")
-                continue
-            src, tgt, metric, value, count = parts
-            try:
-                key = (Direction(src, tgt), metric)
-                cell_value = float(value)
-                cell_count = int(count)
-                if key in seen:
-                    raise ReportError(
-                        f"duplicate cell {src}-{tgt}/{metric} (first at line {seen[key]})"
-                    )
-                matrix.set(*key, cell_value, cell_count)
-            except ValueError as exc:
-                errors.append(f"{path}:{lineno}: {exc}")
-                continue
-            seen[key] = lineno
-        if errors:
-            raise ReportError("; ".join(errors))
-        return matrix
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "cells": [
-                {
-                    "src": d.src,
-                    "tgt": d.tgt,
-                    "metric": m,
-                    "value": cell.value,
-                    "count": cell.count,
-                }
-                for (d, m), cell in sorted(self._cells.items())
-            ],
-        }
+            key = (Direction(src, tgt), metric)
+            value, count = float(value), int(count)
+            if key in first_line:
+                raise ReportError(
+                    f"duplicate cell {src}-{tgt}/{metric} (first at line {first_line[key]})"
+                )
+            cells[key] = _cell(value, count)
+        except ValueError as exc:
+            errors.append(f"{path}:{lineno}: {exc}")
+            continue
+        first_line[key] = lineno
+    if errors:
+        raise ReportError("; ".join(errors))
+    return cells
 
 
 def resource_grid_group(direction: Direction, registry: LanguageRegistry) -> str:
@@ -222,39 +179,32 @@ def _summarize(scheme: str, groups: Mapping[str, list[float]]) -> dict | None:
     return {"tiers": tiers, "overall": overall}
 
 
-def delta(matrix_a: ScoreMatrix, matrix_b: ScoreMatrix) -> ScoreMatrix:
-    """Cellwise a - b over identical keys."""
-    keys_a = set(matrix_a.cells())
-    keys_b = set(matrix_b.cells())
-    if keys_a != keys_b:
-        only_a = sorted(f"{d}/{m}" for d, m in keys_a - keys_b)
-        only_b = sorted(f"{d}/{m}" for d, m in keys_b - keys_a)
+def delta(matrix_a: Scores, matrix_b: Scores) -> Scores:
+    """Cellwise a - b over identical keys, with the smaller count."""
+    if matrix_a.keys() != matrix_b.keys():
+        only_a = sorted(f"{d}/{m}" for d, m in matrix_a.keys() - matrix_b.keys())
+        only_b = sorted(f"{d}/{m}" for d, m in matrix_b.keys() - matrix_a.keys())
         raise ReportError(
             f"cell key mismatch; only in first: {only_a}; only in second: {only_b}"
         )
-    out = ScoreMatrix()
-    for (d, m), cell in sorted(matrix_a.cells().items()):
-        other = matrix_b.get(d, m)
-        out.set(d, m, cell.value - other.value, min(cell.count, other.count))
-    return out
+    return {
+        key: _cell(value - matrix_b[key][0], min(count, matrix_b[key][1]))
+        for key, (value, count) in sorted(matrix_a.items())
+    }
 
 
 def count_boosted(
-    delta_matrix: ScoreMatrix,
+    delta_matrix: Scores,
     metric: str,
     threshold: float,
     directions: Iterable[Direction] | None = None,
 ) -> int:
     """Number of (filtered) directions whose delta strictly exceeds threshold."""
-    if metric not in delta_matrix.metrics():
+    values = {d: value for (d, m), (value, _) in delta_matrix.items() if m == metric}
+    if not values:
         raise ReportError(f"unknown metric {metric!r}")
-    candidates = delta_matrix.directions(metric)
-    if directions is not None:
-        wanted = set(directions)
-        candidates = tuple(d for d in candidates if d in wanted)
-    return sum(
-        1 for d in candidates if delta_matrix.get(d, metric).value > threshold
-    )
+    wanted = values.keys() if directions is None else set(directions)
+    return sum(1 for d, value in values.items() if value > threshold and d in wanted)
 
 
 def _fmt(value: float | None) -> str:
@@ -295,7 +245,7 @@ def _markdown_english_centric(summary: dict, metric: str) -> str:
 
 
 def emit_report(
-    matrix: ScoreMatrix,
+    matrix: Scores,
     schemes: Iterable[str],
     registry: LanguageRegistry,
     fmt: str,
@@ -304,22 +254,22 @@ def emit_report(
     """Write the matrix and its aggregation under each named scheme in a
     stable, sorted form.  Directions a scheme leaves out are not grouped."""
     labelers = {scheme: _labeler(scheme, registry) for scheme in schemes}
-    if not len(matrix):
+    if not matrix:
         raise ReportError("refusing to report an empty matrix")
     if fmt not in ("tsv", "json", "markdown"):
         raise ReportError(f"unknown report format {fmt!r}")
 
     # metric -> scheme -> label -> values, each in sorted direction order
-    groups = {metric: {scheme: {} for scheme in labelers} for metric in matrix.metrics()}
-    cells = sorted(matrix.cells().items())
+    groups = {metric: {scheme: {} for scheme in labelers} for metric in {m for _, m in matrix}}
+    cells = sorted(matrix.items())
     for direction, direction_cells in groupby(cells, key=lambda item: item[0][0]):
         if direction.src not in registry or direction.tgt not in registry:
             raise ReportError(f"direction {direction} has languages outside the registry")
         labels = [(scheme, label_of(direction)) for scheme, label_of in labelers.items()]
-        for (_, metric), cell in direction_cells:
+        for (_, metric), (value, _) in direction_cells:
             for scheme, label in labels:
                 if label is not None:
-                    groups[metric][scheme].setdefault(label, []).append(cell.value)
+                    groups[metric][scheme].setdefault(label, []).append(value)
     summaries = {
         metric: {scheme: _summarize(scheme, by_label) for scheme, by_label in per_metric.items()}
         for metric, per_metric in groups.items()
@@ -328,7 +278,7 @@ def emit_report(
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "tsv":
-        matrix.save_tsv(out / "scores.tsv")
+        save_scores(matrix, out / "scores.tsv")
         lines = ["metric\tscheme\tgroup\tvalue\n"]
         for metric, per_metric in sorted(summaries.items()):
             for key, summary in sorted(per_metric.items()):
@@ -337,12 +287,16 @@ def emit_report(
                     lines.append(f"{metric}\t{key}\t{group}\t{rendered}\n")
         (out / "summary.tsv").write_text("".join(lines), encoding="utf-8")
     elif fmt == "json":
+        cell_list = [
+            {"src": d.src, "tgt": d.tgt, "metric": m, "value": value, "count": count}
+            for (d, m), (value, count) in cells
+        ]
         payload = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "matrix": matrix.to_json_dict(),
+            "matrix": {"schema_version": REPORT_SCHEMA_VERSION, "cells": cell_list},
             "summaries": summaries,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json_text(payload, ensure_ascii=True)
         (out / "report.json").write_text(text + "\n", encoding="utf-8")
     else:
         parts = []

@@ -29,18 +29,22 @@ from typing import Iterator
 CHUNK_CHARS = 1 << 16
 
 
-def _line_start(fh, offset: int) -> int:
+def _line_start(fh, offset: int, limit: int | None = None) -> int:
     """The first offset at or after ``offset`` of the binary file ``fh`` that
     starts a line after an LF, or the file's end: a cut there splits neither
-    a CRLF nor a character."""
+    a CRLF nor a character.  Given ``limit``, the scan reads no byte that
+    could only start a line at or after it, and returns ``limit`` when no
+    line starts before it."""
     if offset <= 0:
         return 0
     fh.seek(offset - 1)
-    while block := fh.read(CHUNK_CHARS):
+    left = -1 if limit is None else max(limit - offset, 0)  # bytes left to scan
+    while block := fh.read(CHUNK_CHARS if left < 0 else min(CHUNK_CHARS, left)):
+        left -= len(block)
         at = block.find(b"\n")
         if at >= 0:
             return fh.tell() - len(block) + at + 1
-    return fh.tell()
+    return fh.tell() if limit is None else limit
 
 
 def lines_before(path: str | Path, offset: int) -> int:
@@ -71,9 +75,10 @@ def read_line_chunks(
     lines_read = 0
     try:
         with open(path, "rb") as fh:
-            start = _line_start(fh, start)
-            # bytes left in the window, or -1 to read to the end
-            left = -1 if stop is None else _line_start(fh, stop) - start
+            start = _line_start(fh, start, stop)
+            # bytes left in the window, or -1 to read to the end; none are
+            # left in a window in which no line starts
+            left = -1 if stop is None else (_line_start(fh, stop) - start if start < stop else 0)
             fh.seek(start)
             parts: list[str] = []  # the text after the last line end read
             cr = bad = False  # cr: a CR ended the text read, and an LF may follow

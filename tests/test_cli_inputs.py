@@ -418,6 +418,31 @@ def test_language_code_with_a_tab_or_line_break_is_an_error(tmp_path, capsys, su
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["split_files", "tsv"])
+def test_language_code_with_a_hyphen_is_an_error(tmp_path, capsys, fmt):
+    # a-b -> c and a -> b-c were both named a-b-c: split_files wrote one over
+    # the other, and tsv merged their counts, exiting 0 either way
+    save_corpus(full_corpus(["a-b", "c", "a", "b-c"], 2), tmp_path / "corpus")
+    out = tmp_path / "out"
+    argv = ["build-ft", "--corpus", str(tmp_path / "corpus"), "--format", fmt,
+            "--out", str(out)]
+    envelope = json_error(argv, capsys)
+    assert envelope == {"error": "DatagenError",
+                        "message": "direction with a '-' in a language code 'a'-'a-b'"}
+    assert not out.exists()
+
+
+def test_ontarget_names_a_direction_with_a_hyphen_code(tmp_path, capsys, lid_model):
+    hyps = tmp_path / "hyps.tsv"
+    write(hyps, "bb-aa\t0\tabc\nbb-x-aa\t0\tabc\n")
+    argv = ["ontarget", "--model", str(lid_model), "--hypotheses", str(hyps),
+            "--out", str(tmp_path / "out")]
+    assert json_error(argv, capsys) == {
+        "error": "LidError",
+        "message": f"{hyps}:2: direction with a '-' in a language code 'bb-x'-'aa'",
+    }
+
+
 def test_score_on_empty_files_names_both(tmp_path, capsys):
     for name in ("hyp", "ref"):
         write(tmp_path / name, "")

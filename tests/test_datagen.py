@@ -30,7 +30,7 @@ from multipar.datagen import (
     tag_bitext,
 )
 from multipar.registry import ec30
-from multipar.report import ScoreMatrix
+from multipar.report import load_scores
 from multipar.rng import stream
 
 from helpers import full_corpus
@@ -47,7 +47,7 @@ def test_direction_str_and_parse(tmp_path):
     # a score TSV line names a direction by its two language fields
     path = tmp_path / "scores.tsv"
     path.write_text("src_lang\ttgt_lang\tmetric\tvalue\tcount\nde\tnl\tchrf\t1\t0\n")
-    assert ScoreMatrix.load_tsv(path).directions() == (d,)
+    assert [d for d, _ in load_scores(path)] == [d]
     with pytest.raises(DatagenError):
         Direction("de", "de")
 
@@ -55,6 +55,13 @@ def test_direction_str_and_parse(tmp_path):
 @pytest.mark.parametrize("src, tgt", [("", "nl"), ("de", ""), ("", "")])
 def test_direction_rejects_empty_code(src, tgt):
     with pytest.raises(DatagenError, match="empty language code"):
+        Direction(src, tgt)
+
+
+@pytest.mark.parametrize("src, tgt", [("a-b", "c"), ("a", "b-c"), ("-", "de")])
+def test_direction_rejects_a_hyphen_in_a_code(src, tgt):
+    # the name src-tgt would not tell a-b -> c from a -> b-c
+    with pytest.raises(DatagenError, match="direction with a '-' in a language code"):
         Direction(src, tgt)
 
 

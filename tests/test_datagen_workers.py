@@ -3,6 +3,7 @@
 ``split_files``), ``probe-numbers`` its directions, and ``tag`` byte windows
 of ``records.tsv``; the parts join to the serial bytes at any ``--threads``."""
 
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from multipar import datagen, pool, probes
+from multipar import datagen, pool, probes, textio
 from multipar.cli import main
 from multipar.corpus import MultiParallelCorpus, save_corpus
 from multipar.datagen import build_pairwise, emit_bitext, enumerate_directions
@@ -181,6 +182,33 @@ def test_a_crlf_at_a_window_cut_and_a_cr_only_file(tmp_path, forked, monkeypatch
         lines = serial["records.tsv"].split(b"\n")
         assert len(lines) == text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n") + 1
     assert forked == [2, 2]
+
+
+def test_a_window_in_which_no_line_starts_reads_only_its_own_bytes(tmp_path, monkeypatch):
+    # a CR-only file is one window: each later window used to scan on to the
+    # end of the file twice, looking for an LF
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(textio, "open", lambda path, mode: CountingFile(path), raising=False)
+    monkeypatch.setattr(textio, "CHUNK_CHARS", 1 << 10)
+    path = tmp_path / "records.tsv"
+    path.write_bytes(records(400, ("\r",)))
+    size = path.stat().st_size
+    cuts = [size * i // 6 for i in range(7)]
+    read = []
+    for a, b in zip(cuts, cuts[1:]):
+        reads.clear()
+        lines = [line for chunk in read_line_chunks(path, ValueError, a, b) for line in chunk]
+        assert len(lines) == (400 if a == 0 else 0)
+        read.append(sum(reads))
+    assert read[1:] == [b - a for a, b in zip(cuts[1:], cuts[2:])]
+    assert read[0] == size + size - cuts[1] + 1
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from multipar.metrics import (
     chrf,
     tokenize_13a,
 )
-from multipar.report import ReportError, ScoreMatrix
+from multipar.report import ReportError, load_scores
 from oracles import tokenize_13a_regex
 from oracles.make_metric_fixture import char_ngrams, split_off_punct, word_ngrams
 
@@ -195,17 +195,17 @@ def test_ingest_round_trip(tmp_path):
         HEADER + "de\tnl\tcomet\t0.82\t100\nnl\tde\tcomet\t0.79\t100\n",
         encoding="utf-8",
     )
-    matrix = ScoreMatrix.load_tsv(path)
+    matrix = load_scores(path)
     assert len(matrix) == 2
-    assert matrix.get(Direction("de", "nl"), "comet").value == pytest.approx(0.82)
-    assert matrix.get(Direction("de", "nl"), "comet").count == 100
+    assert matrix[(Direction("de", "nl"), "comet")][0] == pytest.approx(0.82)
+    assert matrix[(Direction("de", "nl"), "comet")][1] == 100
 
 
 def test_ingest_rejects_missing_header(tmp_path):
     path = tmp_path / "scores.tsv"
     path.write_text("de\tnl\tcomet\t0.8\t1\n", encoding="utf-8")
     with pytest.raises(ReportError):
-        ScoreMatrix.load_tsv(path)
+        load_scores(path)
 
 
 def test_ingest_reports_line_numbers_for_all_errors(tmp_path):
@@ -219,7 +219,7 @@ def test_ingest_reports_line_numbers_for_all_errors(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ReportError) as err:
-        ScoreMatrix.load_tsv(path)
+        load_scores(path)
     message = str(err.value)
     assert ":3" in message and ":4" in message and ":5" in message
     assert "duplicate" in message

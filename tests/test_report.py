@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,12 +9,13 @@ from multipar.registry import ec30
 from multipar.report import (
     RESOURCE_GRID_GROUPS,
     ReportError,
-    ScoreMatrix,
     _labeler,
     count_boosted,
     delta,
     emit_report,
+    load_scores,
     resource_grid_group,
+    save_scores,
 )
 
 REG = ec30()
@@ -30,18 +32,18 @@ TIER_REPS = {"H": ("de", "fr"), "M": ("sv", "it"), "L": ("af", "ro")}
 
 def grid_matrix(values, metric="chrf"):
     """One direction per grid cell, carrying that cell's published mean."""
-    matrix = ScoreMatrix()
+    matrix = {}
     for cell, value in values.items():
         src_tier, tgt_tier = cell.split("-")
         src = TIER_REPS[src_tier][0]
         tgt = TIER_REPS[tgt_tier][1]
-        matrix.set(Direction(src, tgt), metric, value)
+        matrix[(Direction(src, tgt), metric)] = (value, 0)
     return matrix
 
 
 def chrf_summaries(tmp_path, matrix, *schemes):
     """The chrf summaries ``report --format json`` writes for the matrix."""
-    matrix.save_tsv(tmp_path / "scores.tsv")
+    save_scores(matrix, tmp_path / "scores.tsv")
     out = tmp_path / "report"
     argv = ["report", "--scores", str(tmp_path / "scores.tsv"), "--format", "json",
             "--scheme", *schemes, "--out", str(out)]
@@ -49,32 +51,45 @@ def chrf_summaries(tmp_path, matrix, *schemes):
     return json.loads((out / "report.json").read_text(encoding="utf-8"))["summaries"]["chrf"]
 
 
-# --- ScoreMatrix ------------------------------------------------------------------
+# --- score matrices ----------------------------------------------------------------
 
 
-def test_matrix_set_get_and_duplicate():
-    matrix = ScoreMatrix()
-    matrix.set(Direction("de", "nl"), "chrf", 33.3, count=10)
-    assert matrix.get(Direction("de", "nl"), "chrf").value == 33.3
+def test_matrix_cell_and_duplicate(tmp_path):
+    path = tmp_path / "scores.tsv"
+    save_scores({(Direction("de", "nl"), "chrf"): (33.3, 10)}, path)
+    assert load_scores(path)[(Direction("de", "nl"), "chrf")][0] == 33.3
+    path.write_text(path.read_text() + "de\tnl\tchrf\t34.0\t0\n")
     with pytest.raises(ReportError):
-        matrix.set(Direction("de", "nl"), "chrf", 34.0)
-    with pytest.raises(ReportError):
-        matrix.get(Direction("nl", "de"), "chrf")
+        load_scores(path)
 
 
 def test_matrix_tsv_and_json_round_trips(tmp_path):
-    matrix = ScoreMatrix()
-    matrix.set(Direction("de", "nl"), "chrf", 33.3, count=5)
-    matrix.set(Direction("de", "nl"), "bleu", 12.125, count=5)
+    matrix = {
+        (Direction("de", "nl"), "chrf"): (33.3, 5),
+        (Direction("de", "nl"), "bleu"): (12.125, 5),
+    }
     path = tmp_path / "scores.tsv"
-    matrix.save_tsv(path)
-    loaded = ScoreMatrix.load_tsv(path)
-    assert loaded.cells() == matrix.cells()
+    save_scores(matrix, path)
+    loaded = load_scores(path)
+    assert loaded == matrix
+    emit_report(matrix, [], REG, "json", tmp_path / "report")
+    payload = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     json_cells = {
         (Direction(c["src"], c["tgt"]), c["metric"]): (c["value"], c["count"])
-        for c in matrix.to_json_dict()["cells"]
+        for c in payload["matrix"]["cells"]
     }
-    assert json_cells == {key: (cell.value, cell.count) for key, cell in matrix.cells().items()}
+    assert json_cells == matrix
+
+
+@pytest.mark.parametrize("value, count, message", [
+    (math.nan, 0, "non-finite value nan"),
+    (-math.inf, 0, "non-finite value -inf"),
+    (1.0, -1, "cell count must be >= 0"),
+])
+def test_save_scores_checks_every_cell(tmp_path, value, count, message):
+    with pytest.raises(ReportError, match=message):
+        save_scores({(Direction("de", "nl"), "chrf"): (value, count)}, tmp_path / "scores.tsv")
+    assert not (tmp_path / "scores.tsv").exists()
 
 
 # --- classification -----------------------------------------------------------------
@@ -110,8 +125,7 @@ def test_label_english_centric_and_family(tmp_path):
     assert fam(Direction("fr", "de")) == "into"
     assert fam(Direction("fr", "it")) is None
     assert fam(Direction("en", "de")) is None
-    outside = ScoreMatrix()
-    outside.set(Direction("de", "zz"), "chrf", 1.0)
+    outside = {(Direction("de", "zz"), "chrf"): (1.0, 0)}
     with pytest.raises(ReportError, match="de-zz has languages outside the registry"):
         emit_report(outside, ["family:Germanic"], REG, "json", tmp_path)
 
@@ -138,11 +152,12 @@ def test_aggregate_reproduces_published_zero_shot_average(tmp_path):
 
 
 def test_aggregate_mean_of_group_means_differs_from_grand_mean(tmp_path):
-    matrix = ScoreMatrix()
     # H-H group with two directions, L-L with one
-    matrix.set(Direction("de", "fr"), "chrf", 10.0)
-    matrix.set(Direction("fr", "de"), "chrf", 20.0)
-    matrix.set(Direction("af", "ro"), "chrf", 40.0)
+    matrix = {
+        (Direction("de", "fr"), "chrf"): (10.0, 0),
+        (Direction("fr", "de"), "chrf"): (20.0, 0),
+        (Direction("af", "ro"), "chrf"): (40.0, 0),
+    }
     result = chrf_summaries(tmp_path, matrix, "resource_grid")["resource_grid"]
     assert result["H-H"] == pytest.approx(15.0)
     assert result["AVG"] == pytest.approx((15.0 + 40.0) / 2)
@@ -156,11 +171,11 @@ def test_english_centric_summary_reproduces_published_overall(tmp_path):
         ("Low", "EN-X"): 42.5, ("Low", "X-EN"): 49.8,
     }
     reps = {"High": "de", "Medium": "sv", "Low": "af"}
-    matrix = ScoreMatrix()
+    matrix = {}
     for (tier, orientation), value in table2.items():
         code = reps[tier]
         d = Direction("en", code) if orientation == "EN-X" else Direction(code, "en")
-        matrix.set(d, "chrf", value)
+        matrix[(d, "chrf")] = (value, 0)
     summary = chrf_summaries(tmp_path, matrix, "english_centric")["english_centric"]
     assert summary["overall"]["EN-X"] == pytest.approx(49.6, abs=0.05)
     assert summary["overall"]["X-EN"] == pytest.approx(54.6, abs=0.05)
@@ -169,11 +184,12 @@ def test_english_centric_summary_reproduces_published_overall(tmp_path):
 
 
 def test_family_summary_partitions(tmp_path):
-    matrix = ScoreMatrix()
-    matrix.set(Direction("de", "nl"), "chrf", 30.0)
-    matrix.set(Direction("nl", "de"), "chrf", 34.0)
-    matrix.set(Direction("de", "fr"), "chrf", 20.0)
-    matrix.set(Direction("it", "nl"), "chrf", 10.0)
+    matrix = {
+        (Direction("de", "nl"), "chrf"): (30.0, 0),
+        (Direction("nl", "de"), "chrf"): (34.0, 0),
+        (Direction("de", "fr"), "chrf"): (20.0, 0),
+        (Direction("it", "nl"), "chrf"): (10.0, 0),
+    }
     summaries = chrf_summaries(tmp_path, matrix, "family:Germanic", "family:Indo-Aryan")
     assert summaries["family:Germanic"] == {"within": 32.0, "out_of": 20.0, "into": 10.0}
     assert summaries["family:Indo-Aryan"] == {"within": None, "out_of": None, "into": None}
@@ -186,18 +202,16 @@ def test_delta_cellwise_and_antisymmetric():
     base = grid_matrix(TABLE1_BASELINE)
     boosted = grid_matrix({k: v + 5.0 for k, v in TABLE1_BASELINE.items()})
     diff = delta(boosted, base)
-    for d in diff.directions("chrf"):
-        assert diff.get(d, "chrf").value == pytest.approx(5.0)
+    for key in diff:
+        assert diff[key][0] == pytest.approx(5.0)
     reverse = delta(base, boosted)
-    for d in diff.directions("chrf"):
-        assert reverse.get(d, "chrf").value == pytest.approx(-5.0)
+    for key in diff:
+        assert reverse[key][0] == pytest.approx(-5.0)
 
 
 def test_delta_requires_identical_keys():
-    a = ScoreMatrix()
-    a.set(Direction("de", "nl"), "chrf", 1.0)
-    b = ScoreMatrix()
-    b.set(Direction("nl", "de"), "chrf", 1.0)
+    a = {(Direction("de", "nl"), "chrf"): (1.0, 0)}
+    b = {(Direction("nl", "de"), "chrf"): (1.0, 0)}
     with pytest.raises(ReportError) as err:
         delta(a, b)
     assert "de-nl" in str(err.value) and "nl-de" in str(err.value)
@@ -212,7 +226,7 @@ def test_count_boosted_strict_threshold():
     diff = delta(new, base)
     assert count_boosted(diff, "chrf", threshold=1.0) == 5  # strictly greater only
     assert count_boosted(diff, "chrf", threshold=0.0) == 9
-    some = list(diff.directions("chrf"))[:3]
+    some = sorted(d for d, metric in diff if metric == "chrf")[:3]
     assert count_boosted(diff, "chrf", 0.0, directions=some) == 3
     with pytest.raises(ReportError):
         count_boosted(diff, "bleu", 0.0)
@@ -222,11 +236,10 @@ def test_count_boosted_strict_threshold():
 
 
 def stable_matrix():
-    matrix = ScoreMatrix()
     codes = ["en", "de", "fr", "sv", "it", "af", "ro"]
-    for i, d in enumerate(enumerate_directions(codes)):
-        matrix.set(d, "chrf", 20.0 + i * 0.7, count=10)
-    return matrix
+    return {
+        (d, "chrf"): (20.0 + i * 0.7, 10) for i, d in enumerate(enumerate_directions(codes))
+    }
 
 
 def test_emit_report_tsv_and_json_and_markdown(tmp_path):
@@ -244,7 +257,13 @@ def test_emit_report_tsv_and_json_and_markdown(tmp_path):
     assert payload["schema_version"] == 1
     grid = payload["summaries"]["chrf"]["resource_grid"]
     assert "AVG" in grid and "GRAND_MEAN" in grid
-    assert payload["matrix"] == matrix.to_json_dict()
+    assert payload["matrix"] == {
+        "schema_version": 1,
+        "cells": [
+            {"src": d.src, "tgt": d.tgt, "metric": m, "value": value, "count": count}
+            for (d, m), (value, count) in sorted(matrix.items())
+        ],
+    }
     markdown = (tmp_path / "markdown" / "report.md").read_text()
     assert "| AVG" in markdown or "AVG |" in markdown
 
@@ -260,6 +279,6 @@ def test_emit_report_is_deterministic(tmp_path):
 
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ReportError):
-        emit_report(ScoreMatrix(), ["resource_grid"], REG, "tsv", tmp_path)
+        emit_report({}, ["resource_grid"], REG, "tsv", tmp_path)
     with pytest.raises(ReportError):
         emit_report(stable_matrix(), [], REG, "pdf", tmp_path)
