@@ -54,6 +54,7 @@ from .datagen import (
     build_multidirectional_setting,
     build_multiparallel_setting,
     build_pairwise,
+    code_fault,
     emit_bitext,
     enumerate_directions,
     json_text,
@@ -211,6 +212,9 @@ def cmd_mine(args, out: Path) -> None:
     files = sorted(bitext_dir.glob("*.tsv"))
     if not files:
         raise CorpusError(f"no .tsv bitexts in {bitext_dir}")
+    for f in files:
+        if fault := code_fault(f.stem):
+            raise CorpusError(f"{f}: bitext with {fault}")
     bitexts = {f.stem: load_bitext_tsv(f) for f in files}
     registry = _registry(args)
     corpus, stats = mine_pivot_aligned(bitexts, english_code=registry.english_code)
@@ -287,8 +291,8 @@ def cmd_probe_words(args, out: Path) -> None:
     en_dicts = {}
     for f in sorted(dict_dir.glob(f"{en}-*.txt")):
         code = f.stem.split("-", 1)[1]
-        if not code:
-            raise ProbeError(f"{f}: dictionary with an empty language code")
+        if fault := code_fault(code):
+            raise ProbeError(f"{f}: dictionary with {fault}")
         if code == en:
             raise ProbeError(f"{f}: dictionary pair with identical languages")
         en_dicts[code] = load_muse_dictionary(f)

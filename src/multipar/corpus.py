@@ -26,7 +26,7 @@ from operator import not_
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .textio import read_json, read_lines, read_records
+from .textio import read_json, read_lines, read_record_chunks
 
 _ASCII_WS = " \t\n\r\f\v"
 # cells joined per line-end scan: a joined chunk stays small next to its column
@@ -180,7 +180,8 @@ def normalize_pivot(sentence: str) -> str:
 
 def load_bitext_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read ``english<TAB>foreign`` pairs, one per line."""
-    return [(en, foreign) for _, (en, foreign) in read_records(path, 2, CorpusError)]
+    return [(en, foreign)
+            for _, rows in read_record_chunks(path, 2, CorpusError) for en, foreign in rows]
 
 
 def mine_pivot_aligned(

@@ -41,12 +41,9 @@ slice writes whole direction files.  ``emit_bitext`` slices records across
 blocks, or directions in ``split_files``; the number probes slice directions.
 
 ``tag_bitext`` streams an emitted ``tsv`` dataset into a tagged one in
-bounded memory, in slices that are byte windows of ``records.tsv``, each cut
-just after an LF.  ``read_bitext_tsv`` yields the blocks of one chunk of a
-window at a time, read through :mod:`multipar.textio`, and the blocks go
-through ``emit_bitext``'s line writer.  A bad record, direction or byte is
-named by ``records.tsv:<line>``: a window counts the lines before it only
-when it names one, and the first bad line is named at any window count.
+bounded memory, in slices that are byte windows of ``records.tsv``:
+``read_bitext_tsv`` cuts each chunk of a window's records, read by
+:mod:`multipar.textio`, into runs of one direction for the line writer.
 
 All sampling here draws permutation prefixes from seeded streams, so the
 10% direction sample is always a subset of the 20% sample under the same
@@ -60,7 +57,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, combinations, compress, filterfalse, repeat
-from operator import ne
+from operator import ne, not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -68,11 +65,21 @@ from .corpus import MultiParallelCorpus
 from .pool import map_slices
 from .registry import LanguageRegistry
 from .rng import stream
-from .textio import lines_before, read_json, read_line_chunks
+from .textio import lines_before, read_json, read_record_chunks
 
 
 class DatagenError(ValueError):
     pass
+
+
+def code_fault(*codes: str) -> str | None:
+    """Why one of ``codes`` cannot name a side of a direction, or None; with a
+    '-', a direction's name src-tgt would not tell its two sides apart."""
+    for broken, fault in ((not_, "an empty language code"),
+                          (_unwritable, "a tab or line break in a language code"),
+                          (lambda code: "-" in code, "a '-' in a language code")):
+        if any(map(broken, codes)):
+            return fault
 
 
 @dataclass(frozen=True, order=True)
@@ -81,15 +88,8 @@ class Direction:
     tgt: str
 
     def __post_init__(self):
-        if not self.src or not self.tgt:
-            raise DatagenError(f"direction with an empty language code {self.src!r}-{self.tgt!r}")
-        if _unwritable(self.src) or _unwritable(self.tgt):
-            raise DatagenError(
-                f"direction with a tab or line break in a language code {self.src!r}-{self.tgt!r}"
-            )
-        if "-" in self.src or "-" in self.tgt:
-            # its name src-tgt would not tell its two sides apart
-            raise DatagenError(f"direction with a '-' in a language code {self.src!r}-{self.tgt!r}")
+        if fault := code_fault(self.src, self.tgt):
+            raise DatagenError(f"direction with {fault} {self.src!r}-{self.tgt!r}")
         if self.src == self.tgt:
             raise DatagenError(f"direction with identical endpoints {self.src!r}")
 
@@ -617,54 +617,29 @@ def _record_slice(blocks: Sequence[Block], start: int, stop: int) -> Iterator[Bl
 def read_bitext_tsv(
     directory: str | Path, start: int = 0, stop: int | None = None
 ) -> Iterator[Block]:
-    """Stream the records of ``records.tsv`` in ``directory`` as blocks, or
-    those of the byte window ``[start, stop)`` of it, read as
-    :func:`~multipar.textio.read_line_chunks` reads one.
-
-    Each chunk of lines read gives one block per run of consecutive lines of
-    one direction, with columns of its own; a run that goes on past a chunk
-    continues in the next block.  A bad record or direction is named by
-    ``records.tsv:<line>``, counting skipped blank lines, and the lines
-    before the window, which are counted only then.
-    """
+    """Stream the records of ``records.tsv`` in ``directory``, or of its byte
+    window ``[start, stop)``, as blocks: one per run of one direction in each
+    chunk of :func:`~multipar.textio.read_record_chunks`.  A bad direction is
+    named by ``records.tsv:<line>``, as a bad record is."""
     path = Path(directory) / "records.tsv"
-
-    def error(line: int, message: str) -> DatagenError:
-        before = lines_before(path, start) if start else 0
-        return DatagenError(f"{path}:{before + line}: {message}")
-
     key = direction = None
-    lineno = 0  # lines read
-    for lines in read_line_chunks(path, DatagenError, start, stop):
-        first, lineno = lineno + 1, lineno + len(lines)
-        tabs = list(map(str.count, lines, repeat("\t")))
-        numbers: Sequence[int] = range(len(lines))  # index in the chunk of each kept line
-        bad = None
-        if tabs.count(3) != len(lines):
-            # blank lines are skipped; the first other line without 4 fields
-            # is an error, raised once the lines before it are read
-            bad = next((i for i, n in enumerate(tabs) if n != 3 and lines[i].strip()), None)
-            numbers = [i for i in range(len(lines) if bad is None else bad) if tabs[i] == 3]
-            lines = [lines[i] for i in numbers]
-        if lines:
-            fields = "\t".join(lines).split("\t")
-            src_langs, tgt_langs, sources, targets = (fields[i::4] for i in range(4))
-            n = len(sources)
-            if src_langs.count(src_langs[0]) == n and tgt_langs.count(tgt_langs[0]) == n:
-                starts = [0]  # one direction, as in most chunks
-            else:
-                keys = list(zip(src_langs, tgt_langs))
-                starts = [0, *compress(range(1, n), map(ne, keys[1:], keys))]
-            for begin, end in zip(starts, [*starts[1:], n]):
-                if (src_langs[begin], tgt_langs[begin]) != key:
-                    key = (src_langs[begin], tgt_langs[begin])
-                    try:
-                        direction = Direction(*key)
-                    except DatagenError as exc:
-                        raise error(first + numbers[begin], str(exc)) from None
-                yield direction, sources[begin:end], targets[begin:end], range(end - begin)
-        if bad is not None:
-            raise error(first + bad, f"expected 4 fields, got {tabs[bad] + 1}")
+    for numbers, rows in read_record_chunks(path, 4, DatagenError, start, stop):
+        src_langs, tgt_langs, sources, targets = zip(*rows)
+        n = len(rows)
+        if src_langs.count(src_langs[0]) == n and tgt_langs.count(tgt_langs[0]) == n:
+            starts = [0]  # one direction, as in most chunks
+        else:
+            keys = list(zip(src_langs, tgt_langs))
+            starts = [0, *compress(range(1, n), map(ne, keys[1:], keys))]
+        for begin, end in zip(starts, [*starts[1:], n]):
+            if (src_langs[begin], tgt_langs[begin]) != key:
+                key = (src_langs[begin], tgt_langs[begin])
+                try:
+                    direction = Direction(*key)
+                except DatagenError as exc:
+                    line = numbers[begin] + lines_before(path, start)
+                    raise DatagenError(f"{path}:{line}: {exc}") from None
+            yield direction, sources[begin:end], targets[begin:end], range(end - begin)
 
 
 def tag_bitext(directory: str | Path, tag: str, path: str | Path, workers: int | None = 1) -> None:

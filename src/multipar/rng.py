@@ -5,10 +5,10 @@ Every sampling operation in this package draws from a SplitMix64 stream
 pure function of its 64-bit seed.  Results therefore reproduce bit-for-bit
 across platforms, Python versions, and thread counts.
 
-Stream derivation: each operation derives a child stream from the user's
-master seed and a fixed ASCII label (e.g. ``derive(seed, "rows")``).  The
-child seed is ``mix64(seed XOR fnv1a64(label))``, so streams for different
-operations never collide or overlap by construction.
+Stream derivation: each operation draws from the stream of the user's master
+seed and a fixed ASCII label (e.g. ``stream(seed, "rows")``), which starts at
+``mix64(seed XOR fnv1a64(label))`` and depends on nothing else, so streams
+for different operations never collide or overlap by construction.
 
 Lanes: SplitMix64 and FNV-1a use only add, xor, shift and multiply modulo
 2**64, so :func:`stream_states` and :func:`draws` run them on many
@@ -102,15 +102,10 @@ def _rejection_limit(n: int) -> int:
 class Stream:
     """A SplitMix64 stream with convenience draws used across the package."""
 
-    __slots__ = ("_seed", "_state")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
         self._state = seed & _MASK64
-
-    def derive(self, label: str) -> "Stream":
-        """Child stream keyed by a fixed label; independent of draw position."""
-        return Stream(_mix64(self._seed ^ _fnv1a64(label)))
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -130,21 +125,18 @@ class Stream:
             raise ValueError(f"empty range [{lo}, {hi}]")
         return lo + self.randbelow(hi - lo + 1)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def permutation(self, items) -> list:
+        """A Fisher-Yates shuffle of a copy of ``items``."""
         out = list(items)
-        self.shuffle(out)
+        for i in range(len(out) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            out[i], out[j] = out[j], out[i]
         return out
 
 
 def stream(seed: int, label: str) -> Stream:
     """The stream used by an operation: master seed + fixed operation label."""
-    return Stream(seed).derive(label)
+    return Stream(_mix64((seed & _MASK64) ^ _fnv1a64(label)))
 
 
 def stream_states(seed: int, prefix: str, count: int) -> array:

@@ -3,10 +3,11 @@
 Every text input is UTF-8.  LF, CRLF and CR all end a line, and a final line
 end closes the last line rather than opening an empty one.  Line-aligned files
 (corpus columns, ``score`` hypotheses and references) keep every line, since a
-blank line there is a value.  Record files skip a whitespace-only line that
-lacks the expected field count.  Errors are raised as the caller's exception
-class and name ``<file>:<line>``, or the file when it cannot be read.  JSON
-inputs are read the same way, and malformed JSON names ``<file>:<line>:<col>``.
+blank line there is a value.  Every record file is read by
+``read_record_chunks``, which skips a whitespace-only line that lacks the
+expected field count.  Errors are raised as the caller's exception class and
+name ``<file>:<line>``, or the file when it cannot be read.  JSON inputs are
+read the same way, and malformed JSON names ``<file>:<line>:<col>``.
 
 A file is read in binary chunks decoded incrementally, so a byte window of it
 can be read alone: its lines are those that start after an LF in it, so a
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import codecs
 import json
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 # bytes read per chunk: reading and splitting a 26.5 MB prep records.tsv took
@@ -106,7 +107,7 @@ def read_line_chunks(
                 if not block:
                     break
             if bad:
-                line = lines_read + 1 + (lines_before(path, start) if start else 0)
+                line = lines_read + 1 + lines_before(path, start)
                 raise error(f"{path}:{line}: invalid UTF-8")
             if tail := "".join(parts):
                 yield [tail]
@@ -125,18 +126,41 @@ def _line_ends(data: bytes, cr: bool) -> int:
     return ends - (cr and data.startswith(b"\n"))
 
 
+def read_record_chunks(
+    path: str | Path, width: int, error: type[Exception], start: int = 0,
+    stop: int | None = None, sep: str | None = "\t",
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """For each chunk that :func:`read_line_chunks` reads of a file or of its
+    byte window, yield the numbers in the window and the fields of its lines
+    that split on ``sep`` (None: whitespace) into ``width`` fields.  Other
+    whitespace-only lines are skipped; any other line is an error naming
+    ``<file>:<line>``, raised after the records before it are yielded."""
+    read = 0  # lines read
+    for lines in read_line_chunks(path, error, start, stop):
+        rows = list(map(str.split, lines, repeat(sep)))
+        numbers: Sequence[int] = range(read + 1, read + 1 + len(lines))
+        read += len(lines)
+        widths = list(map(len, rows))
+        if widths.count(width) == len(rows):
+            yield numbers, rows
+            continue
+        # the records before the first line that is neither one nor blank
+        bad = next((i for i, line in enumerate(lines)
+                    if widths[i] != width and line.strip()), len(lines))
+        if keep := [i for i in range(bad) if widths[i] == width]:
+            yield [numbers[i] for i in keep], [rows[i] for i in keep]
+        if bad < len(lines):
+            line = numbers[bad] + lines_before(path, start)
+            raise error(f"{path}:{line}: expected {width} fields, got {widths[bad]}")
+
+
 def read_records(
     path: str | Path, width: int, error: type[Exception], sep: str | None = "\t"
 ) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(lineno, fields)`` for each line that splits on ``sep`` (None:
-    whitespace) into exactly ``width`` fields, skip any other whitespace-only
-    line, and reject the rest."""
-    for lineno, line in enumerate(read_lines(path, error), 1):
-        fields = line.split(sep)
-        if len(fields) == width:
-            yield lineno, fields
-        elif line.strip():
-            raise error(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+    """Yield ``(lineno, fields)`` for each record of a file, as
+    :func:`read_record_chunks` reads them."""
+    for numbers, rows in read_record_chunks(path, width, error, sep=sep):
+        yield from zip(numbers, rows)
 
 
 def read_json(path: str | Path, error: type[Exception]) -> dict:

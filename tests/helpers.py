@@ -69,7 +69,7 @@ def make_mining_fixture(n_lines=1000, codes=("de", "nl", "fr"), seed=99):
             if i % 31 == 6:
                 # exact duplicate: same pivot, same foreign side
                 pairs.append((en, f"{code} translation of line {i}"))
-        rng.shuffle(pairs[n_lines // 2 :])  # scramble the tail, keep a stable head
+        pairs[n_lines // 2 :] = rng.permutation(pairs[n_lines // 2 :])  # keep a stable head
         bitexts[code] = pairs
     return bitexts
 

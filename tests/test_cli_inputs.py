@@ -277,6 +277,23 @@ def test_mine_without_a_shared_pivot_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, message",
+    [("pt-BR.tsv", "bitext with a '-' in a language code"),
+     ("pt\tBR.tsv", "bitext with a tab or line break in a language code")],
+    ids=["hyphen", "tab"],
+)
+def test_mine_names_a_bitext_file_with_a_bad_code(tmp_path, capsys, name, message):
+    # a code that no direction can hold is refused where it enters, naming its file
+    bitexts = tmp_path / "bitexts"
+    for file in ("de.tsv", name):
+        write(bitexts / file, "hello\thallo\n")
+    out = tmp_path / "mined"
+    envelope = json_error(["mine", "--bitexts", str(bitexts), "--out", str(out)], capsys)
+    assert envelope == {"error": "CorpusError", "message": f"{bitexts / name}: {message}"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "manifest, message", [("[1]", ": expected a JSON object"), ("", ":1:1: Expecting value")],
     ids=["list", "empty"],
 )
@@ -459,8 +476,9 @@ def test_score_on_empty_files_names_both(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, message",
     [("en-.txt", "dictionary with an empty language code"),
-     ("en-en.txt", "dictionary pair with identical languages")],
-    ids=["empty", "english"],
+     ("en-en.txt", "dictionary pair with identical languages"),
+     ("en-pt-BR.txt", "dictionary with a '-' in a language code")],
+    ids=["empty", "english", "hyphen"],
 )
 def test_probe_words_names_a_dictionary_file_with_a_bad_code(tmp_path, capsys, name, message):
     dicts = tmp_path / "dicts"

@@ -71,12 +71,16 @@ def test_different_seeds_differ():
     assert a != b
 
 
-def test_derive_is_position_independent():
-    parent = Stream(7)
-    child_before = parent.derive("rows")
-    parent.next_u64()
-    child_after = parent.derive("rows")
-    assert child_before.next_u64() == child_after.next_u64()
+@given(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=12))
+def test_stream_depends_on_the_seed_and_label_only(seed, label):
+    first = stream(seed, label)
+    drawn = [first.next_u64() for _ in range(3)]
+    stream(seed ^ 1, label).next_u64()
+    # draws made from any stream before it leave a new stream's start alone
+    again = stream(seed, label)
+    assert [again.next_u64() for _ in range(3)] == drawn
+    assert stream(seed, label)._state == _mix64((seed & _MASK64) ^ _fnv1a64(label))
+    assert stream(seed + 2**64, label)._state == stream(seed, label)._state
 
 
 def test_derived_labels_give_distinct_streams():
@@ -146,10 +150,17 @@ def test_randint_empty_range():
 
 
 @given(st.lists(st.integers(), max_size=50), st.integers())
-def test_shuffle_is_a_permutation(items, seed):
-    shuffled = list(items)
-    Stream(seed).shuffle(shuffled)
-    assert sorted(shuffled) == sorted(items)
+def test_permutation_holds_the_same_items(items, seed):
+    assert sorted(Stream(seed).permutation(items)) == sorted(items)
+
+
+def test_streams_and_permutations_are_pinned():
+    rng = stream(211, "rows")
+    assert [rng.next_u64() for _ in range(3)] == [
+        8128992303359200613, 11133803052655518643, 9983703514040680576,
+    ]
+    assert stream(-5, "directions").permutation(range(12)) == [2, 3, 0, 8, 10, 1, 6, 4, 5, 7, 11, 9]
+    assert Stream(9).permutation("abcdefgh") == list("dgfbhace")
 
 
 def test_permutation_leaves_input_untouched():

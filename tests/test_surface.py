@@ -104,3 +104,13 @@ def test_only_the_pool_starts_processes():
         or (isinstance(node, ast.ImportFrom) and node.module == "traceback")
     ]
     assert elsewhere == [] and tracebacks == []
+
+
+def test_only_textio_reads_lines():
+    # one reader splits every text input into lines; a second line parser
+    # elsewhere would fork the rules for line ends, bad bytes and file:line
+    trees = _trees()
+    assert _names(trees[PACKAGE / "textio.py"])["read_line_chunks"]
+    elsewhere = [path.name for path, tree in sorted(trees.items())
+                 if path.name != "textio.py" and _names(tree)["read_line_chunks"]]
+    assert elsewhere == []
