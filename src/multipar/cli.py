@@ -232,6 +232,14 @@ def cmd_mine(args, out: Path) -> None:
     )
 
 
+def _check_columns(corpus_dir: str, codes: set[str]) -> None:
+    """Refuse a corpus column that would make directions but whose code no
+    direction can hold, naming its file, as ``mine`` names a bitext's."""
+    for code in sorted(codes):
+        if fault := code_fault(code):
+            raise CorpusError(f"{Path(corpus_dir) / code}.txt: corpus column with {fault}")
+
+
 def _directions(args, codes, registry) -> tuple[Direction, ...]:
     dirs = enumerate_directions(
         codes,
@@ -240,9 +248,7 @@ def _directions(args, codes, registry) -> tuple[Direction, ...]:
         english_code=registry.english_code,
     )
     if args.family:
-        dirs = restrict_directions_to_family(
-            dirs, args.family, registry, include_english=not args.no_english_centric
-        )
+        dirs = restrict_directions_to_family(dirs, args.family, registry)
     if args.fraction is not None:
         dirs = sample_directions(dirs, args.fraction, args.seed)
     return dirs
@@ -251,6 +257,7 @@ def _directions(args, codes, registry) -> tuple[Direction, ...]:
 def cmd_build_ft(args, out: Path) -> None:
     registry = _registry(args)
     corpus = load_corpus_dir(args.corpus)
+    _check_columns(args.corpus, set(corpus.languages).difference(args.exclude))
     dirs = _directions(args, corpus.languages, registry)
     row_ids = None if args.rows is None else sample_rows(corpus, args.rows, args.seed)
     dataset = build_pairwise(corpus, dirs, row_ids)
@@ -312,6 +319,8 @@ def cmd_probe_words(args, out: Path) -> None:
 def cmd_buckets(args, out: Path) -> None:
     corpus = load_corpus_dir(args.corpus)
     corpus_codes = args.languages or list(corpus.languages)
+    if args.setting != "none":
+        _check_columns(args.corpus, set(corpus_codes).intersection(corpus.languages))
     buckets = partition_buckets(corpus.row_ids, args.num_buckets, args.seed)
     mapping = {str(rid): b for b, rows in enumerate(buckets) for rid in rows}
     _write_json(out / "buckets.json", {"num_buckets": len(buckets), "mapping": mapping})

@@ -192,8 +192,9 @@ def mine_pivot_aligned(
 
     An English sentence occurring more than once within a single bitext is
     ambiguous in that bitext and is dropped from it before joining, so each
-    output row is a function of the pivot string.  Output rows follow the
-    first-seen order of the pivot in the first bitext; the result is fully
+    output row is a function of the pivot string.  An English side that is
+    empty once trimmed joins nothing.  Output rows follow the first-seen
+    order of the pivot in the first bitext; the result is fully
     multi-parallel over {english} + the bitext languages, except where a
     bitext's foreign side is empty: that cell is missing.
     """
@@ -220,13 +221,8 @@ def mine_pivot_aligned(
         dup_counts[code] = len(ambiguous)
 
     codes = list(bitexts)
-    first = codes[0]
-    order: list[str] = []
-    for en, _ in bitexts[first]:
-        # a pivot left in a bitext's index occurs in it exactly once
-        key = normalize_pivot(en)
-        if key in indexes[first] and all(key in indexes[c] for c in codes[1:]):
-            order.append(key)
+    # the first index holds its unambiguous pivots in first-seen order
+    order = [key for key in indexes[codes[0]] if key and all(key in indexes[c] for c in codes[1:])]
 
     columns = {english_code: tuple(order)}
     for c in codes:

@@ -143,13 +143,10 @@ def sample_directions(
 
 
 def restrict_directions_to_family(
-    dirs: tuple[Direction, ...],
-    family: str,
-    registry: LanguageRegistry,
-    include_english: bool = True,
+    dirs: tuple[Direction, ...], family: str, registry: LanguageRegistry
 ) -> tuple[Direction, ...]:
     """Directions whose both endpoints belong to the family."""
-    members = set(registry.members_of_family(family, include_english=include_english))
+    members = set(registry.members_of_family(family))
     kept = tuple(d for d in dirs if d.src in members and d.tgt in members)
     if not kept:
         raise DatagenError(f"no directions fall within family {family!r}")
@@ -360,23 +357,14 @@ def build_multidirectional_setting(
 
 def apply_tags(dataset: FtDataset, tag: str) -> FtDataset:
     """The dataset with the manifest's ``tag_strategy`` set to ``tag``, whose
-    tags are added to each record as it is emitted or viewed."""
-    manifest = _tagged_manifest(dataset.manifest, tag)
-    return dataset if tag == "none" else replace(dataset, manifest=manifest)
-
-
-def _tagged_manifest(manifest: Mapping[str, object], tag: str) -> Mapping[str, object]:
-    """The manifest of a dataset tagged with ``tag``.
-
-    Tagging an already-tagged dataset is an error (detected via the
-    manifest), since tags are plain text once emitted.
-    """
+    tags are added to each record as it is emitted or viewed; ``none`` leaves
+    it as it is, and tagging a tagged dataset is an error."""
     _templates(tag)
     if tag == "none":
-        return manifest
-    if manifest.get("tag_strategy", "none") != "none":
+        return dataset
+    if dataset.manifest.get("tag_strategy", "none") != "none":
         raise DatagenError("dataset is already tagged")
-    return {**manifest, "tag_strategy": tag}
+    return replace(dataset, manifest={**dataset.manifest, "tag_strategy": tag})
 
 
 # records written per chunk: one joined string per chunk
@@ -649,14 +637,18 @@ def tag_bitext(directory: str | Path, tag: str, path: str | Path, workers: int |
     in bounded memory.
 
     ``manifest.json`` in ``directory`` gives the manifest, which is
-    ``{"tag_strategy": "none"}`` when the file is absent.
+    ``{"tag_strategy": "none"}`` when the file is absent.  A tagged dataset is
+    refused for every ``tag``: its records hold tags that writing would repeat.
     """
     directory, out = Path(directory), Path(path)
     manifest_path = directory / "manifest.json"
     manifest = {"tag_strategy": "none"}
     if manifest_path.exists():
         manifest = read_json(manifest_path, DatagenError)
-    manifest = _tagged_manifest(manifest, tag)
+    if (strategy := manifest.get("tag_strategy", "none")) != "none":
+        raise DatagenError(f"{manifest_path}: dataset is already tagged with {strategy!r}")
+    if tag != "none":
+        manifest = {**manifest, "tag_strategy": tag}
     records = directory / "records.tsv"
     try:
         size = records.stat().st_size

@@ -73,7 +73,6 @@ _MODEL_FIELDS = {
     "languages": (list,),
     "max_order": (int,),
     "alpha": (float, int),
-    "empty_is_off_target": (bool,),
     "priors": (dict,),
     "vocab_sizes": (list,),
     "counts": (dict,),
@@ -88,7 +87,6 @@ class LidError(ValueError):
 class LidConfig:
     max_order: int = 3
     alpha: float = 0.1
-    empty_is_off_target: bool = True
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -108,6 +106,9 @@ def _check_model_json(data) -> LidConfig:
     for key, kinds in _MODEL_FIELDS.items():
         if type(data.get(key)) not in kinds:
             raise LidError(f"{key!r} is missing or not a JSON {kinds[0].__name__}")
+    # off_target_rate and on_target_subset both count empty text as off target
+    if data.get("empty_is_off_target") is not True:
+        raise LidError("'empty_is_off_target' must be true: empty text is always off target")
     languages, n = data["languages"], data["max_order"]
     if not all(type(code) is str for code in languages) or not (
         set(languages) == set(data["priors"]) == set(data["counts"])
@@ -122,8 +123,7 @@ def _check_model_json(data) -> LidConfig:
     vocab_sizes = data["vocab_sizes"]
     if len(vocab_sizes) != n or any(type(v) is not int or v < 1 for v in vocab_sizes):
         raise LidError(f"vocab_sizes must be {n} integers >= 1")
-    config = LidConfig(max_order=n, alpha=data["alpha"],
-                       empty_is_off_target=data["empty_is_off_target"])
+    config = LidConfig(max_order=n, alpha=data["alpha"])
     for tables in data["counts"].values():
         if type(tables) is not list or len(tables) != n or any(
             type(table) is not dict or any(type(c) is not int or c < 0 for c in table.values())
@@ -242,7 +242,7 @@ class LidModel:
             "languages": list(self.languages),
             "max_order": self.config.max_order,
             "alpha": self.config.alpha,
-            "empty_is_off_target": self.config.empty_is_off_target,
+            "empty_is_off_target": True,
             "priors": dict(self.priors),
             "vocab_sizes": list(self.vocab_sizes),
             "counts": {lang: list(tables) for lang, tables in self.counts.items()},
@@ -371,20 +371,17 @@ def off_target_rate(
     """Fraction of hypotheses not classified as their expected language.
 
     ``hyps`` is a list of (text, expected code), each code one of the
-    model's languages; results are grouped by the expected code.  Empty
-    hypotheses count per the model's config.  The texts are classified in up
-    to ``workers`` processes.
+    model's languages; results are grouped by the expected code.  A
+    hypothesis is off target when its label is not its code, so an empty one,
+    labelled ``UNKNOWN``, always is.  The texts are classified in up to
+    ``workers`` processes.
     """
     labels = _labels([text for text, _ in hyps], model, workers)
     per: dict[str, dict] = {}
     for (_, expected), label in zip(hyps, labels):
         entry = per.setdefault(expected, {"total": 0, "off_target": 0})
         entry["total"] += 1
-        if label is UNKNOWN:
-            off = model.config.empty_is_off_target
-        else:
-            off = label != expected
-        if off:
+        if label != expected:
             entry["off_target"] += 1
     for entry in per.values():
         entry["rate"] = entry["off_target"] / entry["total"]

@@ -71,15 +71,10 @@ class LanguageRegistry:
         seen = dict.fromkeys(spec.family for spec in self.entries)
         return tuple(seen)
 
-    def members_of_family(self, family: str, include_english: bool = True) -> tuple[str, ...]:
+    def members_of_family(self, family: str) -> tuple[str, ...]:
         if family not in self.families:
             raise RegistryError(f"unknown family {family!r}")
-        codes = [
-            s.code
-            for s in self.entries
-            if s.family == family and (include_english or s.code != self.english_code)
-        ]
-        return tuple(codes)
+        return tuple(s.code for s in self.entries if s.family == family)
 
     def tier_of(self, code: str) -> str:
         return self[code].tier

@@ -137,10 +137,10 @@ def _labeler(scheme: str, registry: LanguageRegistry) -> Callable[[Direction], s
         raise ReportError(f"unknown grouping scheme {scheme!r}")
     if not family:
         raise ReportError("family scheme requires a family name")
-    members = set(registry.members_of_family(family, include_english=False))
+    members = set(registry.members_of_family(family))
 
     def family_role(d: Direction) -> str | None:
-        # zero-shot directions only
+        # zero-shot directions only, so English is never a member here
         if d.is_english_centric(english):
             return None
         src_in, tgt_in = d.src in members, d.tgt in members

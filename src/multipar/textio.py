@@ -3,11 +3,13 @@
 Every text input is UTF-8.  LF, CRLF and CR all end a line, and a final line
 end closes the last line rather than opening an empty one.  Line-aligned files
 (corpus columns, ``score`` hypotheses and references) keep every line, since a
-blank line there is a value.  Every record file is read by
-``read_record_chunks``, which skips a whitespace-only line that lacks the
-expected field count.  Errors are raised as the caller's exception class and
-name ``<file>:<line>``, or the file when it cannot be read.  JSON inputs are
-read the same way, and malformed JSON names ``<file>:<line>:<col>``.
+blank line there is a value.  Every record file but the score TSV is read
+by ``read_record_chunks``, which skips a whitespace-only line that lacks the
+expected field count; ``report.load_scores`` splits the score TSV's lines
+itself, so that one error names every bad line.  Errors are raised as the
+caller's exception class and name ``<file>:<line>``, or the file when it
+cannot be read.  JSON inputs are read the same way, and malformed JSON names
+``<file>:<line>:<col>``.
 
 A file is read in binary chunks decoded incrementally, so a byte window of it
 can be read alone: its lines are those that start after an LF in it, so a

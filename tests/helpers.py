@@ -21,7 +21,7 @@ def brute_force_mine(bitexts, english_code="en"):
     """Naive reference join of English-centric bitexts.
 
     A pivot is usable in one bitext iff its trimmed form occurs exactly once
-    there; a row exists iff the pivot is usable in every bitext.  Rows follow
+    there; a row exists iff the pivot is nonempty and usable in every bitext.  Rows follow
     the first-occurrence order of usable pivots in the first bitext.  Returns
     one tuple of cells per language, English first.
     """
@@ -42,7 +42,7 @@ def brute_force_mine(bitexts, english_code="en"):
         if key in seen:
             continue
         seen.add(key)
-        if all(key in usable[c] for c in codes):
+        if key and all(key in usable[c] for c in codes):
             keys.append(key)
     return {english_code: tuple(keys), **{c: tuple(usable[c][k] for k in keys) for c in codes}}
 

@@ -85,9 +85,7 @@ def test_criterion_combinatorics():
             src, tgt = cell.split("-")
             assert n == (90 if src == tgt else 100), cell
 
-        germanic = restrict_directions_to_family(
-            enumerate_directions(REG.codes), "Germanic", REG, include_english=True
-        )
+        germanic = restrict_directions_to_family(enumerate_directions(REG.codes), "Germanic", REG)
         assert len(germanic) == 42
 
 

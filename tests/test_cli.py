@@ -130,6 +130,21 @@ def test_tag_subcommand_and_double_tag_error(corpus_dir, tmp_path):
     assert main(["tag", "--dataset", str(tagged), "--tag", "one_tag", "--out", str(again)]) == 1
 
 
+@pytest.mark.parametrize("kind", ["none", "one_tag", "two_tag"])
+def test_tag_refuses_a_tagged_dataset_for_every_tag(corpus_dir, tmp_path, capsys, kind):
+    # `--tag none` once wrote every record's tags a second time and exited 0
+    ft = tmp_path / "ft"
+    assert main(["build-ft", "--corpus", str(corpus_dir), "--tag", "one_tag", "--out", str(ft)]) == 0
+    out = tmp_path / "out"
+    argv = ["tag", "--dataset", str(ft), "--tag", kind, "--out", str(out), "--json-errors"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DatagenError",
+        "message": f"{ft / 'manifest.json'}: dataset is already tagged with 'one_tag'",
+    }
+    assert not out.exists()
+
+
 def test_tag_keeps_interleaved_direction_order(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()

@@ -293,6 +293,43 @@ def test_mine_names_a_bitext_file_with_a_bad_code(tmp_path, capsys, name, messag
     assert not out.exists()
 
 
+def hand_made_corpus(root):
+    """A corpus directory without a manifest, one column coded ``pt-BR``."""
+    for code in ("de", "nl", "pt-BR"):
+        write(root / "corpus" / f"{code}.txt", "".join(f"{code} {i}\n" for i in range(4)))
+    return root / "corpus"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build-ft"], ["build-ft", "--exclude", "nl"],
+     ["buckets", "--num-buckets", "2", "--setting", "multi_parallel"],
+     ["buckets", "--num-buckets", "3", "--setting", "multi_directional"]],
+    ids=["build-ft", "build-ft-exclude", "multi_parallel", "multi_directional"],
+)
+def test_a_corpus_code_no_direction_can_hold_is_named_by_its_file(tmp_path, capsys, argv):
+    # these exited 1 at the first direction, naming no file
+    corpus = hand_made_corpus(tmp_path)
+    out = tmp_path / "out"
+    envelope = json_error([*argv, "--corpus", str(corpus), "--out", str(out)], capsys)
+    assert envelope == {
+        "error": "CorpusError",
+        "message": f"{corpus / 'pt-BR.txt'}: corpus column with a '-' in a language code",
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lid-train"], ["buckets", "--num-buckets", "2"], ["build-ft", "--exclude", "pt-BR"],
+     ["buckets", "--num-buckets", "1", "--setting", "multi_directional", "--languages", "de", "nl"]],
+    ids=["lid-train", "buckets-none", "build-ft-exclude", "buckets-languages"],
+)
+def test_a_corpus_code_that_makes_no_direction_is_accepted(tmp_path, argv):
+    corpus = hand_made_corpus(tmp_path)
+    assert main([*argv, "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
     "manifest, message", [("[1]", ": expected a JSON object"), ("", ":1:1: Expecting value")],
     ids=["list", "empty"],
@@ -329,10 +366,16 @@ def test_bad_dataset_manifest_is_a_datagen_error(tmp_path, capsys, manifest, mes
          "an unseen n-gram gets probability 0"),
         (lambda m: {**m, "alpha": 5e-324}, "an unseen n-gram gets probability 0"),
         (lambda m: {**m, "languages": ["aa", "bb", "aa"]}, "language code 'aa' is listed twice"),
+        # lid-eval once counted such a model's empty hypotheses on target,
+        # while ontarget left them out
+        (lambda m: {**m, "empty_is_off_target": False},
+         "'empty_is_off_target' must be true: empty text is always off target"),
+        (lambda m: {k: v for k, v in m.items() if k != "empty_is_off_target"},
+         "'empty_is_off_target' must be true"),
     ],
     ids=["empty", "list", "max_order", "priors", "prior", "vocab", "tables", "count",
          "infinite-prior", "zero-vocab", "negative-count", "huge-count", "tiny-alpha",
-         "duplicate-language"],
+         "duplicate-language", "empty-on-target", "no-empty-policy"],
 )
 def test_bad_lid_model_is_a_lid_error(tmp_path, lid_model, capsys, command, edit, message):
     argv, hyps, first = stage(command, tmp_path, lid_model)
@@ -444,8 +487,10 @@ def test_language_code_with_a_hyphen_is_an_error(tmp_path, capsys, fmt):
     argv = ["build-ft", "--corpus", str(tmp_path / "corpus"), "--format", fmt,
             "--out", str(out)]
     envelope = json_error(argv, capsys)
-    assert envelope == {"error": "DatagenError",
-                        "message": "direction with a '-' in a language code 'a'-'a-b'"}
+    assert envelope == {
+        "error": "CorpusError",
+        "message": f"{tmp_path / 'corpus' / 'a-b.txt'}: corpus column with a '-' in a language code",
+    }
     assert not out.exists()
 
 

@@ -244,6 +244,31 @@ def test_mine_empty_foreign_side_is_a_missing_cell():
     assert not fully_parallel(corpus)
 
 
+def test_mine_never_joins_on_a_blank_pivot():
+    # a blank English side once joined "guten tag" to "goedemorgen"
+    bitexts = {
+        "de": [(" ", "guten tag"), ("Hi", "Hallo")],
+        "nl": [("", "goedemorgen"), ("Hi", "Hoi")],
+    }
+    corpus, stats = mine_pivot_aligned(bitexts)
+    assert corpus.columns == {"en": ("Hi",), "de": ("Hallo",), "nl": ("Hoi",)}
+    assert stats.yield_rows == 1
+    assert stats.input_pairs == {"de": 2, "nl": 2}
+
+
+_pivots = st.sampled_from(["", " ", "\t", "a", " a", "b", "c d", "e"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(_pivots, st.text("xyz", max_size=2)), max_size=6),
+                min_size=2, max_size=3))
+def test_mine_matches_brute_force_on_blank_and_repeated_pivots(pairs):
+    bitexts = {code: rows for code, rows in zip(("de", "nl", "fr"), pairs)}
+    corpus, stats = mine_pivot_aligned(bitexts)
+    assert corpus.columns == brute_force_mine(bitexts)
+    assert stats.yield_rows == corpus.n_rows
+
+
 def test_mine_requires_two_bitexts():
     with pytest.raises(CorpusError):
         mine_pivot_aligned({"de": [("a", "b")]})

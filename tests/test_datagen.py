@@ -152,8 +152,8 @@ def test_restrict_to_family():
     dirs = enumerate_directions(EC30_CODES)
     germanic = restrict_directions_to_family(dirs, "Germanic", reg)
     assert len(germanic) == 42  # 7 languages including English
-    no_en = restrict_directions_to_family(dirs, "Germanic", reg, include_english=False)
-    assert len(no_en) == 30  # 6 languages
+    zero_shot = enumerate_directions(EC30_CODES, include_english_centric=False)
+    assert len(restrict_directions_to_family(zero_shot, "Germanic", reg)) == 30  # 6 languages
     with pytest.raises(ValueError):  # unknown family comes from the registry
         restrict_directions_to_family(dirs, "Klingon", reg)
 

@@ -146,14 +146,26 @@ def test_off_target_rate_exact_hand_counts(disjoint_model):
     assert report.overall_rate == pytest.approx(3 / 13)
 
 
-def test_off_target_empty_policy_configurable():
-    train = {
-        "aa": synthetic_sentences(ALPHA_A, 50, seed=1),
-        "bb": synthetic_sentences(ALPHA_B, 50, seed=2),
-    }
-    lenient = lid_train(train, LidConfig(empty_is_off_target=False))
-    report = off_target_rate([("", "aa")], lenient)
-    assert report.overall_off_target == 0
+def test_lid_eval_and_ontarget_agree_on_empty_hypotheses(disjoint_model, tmp_path):
+    disjoint_model.save(tmp_path / "model.json")
+    a = synthetic_sentences(ALPHA_A, 1, seed=5)[0]
+    b = synthetic_sentences(ALPHA_B, 1, seed=6)[0]
+    hyps = [("aa", a), ("aa", ""), ("aa", "  "), ("bb", b), ("bb", a), ("bb", "")]
+    (tmp_path / "eval.tsv").write_text(
+        "".join(f"{code}\t{text}\n" for code, text in hyps), encoding="utf-8")
+    (tmp_path / "rows.tsv").write_text(
+        "".join(f"xx-{code}\t{i}\t{text}\n" for i, (code, text) in enumerate(hyps)),
+        encoding="utf-8")
+    for subcommand, name in [("lid-eval", "eval.tsv"), ("ontarget", "rows.tsv")]:
+        argv = [subcommand, "--model", str(tmp_path / "model.json"),
+                "--hypotheses", str(tmp_path / name), "--out", str(tmp_path / subcommand)]
+        assert main(argv) == 0
+    off = json.loads((tmp_path / "lid-eval" / "off_target.json").read_text(encoding="utf-8"))
+    on = json.loads((tmp_path / "ontarget" / "on_target.json").read_text(encoding="utf-8"))
+    assert on == {"xx-aa": [0], "xx-bb": [3]}
+    for code in ("aa", "bb"):
+        entry = off["per_direction"][code]
+        assert entry["total"] - entry["off_target"] == len(on[f"xx-{code}"]) == 1
 
 
 def lid_error(tmp_path, capsys, model, subcommand, hyps):

@@ -40,10 +40,10 @@ def test_ec30_tier_sizes():
 def test_ec30_family_sizes():
     reg = ec30()
     for family in ("Germanic", "Romance", "Slavic", "Indo-Aryan", "Afro-Asiatic"):
-        members = reg.members_of_family(family, include_english=False)
+        members = set(reg.members_of_family(family)) - {reg.english_code}
         assert len(members) == 6, family
-    # English counts as Germanic when included
-    assert len(reg.members_of_family("Germanic", include_english=True)) == 7
+    # English counts as Germanic
+    assert len(reg.members_of_family("Germanic")) == 7
 
 
 def test_spot_check_entries():
