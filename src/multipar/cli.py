@@ -6,18 +6,22 @@ byte-identical.  ``--threads`` bounds the processes, this one included, that
 ``score``, ``lid-train``, ``lid-eval`` and ``ontarget`` work in (default: the
 CPUs this process may run on); ``mine``, ``mix`` and ``report`` do not take
 it.  It never changes the output, nor the error a run exits with.
+``--registry`` (default: the bundled EC30 registry) is taken only by the
+subcommands that read a registry: ``mine``, ``build-ft``, ``probe-numbers``,
+``probe-words`` and ``report``.
 
 ``main()`` owns ``--out``: a subcommand writes its files into a hidden
 staging directory inside it.  On success each staged file is moved to the
 same relative path under ``--out`` and a ``run.json`` manifest is written,
 with the seed, tool version, and SHA-256 digests of the inputs the
-subcommand declares, taken before it runs.  A staged file that would replace
-one of those input files is an error, except in ``tag``, which may retag a
-dataset in place, and so is a ``manifest.json`` that would replace a corpus
-manifest (it lists ``languages``) with a dataset manifest (it has a
-``format``) or the reverse.  On any error the staging directory, ``--out``
-if the run made it, and each parent made for it that is left empty are
-removed, so ``--out`` is left as it was.
+subcommand declares, a ``--registry`` file included, taken before it runs.
+A staged file that would replace one of those input files is an error,
+except in ``tag``, which may retag a dataset in place, and so is a
+``manifest.json`` that would replace a corpus manifest (it lists
+``languages``) with a dataset manifest (it has a ``format``) or the reverse.
+On any error the staging directory, ``--out`` if the run made it, and each
+parent made for it that is left empty are removed, so ``--out`` is left as it
+was.
 Each file is replaced atomically; the directory as a whole is not, so a
 failure while moving can leave some files replaced and others not.
 
@@ -199,7 +203,7 @@ def _run_staged(args) -> None:
 
 
 def _registry(args) -> LanguageRegistry:
-    if getattr(args, "registry", None):
+    if args.registry:
         return LanguageRegistry.load(args.registry)
     return ec30()
 
@@ -321,6 +325,11 @@ def cmd_buckets(args, out: Path) -> None:
     corpus_codes = args.languages or list(corpus.languages)
     if args.setting != "none":
         _check_columns(args.corpus, set(corpus_codes).intersection(corpus.languages))
+        if args.languages and len(set(args.languages)) < 2:
+            raise DatagenError(
+                f"--languages {' '.join(args.languages)}: a bucketed setting needs at "
+                "least 2 languages"
+            )
     buckets = partition_buckets(corpus.row_ids, args.num_buckets, args.seed)
     mapping = {str(rid): b for b, rows in enumerate(buckets) for rid in rows}
     _write_json(out / "buckets.json", {"num_buckets": len(buckets), "mapping": mapping})
@@ -491,7 +500,6 @@ def _options(parser: argparse.ArgumentParser, subcommand: str) -> dict[str, argp
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     p.add_argument("--config", help="key = value config file; flags override it")
     p.add_argument("--json-errors", action="store_true", help="JSON error envelope on stderr")
     if seed:
@@ -507,6 +515,7 @@ def _add_threads(p: argparse.ArgumentParser) -> None:
 
 
 def _add_direction_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     p.add_argument("--fraction", type=float, help="sample this fraction of directions")
     p.add_argument("--family", help="restrict directions to one language family")
     p.add_argument("--exclude", nargs="*", default=[], help="languages to exclude")
@@ -526,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="join English-centric bitexts into a multi-parallel corpus")
     p.add_argument("--bitexts", required=True, help="directory of <code>.tsv en<TAB>xx files")
+    p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_mine, inputs=("bitexts",))
+    p.set_defaults(func=cmd_mine, inputs=("bitexts", "registry"))
 
     p = sub.add_parser("build-ft", help="build pairwise fine-tuning bitext")
     p.add_argument("--corpus", required=True, help="corpus directory")
@@ -537,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_flags(p)
     _add_threads(p)
     _add_common(p)
-    p.set_defaults(func=cmd_build_ft, inputs=("corpus",))
+    p.set_defaults(func=cmd_build_ft, inputs=("corpus", "registry"))
 
     p = sub.add_parser("probe-numbers", help="generate the number-pair probe dataset")
     p.add_argument("--languages", nargs="*", help="codes (default: registry)")
@@ -550,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_flags(p)
     _add_threads(p)
     _add_common(p)
-    p.set_defaults(func=cmd_probe_numbers, inputs=())
+    p.set_defaults(func=cmd_probe_numbers, inputs=("registry",))
 
     p = sub.add_parser("probe-words", help="generate the pivoted word-pair probe dataset")
     p.add_argument("--dictionaries", required=True, help="directory of en-<code>.txt MUSE files")
@@ -558,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_flags(p)
     _add_threads(p)
     _add_common(p)
-    p.set_defaults(func=cmd_probe_words, inputs=("dictionaries",))
+    p.set_defaults(func=cmd_probe_words, inputs=("dictionaries", "registry"))
 
     p = sub.add_parser("buckets", help="bucket rows; optionally build a bucketed dataset")
     p.add_argument("--corpus", required=True)
@@ -629,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="resource_grid | english_centric | family:<name>",
     )
     p.add_argument("--format", choices=["tsv", "json", "markdown"], default="tsv")
+    p.add_argument("--registry", help="registry JSON (default: bundled EC30)")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_report, inputs=("scores", "baseline"))
+    p.set_defaults(func=cmd_report, inputs=("scores", "baseline", "registry"))
 
     return parser
 

@@ -36,7 +36,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from operator import add
 from typing import Sequence
 
@@ -165,7 +165,8 @@ def bleu(pairs: Sequence[ScorePair], workers: int | None = 1) -> float:
     brevity_penalty = 1.0
     if sys_len < ref_len:
         brevity_penalty = math.exp(1 - ref_len / sys_len) if sys_len > 0 else 0.0
-    return brevity_penalty * math.exp(sum(log_precisions) / BLEU_MAX_ORDER)
+    # a left fold: sum() compensates float rounding from Python 3.12 on
+    return brevity_penalty * math.exp(reduce(add, log_precisions, 0.0) / BLEU_MAX_ORDER)
 
 
 # --- ChrF / ChrF++ ----------------------------------------------------------

@@ -18,7 +18,9 @@ because the two generally differ.  Every group mean is finite.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import groupby
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -108,7 +110,8 @@ def _mean(values: Iterable[float]) -> float | None:
     values = list(values)
     if not values:
         return None
-    mean = sum(values) / len(values)
+    # a left fold: sum() compensates float rounding from Python 3.12 on
+    mean = reduce(add, values, 0.0) / len(values)
     if not math.isfinite(mean):
         raise ReportError(f"the mean of {len(values)} values overflows")
     return mean

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import reduce
 from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import Mapping
 
@@ -32,11 +34,13 @@ def temperature_weights(sizes: Mapping[str, int | float], temperature: float) ->
         raise SamplingError("empty size table")
     if any(n <= 0 for n in sizes.values()):
         raise SamplingError("all sizes must be positive")
-    total = sum(sizes.values())
+    # left folds: sum() compensates float rounding from Python 3.12 on; the
+    # start 0 keeps int sizes exact, as sum() does
+    total = reduce(add, sizes.values(), 0)
     if not math.isfinite(total):
         raise SamplingError("sizes sum beyond the float range")
     raw = {k: (n / total) ** (1.0 / temperature) for k, n in sizes.items()}
-    norm = sum(raw.values())
+    norm = reduce(add, raw.values(), 0.0)
     if norm == 0:
         raise SamplingError(f"every weight underflows to 0 at temperature {temperature}")
     return {k: v / norm for k, v in raw.items()}

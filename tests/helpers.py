@@ -4,9 +4,11 @@ The oracles here deliberately use naive, quadratic scans and plain loops so
 they share no code path with the library implementations they check.
 """
 
+import random
 from collections import Counter
 
 from multipar.corpus import MultiParallelCorpus
+from multipar.registry import ec30
 from multipar.rng import Stream
 
 
@@ -123,3 +125,19 @@ def synthetic_sentences(alphabet, n_sentences, seed, words=6, min_len=3, max_len
             )
         out.append(" ".join(sentence_words))
     return out
+
+
+# --- score matrices ------------------------------------------------------------
+
+
+def write_ec30_scores(path, seed):
+    """A seeded chrf and bleu score for every one of EC30's 930 directions."""
+    rnd = random.Random(seed)
+    codes = ec30().codes
+    lines = ["src_lang\ttgt_lang\tmetric\tvalue\tcount\n"]
+    for src in codes:
+        for tgt in codes:
+            if src != tgt:
+                for metric in ("bleu", "chrf"):
+                    lines.append(f"{src}\t{tgt}\t{metric}\t{rnd.uniform(0, 60):.3f}\t100\n")
+    path.write_text("".join(lines), encoding="utf-8")

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 import tracemalloc
 
 import pytest
@@ -10,7 +9,7 @@ from multipar.corpus import MultiParallelCorpus, save_corpus
 from multipar.registry import ec30
 from multipar.textio import CHUNK_CHARS
 
-from helpers import full_corpus, make_mining_fixture, synthetic_sentences
+from helpers import full_corpus, make_mining_fixture, synthetic_sentences, write_ec30_scores
 
 
 def write_bitexts(directory, bitexts):
@@ -280,18 +279,6 @@ def test_tag_memory_does_not_grow_with_the_input(tmp_path):
     size, small = peak(10_000)
     assert size > 4 * CHUNK_CHARS
     assert peak(100_000)[1] <= 1.5 * small
-
-
-def test_buckets_ignores_registry_flag(tmp_path):
-    path = tmp_path / "corpus"
-    save_corpus(full_corpus(["de", "en", "nl"], 30), path)
-    out = tmp_path / "buckets"
-    rc = main(
-        ["buckets", "--corpus", str(path), "--num-buckets", "3",
-         "--registry", str(tmp_path / "missing.json"), "--out", str(out)]
-    )
-    assert rc == 0
-    assert json.loads((out / "buckets.json").read_text())["num_buckets"] == 3
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -735,19 +722,6 @@ def test_report_markdown_renders_the_resource_grid(tmp_path):
     )
 
 
-def write_ec30_scores(path, seed):
-    """A seeded chrf and bleu score for every one of EC30's 930 directions."""
-    rnd = random.Random(seed)
-    codes = ec30().codes
-    lines = [SCORE_HEADER]
-    for src in codes:
-        for tgt in codes:
-            if src != tgt:
-                for metric in ("bleu", "chrf"):
-                    lines.append(f"{src}\t{tgt}\t{metric}\t{rnd.uniform(0, 60):.3f}\t100\n")
-    path.write_text("".join(lines), encoding="utf-8")
-
-
 @pytest.mark.parametrize(
     "fmt, digests",
     [
@@ -795,6 +769,21 @@ def test_buckets_multi_parallel(tmp_path):
     lines = (out / "dataset" / "records.tsv").read_text().splitlines()
     # a full_corpus cell is "<code> r <row> alpha beta"
     assert {int(line.split("\t")[2].split()[2]) for line in lines} == set(bucket_rows)
+
+
+@pytest.mark.parametrize("setting", ["multi_parallel", "multi_directional"])
+@pytest.mark.parametrize("languages", [["de"], ["de", "de"]])
+def test_buckets_with_one_language_names_the_flag(tmp_path, capsys, setting, languages):
+    path = tmp_path / "corpus"
+    save_corpus(full_corpus(["de", "en", "nl"], 3), path)
+    out = tmp_path / "buckets"
+    rc = main(["buckets", "--corpus", str(path), "--num-buckets", "1", "--setting", setting,
+               "--languages", *languages, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"--languages {' '.join(languages)}: " in err and "at least 2 languages" in err
+    assert "exclusions" not in err
+    assert not out.exists()
 
 
 BUCKETS_JSON = "df1c2e60cde83112039731780bd07c9a8075fc770109c9c73ee4357c8d6f7a1a"
