@@ -211,6 +211,10 @@ def _registry(args) -> LanguageRegistry:
 # --- subcommand implementations ----------------------------------------------
 
 
+def _bitext_pairs(path: Path):
+    yield from load_bitext_tsv(path)
+
+
 def cmd_mine(args, out: Path) -> None:
     bitext_dir = Path(args.bitexts)
     files = sorted(bitext_dir.glob("*.tsv"))
@@ -219,8 +223,10 @@ def cmd_mine(args, out: Path) -> None:
     for f in files:
         if fault := code_fault(f.stem):
             raise CorpusError(f"{f}: bitext with {fault}")
-    bitexts = {f.stem: load_bitext_tsv(f) for f in files}
     registry = _registry(args)
+    # each file is read only when the miner reaches it, after its checks on
+    # the codes, and dropped when the miner moves on
+    bitexts = {f.stem: _bitext_pairs(f) for f in files}
     corpus, stats = mine_pivot_aligned(bitexts, english_code=registry.english_code)
     if not stats.yield_rows:
         names = ", ".join(str(f) for f in files)

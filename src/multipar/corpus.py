@@ -13,7 +13,8 @@ line endings) plus an optional ``manifest.json`` recording the language list,
 row count, row ids, and provenance.  Bitext inputs for mining are
 per-language TSV files with one ``english<TAB>foreign`` pair per line.  Both
 are read through :mod:`multipar.textio`: a column keeps every line, and a
-bitext skips blank lines.
+bitext skips blank lines.  The miner iterates each bitext once, in order, so
+a caller that passes them lazily holds one bitext's pairs at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import compress
 from operator import not_
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .textio import read_json, read_lines, read_record_chunks
 
@@ -185,7 +186,7 @@ def load_bitext_tsv(path: str | Path) -> list[tuple[str, str]]:
 
 
 def mine_pivot_aligned(
-    bitexts: Mapping[str, Sequence[tuple[str, str]]],
+    bitexts: Mapping[str, Iterable[tuple[str, str]]],
     english_code: str = "en",
 ) -> tuple[MultiParallelCorpus, MiningStats]:
     """Join English-centric bitexts on identical (normalized) English sentences.
@@ -197,18 +198,27 @@ def mine_pivot_aligned(
     order of the pivot in the first bitext; the result is fully
     multi-parallel over {english} + the bitext languages, except where a
     bitext's foreign side is empty: that cell is missing.
+
+    Each bitext is iterated once, in mapping order, and only after the
+    checks on the mapping's keys.  Held at a time are one bitext's pivot
+    index and the rows still joinable: the pivots found once in every bitext
+    read so far, with their foreign sides.
     """
     if len(bitexts) < 2:
         raise CorpusError("pivot mining needs at least two bitexts")
     if english_code in bitexts:
         raise CorpusError(f"bitext keyed by the pivot language {english_code!r}")
 
-    indexes: dict[str, dict[str, str]] = {}
+    input_pairs: dict[str, int] = {}
     dup_counts: dict[str, int] = {}
+    order: tuple[str, ...] | None = None  # the joinable pivots, in first-seen order
+    columns: dict[str, tuple[str, ...]] = {}
     for code, pairs in bitexts.items():
         seen: dict[str, str] = {}
         ambiguous: set[str] = set()
+        n_pairs = 0
         for en, foreign in pairs:
+            n_pairs += 1
             key = normalize_pivot(en)
             if key in seen:
                 # repeated pivot within one bitext: alignment is ambiguous
@@ -217,23 +227,25 @@ def mine_pivot_aligned(
                 seen[key] = foreign
         for key in ambiguous:
             del seen[key]
-        indexes[code] = seen
+        input_pairs[code] = n_pairs
         dup_counts[code] = len(ambiguous)
+        if order is None:
+            # the first index holds its unambiguous pivots in first-seen order
+            order = tuple(key for key in seen if key)
+        else:
+            joined = list(map(seen.__contains__, order))
+            order = tuple(compress(order, joined))
+            columns = {c: tuple(compress(column, joined)) for c, column in columns.items()}
+        columns[code] = tuple(map(seen.__getitem__, order))
 
     codes = list(bitexts)
-    # the first index holds its unambiguous pivots in first-seen order
-    order = [key for key in indexes[codes[0]] if key and all(key in indexes[c] for c in codes[1:])]
-
-    columns = {english_code: tuple(order)}
-    for c in codes:
-        columns[c] = tuple(indexes[c][key] for key in order)
     corpus = MultiParallelCorpus(
-        columns=columns,
+        columns={english_code: order, **columns},
         row_ids=tuple(range(len(order))),
         provenance={"source": "mine_pivot_aligned", "bitexts": codes},
     )
     stats = MiningStats(
-        input_pairs={c: len(bitexts[c]) for c in codes},
+        input_pairs=input_pairs,
         duplicate_pivots_dropped=dup_counts,
         yield_rows=len(order),
     )

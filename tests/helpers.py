@@ -49,6 +49,16 @@ def brute_force_mine(bitexts, english_code="en"):
     return {english_code: tuple(keys), **{c: tuple(usable[c][k] for k in keys) for c in codes}}
 
 
+def brute_force_mining_stats(bitexts):
+    """The pairs of each bitext, and the distinct trimmed pivots that occur
+    more than once in it, blank ones included."""
+    return (
+        {code: len(pairs) for code, pairs in bitexts.items()},
+        {code: sum(n > 1 for n in Counter(_trim(en) for en, _ in pairs).values())
+         for code, pairs in bitexts.items()},
+    )
+
+
 def make_mining_fixture(n_lines=1000, codes=("de", "nl", "fr"), seed=99):
     """Bitexts with injected exact duplicates, conflicting duplicates,
     whitespace-variant pivots, and per-language gaps."""

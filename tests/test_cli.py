@@ -281,6 +281,25 @@ def test_tag_memory_does_not_grow_with_the_input(tmp_path):
     assert peak(100_000)[1] <= 1.5 * small
 
 
+def test_mine_memory_does_not_grow_with_the_bitexts(tmp_path):
+    # every bitext is as long; one pivot in a hundred is shared by all
+    def peak(n):
+        bitexts = tmp_path / f"bitexts{n}"
+        write_bitexts(bitexts, {
+            code: [(f"shared {i}" if i % 100 == 0 else f"{code} only {i}", f"{code} side {i}")
+                   for i in range(3000)]
+            for code in ("de", "nl", "fr", "es", "it", "pt", "sv", "da")[:n]
+        })
+        tracemalloc.start()
+        try:
+            assert main(["mine", "--bitexts", str(bitexts), "--out", str(tmp_path / f"out{n}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.5 * peak(2)
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_lid_train_rejects_non_finite_alpha(corpus_dir, tmp_path, capsys, value):
     out = tmp_path / "lid"

@@ -293,6 +293,33 @@ def test_mine_names_a_bitext_file_with_a_bad_code(tmp_path, capsys, name, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "files, registry, message",
+    [({"de.tsv": "a\tb\tc\n"}, None, "pivot mining needs at least two bitexts"),
+     ({"de.tsv": "a\tb\tc\n", "en.tsv": "a\tb\n"}, None,
+      "bitext keyed by the pivot language 'en'"),
+     ({"de.tsv": "a\tb\tc\n", "nl.tsv": "a\tb\n"}, "{\n",
+      ":1:2: Expecting property name enclosed in double quotes")],
+    ids=["one-bitext", "pivot-keyed", "bad-registry"],
+)
+def test_mine_checks_its_bitext_codes_and_registry_before_reading_a_bitext(
+        tmp_path, capsys, files, registry, message):
+    # de.tsv's first line is malformed, yet the fault found without reading it wins
+    bitexts = tmp_path / "bitexts"
+    for name, text in files.items():
+        write(bitexts / name, text)
+    out = tmp_path / "mined"
+    argv = ["mine", "--bitexts", str(bitexts), "--out", str(out)]
+    if registry is not None:
+        write(tmp_path / "registry.json", registry)
+        message = f"{tmp_path / 'registry.json'}{message}"
+        # without the bad registry, the malformed bitext is named by file and line
+        assert json_error(argv, capsys)["message"] == f"{bitexts / 'de.tsv'}:1: expected 2 fields, got 3"
+        argv += ["--registry", str(tmp_path / "registry.json")]
+    assert json_error(argv, capsys)["message"] == message
+    assert not out.exists()
+
+
 def hand_made_corpus(root):
     """A corpus directory without a manifest, one column coded ``pt-BR``."""
     for code in ("de", "nl", "pt-BR"):

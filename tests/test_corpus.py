@@ -14,7 +14,7 @@ from multipar.corpus import (
     save_corpus,
 )
 
-from helpers import brute_force_mine, full_corpus, make_mining_fixture
+from helpers import brute_force_mine, brute_force_mining_stats, full_corpus, make_mining_fixture
 
 
 def fully_parallel(corpus):
@@ -259,14 +259,27 @@ def test_mine_never_joins_on_a_blank_pivot():
 _pivots = st.sampled_from(["", " ", "\t", "a", " a", "b", "c d", "e"])
 
 
+@st.composite
+def _bitexts(draw):
+    pairs = draw(st.lists(st.lists(st.tuples(_pivots, st.text("xyz", max_size=2)), max_size=6),
+                          min_size=2, max_size=4))
+    # a pivot found once in every bitext, or in all but one, which joins nothing
+    lacking = draw(st.sampled_from([None, *range(len(pairs))]))
+    for i, rows in enumerate(pairs):
+        if i != lacking:
+            rows.insert(draw(st.integers(0, len(rows))), ("shared", f"s{i}"))
+    return dict(zip(("de", "nl", "fr", "es"), pairs))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.tuples(_pivots, st.text("xyz", max_size=2)), max_size=6),
-                min_size=2, max_size=3))
-def test_mine_matches_brute_force_on_blank_and_repeated_pivots(pairs):
-    bitexts = {code: rows for code, rows in zip(("de", "nl", "fr"), pairs)}
-    corpus, stats = mine_pivot_aligned(bitexts)
+@given(_bitexts())
+@example({"de": [("a", "x"), (" ", "y"), ("", "z")], "nl": [("b", "x")], "fr": [("a", "y")]})
+def test_mine_matches_brute_force_on_blank_and_repeated_pivots(bitexts):
+    # each bitext is a one-shot generator, as `mine` passes them
+    corpus, stats = mine_pivot_aligned({c: (pair for pair in rows) for c, rows in bitexts.items()})
     assert corpus.columns == brute_force_mine(bitexts)
     assert stats.yield_rows == corpus.n_rows
+    assert (stats.input_pairs, stats.duplicate_pivots_dropped) == brute_force_mining_stats(bitexts)
 
 
 def test_mine_requires_two_bitexts():
